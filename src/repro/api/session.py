@@ -369,10 +369,8 @@ class Session:
             result_log.append(monitor.result_table())
 
         # Columnar replay: the materialized stream is transposed once
-        # (memoized on the workload) and every cycle runs the monitors'
-        # ``process_flat`` fast path — the row and columnar cycles are
-        # pinned byte-identical, so results, changed sets and counters
-        # match a ``tick_batch`` replay exactly.
+        # (memoized on the workload) instead of once per cycle inside
+        # ``tick_batch``; either entry point runs the same cycle.
         for batch in workload.flat_batches():
             monitor.reset_stats()
             t0 = time.perf_counter()

@@ -15,7 +15,7 @@ from repro.core.strategies import PointNNStrategy, QueryStrategy
 from repro.geometry.points import Point
 from repro.grid.stats import GridStats
 from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
-from repro.updates import ObjectUpdate, QueryUpdate, QueryUpdateKind
+from repro.updates import FlatUpdateBatch, QueryUpdate
 
 
 class _BruteQuery:
@@ -85,6 +85,9 @@ class BruteForceMonitor(ContinuousMonitor):
     def query_ids(self) -> list[int]:
         return list(self._queries)
 
+    def query_k(self, qid: int) -> int:
+        return self._queries[qid].k
+
     def _query_records(self) -> list[QueryRecord]:
         return [
             QueryRecord(qid, q.k, strategy=q.strategy)
@@ -95,12 +98,10 @@ class BruteForceMonitor(ContinuousMonitor):
     # Processing
     # ------------------------------------------------------------------
 
-    def process(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
+    def _cycle(
+        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
     ) -> set[int]:
-        for upd in object_updates:
+        for upd in batch.to_object_updates():
             if upd.old is not None and upd.oid not in self._positions:
                 raise KeyError(f"object {upd.oid} is not on-line")
             if upd.new is not None:
@@ -110,17 +111,8 @@ class BruteForceMonitor(ContinuousMonitor):
             else:
                 self._positions.pop(upd.oid, None)
         changed: set[int] = set()
-        refreshed: set[int] = set()
-        for qu in query_updates:
-            if qu.kind is QueryUpdateKind.TERMINATE:
-                self.remove_query(qu.qid)
-                continue
-            if qu.kind is QueryUpdateKind.MOVE:
-                self.remove_query(qu.qid)
-            assert qu.point is not None
-            self.install_query(qu.qid, qu.point, qu.k or 1)
-            changed.add(qu.qid)
-            refreshed.add(qu.qid)
+        self._apply_query_updates(query_updates, changed)
+        refreshed = set(changed)
         log = self._delta_log
         for qid, query in self._queries.items():
             if qid in refreshed:
@@ -132,14 +124,6 @@ class BruteForceMonitor(ContinuousMonitor):
                 query.entries = entries
                 changed.add(qid)
         return changed
-
-    def process_deltas(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
-    ):
-        """Targeted-capture delta reporting (see ContinuousMonitor)."""
-        return self._process_deltas_captured(object_updates, query_updates)
 
     def _evaluate(self, query: _BruteQuery) -> list[ResultEntry]:
         strategy = query.strategy

@@ -38,12 +38,7 @@ from repro.grid.grid import Grid
 from repro.grid.kernels import KernelBackend
 from repro.grid.stats import GridStats
 from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
-from repro.updates import (
-    FlatUpdateBatch,
-    ObjectUpdate,
-    QueryUpdate,
-    QueryUpdateKind,
-)
+from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
 
 
 class _SeaQuery:
@@ -144,6 +139,9 @@ class SeaCnnMonitor(ContinuousMonitor):
     def query_ids(self) -> list[int]:
         return list(self._queries)
 
+    def query_k(self, qid: int) -> int:
+        return self._queries[qid].k
+
     def answer_region_cells(self, qid: int) -> set[CellCoord]:
         """Cells currently marked for the query (tests/diagnostics)."""
         return set(self._queries[qid].marked)
@@ -152,91 +150,20 @@ class SeaCnnMonitor(ContinuousMonitor):
     # Processing
     # ------------------------------------------------------------------
 
-    def process(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
+    def _cycle(
+        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
     ) -> set[int]:
-        grid = self._grid
-        queries = self._queries
-        updated_qids = {qu.qid for qu in query_updates}
-        scratch: dict[int, _SeaScratch] = {}
+        """One SEA-CNN cycle over the batch's columns.
 
-        for upd in object_updates:
-            oid = upd.oid
-            old = upd.old
-            new = upd.new
-            if old is not None and new is not None:
-                # Movement: one Grid.move (same-cell fast path relocates
-                # in place; counters identical to delete+insert).  The
-                # mark probes only read answer-region state, so running
-                # both after the move matches the delete-then-insert
-                # interleaving exactly.
-                old_cell, new_cell = grid.move(oid, old, new)
-                self._positions[oid] = new
-            elif old is not None:
-                old_cell = grid.delete(oid, old[0], old[1])
-                new_cell = None
-                self._positions.pop(oid, None)
-            else:
-                assert new is not None
-                old_cell = None
-                new_cell = grid.insert(oid, new[0], new[1])
-                self._positions[oid] = new
-            if old_cell is not None:
-                for qid in grid.marks(old_cell):
-                    if qid in updated_qids:
-                        continue
-                    query = queries[qid]
-                    if oid not in query.ids:
-                        continue
-                    sc = scratch.get(qid)
-                    if sc is None:
-                        sc = scratch[qid] = _SeaScratch()
-                    if new is None:
-                        sc.offline = True
-                    else:
-                        d = math.hypot(new[0] - query.x, new[1] - query.y)
-                        if d > query.best_dist:
-                            if d > sc.d_max:
-                                sc.d_max = d
-                        else:
-                            sc.within = True
-            if new_cell is not None:
-                for qid in grid.marks(new_cell):
-                    if qid in updated_qids:
-                        continue
-                    query = queries[qid]
-                    if oid in query.ids:
-                        continue
-                    d = math.hypot(new[0] - query.x, new[1] - query.y)
-                    if d <= query.best_dist:
-                        sc = scratch.get(qid)
-                        if sc is None:
-                            sc = scratch[qid] = _SeaScratch()
-                        sc.within = True
-
-        return self._finish_cycle(
-            scratch, updated_qids, bool(object_updates), query_updates
-        )
-
-    def process_flat(
-        self,
-        batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ) -> set[int]:
-        """Columnar fast path: byte-identical to :meth:`process` over
-        ``batch.to_object_updates()``.
-
-        Grid surgery and answer-region probes match :meth:`process` row
-        for row (same counters, same scratch classification); both cell
-        ids of every row come from one batch addressing pass
+        Movements relocate through :meth:`Grid.move_ids` (same-cell fast
+        path, counters identical to delete+insert); the mark probes only
+        read answer-region state, so running both after the move matches
+        the delete-then-insert interleaving exactly.  Both cell ids of
+        every row come from one batch addressing pass
         (:meth:`repro.grid.grid.Grid.batch_cell_ids`, vectorized on the
         numpy backend) and the mark sets are read straight off the
         packed-id store — no coordinate tuples anywhere in the loop.
         """
-        if query_updates is None:
-            query_updates = batch.query_updates
         grid = self._grid
         queries = self._queries
         positions = self._positions
@@ -261,6 +188,8 @@ class SeaCnnMonitor(ContinuousMonitor):
             new_cids,
         ):
             if ap:
+                if oid in positions:
+                    raise KeyError(f"object {oid} appeared twice")
                 insert_at(ncid, oid, (nx, ny))
                 positions[oid] = (nx, ny)
                 old_ms = None
@@ -318,9 +247,8 @@ class SeaCnnMonitor(ContinuousMonitor):
         had_updates: bool,
         query_updates: Sequence[QueryUpdate],
     ) -> set[int]:
-        """Re-evaluation of the affected queries plus query-update
-        handling (shared tail of :meth:`process` and
-        :meth:`process_flat`)."""
+        """Re-evaluation of the affected queries, then the query-update
+        phase."""
         queries = self._queries
         # Under-full queries watch the whole workspace.
         if had_updates:
@@ -345,40 +273,15 @@ class SeaCnnMonitor(ContinuousMonitor):
             if entries != old_entries:
                 changed.add(qid)
 
-        for qu in query_updates:
-            if qu.kind is QueryUpdateKind.TERMINATE:
-                self.remove_query(qu.qid)
-                continue
-            if qu.kind is QueryUpdateKind.MOVE:
-                self._move_query(qu.qid, qu.point, qu.k)
-                changed.add(qu.qid)
-                continue
-            assert qu.point is not None
-            self.install_query(qu.qid, qu.point, qu.k or 1)
-            changed.add(qu.qid)
+        self._apply_query_updates(query_updates, changed)
         return changed
 
-    def process_deltas(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
-    ):
-        """Targeted-capture delta reporting (see ContinuousMonitor)."""
-        return self._process_deltas_captured(object_updates, query_updates)
-
-    def process_deltas_flat(
-        self,
-        batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ):
-        """Columnar delta reporting: :meth:`process_flat` with capture
-        (the capture hook fires in the re-evaluation sweep, which the
-        row and columnar cycles share)."""
-        if query_updates is None:
-            query_updates = batch.query_updates
-        return self._captured_deltas(
-            query_updates, lambda: self.process_flat(batch, query_updates)
-        )
+    def apply_query_update(self, update: QueryUpdate) -> None:
+        """A moving query is case (iii) of Figure 2.2b, not a re-install."""
+        if update.kind is QueryUpdateKind.MOVE:
+            self._move_query(update.qid, update.point, update.k)
+        else:
+            super().apply_query_update(update)
 
     # ------------------------------------------------------------------
     # Internals

@@ -32,12 +32,7 @@ from repro.grid.grid import Grid
 from repro.grid.kernels import KernelBackend
 from repro.grid.stats import GridStats
 from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
-from repro.updates import (
-    FlatUpdateBatch,
-    ObjectUpdate,
-    QueryUpdate,
-    QueryUpdateKind,
-)
+from repro.updates import FlatUpdateBatch, QueryUpdate
 
 
 class _YpkQuery:
@@ -115,6 +110,9 @@ class YpkCnnMonitor(ContinuousMonitor):
     def query_ids(self) -> list[int]:
         return list(self._queries)
 
+    def query_k(self, qid: int) -> int:
+        return self._queries[qid].k
+
     def _query_records(self) -> list[QueryRecord]:
         return [
             QueryRecord(qid, q.k, point=(q.x, q.y))
@@ -125,48 +123,19 @@ class YpkCnnMonitor(ContinuousMonitor):
     # Processing
     # ------------------------------------------------------------------
 
-    def process(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
+    def _cycle(
+        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
     ) -> set[int]:
-        grid = self._grid
-        # "YPK-CNN does not process updates as they arrive, but directly
-        # applies the changes to the grid."  Movements go through
-        # Grid.move, whose same-cell fast path relocates in place
-        # (identical delete+insert counters).
-        for upd in object_updates:
-            old = upd.old
-            new = upd.new
-            if old is not None and new is not None:
-                grid.move(upd.oid, old, new)
-                self._positions[upd.oid] = new
-            elif old is not None:
-                grid.delete(upd.oid, old[0], old[1])
-                self._positions.pop(upd.oid, None)
-            else:
-                assert new is not None
-                grid.insert(upd.oid, new[0], new[1])
-                self._positions[upd.oid] = new
-        return self._finish_cycle(query_updates)
+        """One YPK-CNN cycle over the batch's columns.
 
-    def process_flat(
-        self,
-        batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ) -> set[int]:
-        """Columnar fast path: byte-identical to :meth:`process` over
-        ``batch.to_object_updates()``.
-
-        The grid surgery is the same as in :meth:`process` — one
-        move/insert/delete per row, identical counters — but both cell
-        ids of every row come from one batch addressing pass
+        "YPK-CNN does not process updates as they arrive, but directly
+        applies the changes to the grid": one move/insert/delete per row
+        (movements through :meth:`Grid.move_ids`, whose same-cell fast
+        path relocates in place with identical delete+insert counters).
+        Both cell ids of every row come from one batch addressing pass
         (:meth:`repro.grid.grid.Grid.batch_cell_ids`, vectorized on the
-        numpy backend) and the columns are consumed by a single zip
-        instead of per-row dataclass attribute reads.
+        numpy backend) and the columns are consumed by a single zip.
         """
-        if query_updates is None:
-            query_updates = batch.query_updates
         grid = self._grid
         positions = self._positions
         # Full-row alignment: appearance rows carry placeholder old
@@ -188,6 +157,8 @@ class YpkCnnMonitor(ContinuousMonitor):
             new_cids,
         ):
             if ap:
+                if oid in positions:
+                    raise KeyError(f"object {oid} appeared twice")
                 insert_at(ncid, oid, (nx, ny))
                 positions[oid] = (nx, ny)
             elif dis:
@@ -201,22 +172,11 @@ class YpkCnnMonitor(ContinuousMonitor):
     def _finish_cycle(
         self, query_updates: Sequence[QueryUpdate]
     ) -> set[int]:
-        """Query-update handling plus the periodic re-evaluation sweep
-        (shared tail of :meth:`process` and :meth:`process_flat`)."""
+        """The query-update phase ("when a query q changes location, it is
+        handled as a new one"), then the periodic re-evaluation sweep."""
         changed: set[int] = set()
-        fresh: set[int] = set()
-        for qu in query_updates:
-            if qu.kind is QueryUpdateKind.TERMINATE:
-                self.remove_query(qu.qid)
-                continue
-            if qu.kind is QueryUpdateKind.MOVE:
-                # "When a query q changes location, it is handled as a new
-                # one (i.e., its NN set is computed from scratch)."
-                self.remove_query(qu.qid)
-            assert qu.point is not None
-            self.install_query(qu.qid, qu.point, qu.k or 1)
-            changed.add(qu.qid)
-            fresh.add(qu.qid)
+        self._apply_query_updates(query_updates, changed)
+        fresh = set(changed)
 
         # Periodic re-evaluation of every other installed query.
         log = self._delta_log
@@ -230,28 +190,6 @@ class YpkCnnMonitor(ContinuousMonitor):
                 query.entries = new_entries
                 changed.add(qid)
         return changed
-
-    def process_deltas(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
-    ):
-        """Targeted-capture delta reporting (see ContinuousMonitor)."""
-        return self._process_deltas_captured(object_updates, query_updates)
-
-    def process_deltas_flat(
-        self,
-        batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ):
-        """Columnar delta reporting: :meth:`process_flat` with capture
-        (the capture hook fires in the re-evaluation sweep, which the
-        row and columnar cycles share)."""
-        if query_updates is None:
-            query_updates = batch.query_updates
-        return self._captured_deltas(
-            query_updates, lambda: self.process_flat(batch, query_updates)
-        )
 
     def _re_evaluate(self, query: _YpkQuery) -> list[ResultEntry]:
         """Figure 2.1b: bound the search by the furthest previous neighbor."""

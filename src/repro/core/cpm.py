@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import compress, repeat
 from math import hypot, inf as _INF
 
 from repro.core.bookkeeping import CycleScratch, QueryState
@@ -57,12 +57,7 @@ from repro.grid.grid import Grid
 from repro.grid.kernels import VEC_MIN_BATCH as _VEC_MIN_BATCH, KernelBackend
 from repro.grid.stats import GridStats
 from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
-from repro.updates import (
-    FlatUpdateBatch,
-    ObjectUpdate,
-    QueryUpdate,
-    QueryUpdateKind,
-)
+from repro.updates import FlatUpdateBatch, QueryUpdate
 
 
 class CPMMonitor(ContinuousMonitor):
@@ -90,8 +85,8 @@ class CPMMonitor(ContinuousMonitor):
         # float/int operations per endpoint).  It is also the only
         # per-object side table: positions are *not* shadowed in a second
         # dict — object_position() reads them back through the cell
-        # columns, so the update loops save one dict store (and, on the
-        # flat path, one tuple allocation) per move.
+        # columns, so the update loop saves one dict store and one tuple
+        # allocation per move.
         self._object_cells: dict[int, int] = {}
         self._queries: dict[int, QueryState] = {}
         # qid -> (state, nn, qx, qy, is_point): the influence-probe
@@ -142,6 +137,9 @@ class CPMMonitor(ContinuousMonitor):
 
     def query_ids(self) -> list[int]:
         return list(self._queries)
+
+    def query_k(self, qid: int) -> int:
+        return self._queries[qid].k
 
     def _query_records(self) -> list[QueryRecord]:
         """Capture hook: every query re-installs from its strategy."""
@@ -710,354 +708,33 @@ class CPMMonitor(ContinuousMonitor):
             log[state.qid] = before
         return sc
 
-    def process_deltas(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
-    ):
-        """Targeted-capture delta reporting: only touched queries pay."""
-        return self._process_deltas_captured(object_updates, query_updates)
-
-    def process_deltas_flat(
-        self,
-        batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ):
-        """Columnar delta reporting: :meth:`process_flat` with capture.
-
-        The capture hook lives in :meth:`_acquire_scratch`, which the
-        flat loop shares with :meth:`process`, so streaming deployments
-        keep the columnar apply — no fallback through
-        ``to_object_updates``.  Deltas are byte-identical to
-        :meth:`process_deltas` over the translated batch (pinned by
-        tests/test_flat_delta_capture.py).
-        """
-        if query_updates is None:
-            query_updates = batch.query_updates
-        return self._captured_deltas(
-            query_updates, lambda: self.process_flat(batch, query_updates)
-        )
-
-    def process(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
+    def _cycle(
+        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
     ) -> set[int]:
-        grid = self._grid
+        """One CPM cycle: update handling (Figure 3.8) over the batch's
+        columns, then the query-update phase (Figure 3.9).
+
+        The row loop infers appearances from the object->cell map (see
+        :meth:`_apply_flat_rows`); this public boundary then holds the
+        inference against the batch's ``appear`` flags, so a movement of
+        an unknown object or an appearance of an on-line one raises
+        ``KeyError`` (as a disappearance of an unknown object does inside
+        the loop).  The comparison runs once per batch, off the per-row
+        path, and is by oid sequence: a flag parked on a later row of the
+        same object's on-line run is not told apart (same end state).
+        """
         # "Queries that receive updates are ignored when handling object
         # updates in order to avoid waste of computations" (Section 3.3).
         updated_qids = {qu.qid for qu in query_updates}
         scratch: dict[int, CycleScratch] = {}
-        cell_id = grid.cell_id
-        scratch_get = scratch.get
-        # Inlined cell addressing (same float ops as Grid.cell_id), the
-        # live mark/cell stores and the counters: one multiply-add + one
-        # index per influence probe, zero function frames per columnar
-        # mutation (the storage-mirror contract of the grid module).
-        marks_store = grid._marks
-        cells_store = grid._cells
-        stats = grid.stats
-        object_cells = self._object_cells
-        probes = self._query_probes
-        cell_cls = grid.cell_factory
-        bounds = grid.bounds
-        bx0 = bounds.x0
-        by0 = bounds.y0
-        delta = grid.delta
-        cols = grid.cols
-        rows = grid.rows
-        cols_1 = cols - 1
-        rows_1 = rows - 1
-
-        n_del = 0
-        n_ins = 0
-        for upd in object_updates:
-            oid = upd.oid
-            old = upd.old
-            new = upd.new
-            if old is not None and new is not None:
-                # The old cell comes from the object->cell map (identical
-                # to re-deriving it from the old coordinates for any
-                # consistent stream); the new cell is inlined Grid.cell_id
-                # (same float ops).
-                old_cid = object_cells[oid]
-                nx = new[0]
-                ny = new[1]
-                i = int((nx - bx0) / delta)
-                if i < 0:
-                    i = 0
-                elif i > cols_1:
-                    i = cols_1
-                j = int((ny - by0) / delta)
-                if j < 0:
-                    j = 0
-                elif j > rows_1:
-                    j = rows_1
-                new_cid = i * rows + j
-                if old_cid == new_cid:
-                    # Same-cell move (the common case at coarse grids): two
-                    # in-place column stores and one influence probe
-                    # instead of a delete/insert pair touching the mark set
-                    # twice.  The combined loop below is exactly the
-                    # delete-phase followed by the insert-phase of Figure
-                    # 3.8 for a cell whose mark set is probed once.
-                    # (Inlined Grid.relocate_at.)
-                    cell = cells_store[old_cid]
-                    idx = None if cell is None else cell.slot.get(oid)
-                    if idx is None:
-                        raise KeyError(
-                            f"object {oid} not found in cell "
-                            f"{grid.unpack(old_cid)}"
-                        )
-                    cell.xs[idx] = nx
-                    cell.ys[idx] = ny
-                    n_del += 1
-                    n_ins += 1
-                    ms = marks_store[old_cid]
-                    if ms:
-                        for qid in ms:
-                            if qid in updated_qids:
-                                continue
-                            state, nn, pqx, pqy, ispt = probes[qid]
-                            sc = scratch_get(qid)
-                            if ispt:
-                                d = hypot(nx - pqx, ny - pqy)
-                                ok = True
-                            else:
-                                ok = state.strategy.accepts(nx, ny, oid)
-                                d = state.strategy.dist(nx, ny) if ok else 0.0
-                            if oid in nn._dists:
-                                if sc is None:
-                                    sc = scratch[qid] = self._acquire_scratch(state)
-                                if ok and d <= state.best_dist:
-                                    # p remains in the NN set; update order.
-                                    nn.update_dist(oid, d)
-                                    sc.note_reorder()
-                                else:
-                                    nn.remove(oid)
-                                    sc.note_outgoing()
-                            else:
-                                if sc is not None and oid in sc.in_list._dists:
-                                    # Pending incomer moved again in-cycle.
-                                    sc.in_list.remove(oid)
-                                if ok and d <= state.best_dist:
-                                    if sc is None:
-                                        sc = scratch[qid] = self._acquire_scratch(
-                                            state
-                                        )
-                                    sc.note_incomer(d, oid)
-                    continue
-                # Cross-cell move: delete phase on the old cell...
-                # (Inlined Grid.delete_at: delete-by-swap on the columns.)
-                cell = cells_store[old_cid]
-                idx = None if cell is None else cell.slot.pop(oid, None)
-                if idx is None:
-                    raise KeyError(
-                        f"object {oid} not found in cell {grid.unpack(old_cid)}"
-                    )
-                coids = cell.oids
-                last_oid = coids.pop()
-                lx = cell.xs.pop()
-                ly = cell.ys.pop()
-                if last_oid != oid:
-                    coids[idx] = last_oid
-                    cell.xs[idx] = lx
-                    cell.ys[idx] = ly
-                    cell.slot[last_oid] = idx
-                elif not coids:
-                    grid._occupied -= 1
-                grid._n_objects -= 1
-                n_del += 1
-                ms = marks_store[old_cid]
-                if ms:
-                    for qid in ms:
-                        if qid in updated_qids:
-                            continue
-                        state, nn, pqx, pqy, ispt = probes[qid]
-                        sc = scratch_get(qid)
-                        if oid in nn._dists:
-                            if sc is None:
-                                sc = scratch[qid] = self._acquire_scratch(state)
-                            if ispt:
-                                d = hypot(nx - pqx, ny - pqy)
-                                ok = True
-                            else:
-                                ok = state.strategy.accepts(nx, ny, oid)
-                                d = state.strategy.dist(nx, ny) if ok else 0.0
-                            if ok and d <= state.best_dist:
-                                # p remains in the NN set; update the order.
-                                nn.update_dist(oid, d)
-                                sc.note_reorder()
-                            else:
-                                # p is an outgoing NN (moved beyond
-                                # best_dist or left the constraint region).
-                                nn.remove(oid)
-                                sc.note_outgoing()
-                        elif sc is not None and oid in sc.in_list._dists:
-                            # A pending incomer moved again within this cycle.
-                            sc.in_list.remove(oid)
-                # ... then insert phase on the new cell.
-                # (Inlined Grid.insert_at: append a row to the columns.)
-                cell = cells_store[new_cid]
-                if cell is None:
-                    cell = cell_cls()
-                    cells_store[new_cid] = cell
-                slot = cell.slot
-                if oid in slot:
-                    raise KeyError(
-                        f"object {oid} already present in cell "
-                        f"{grid.unpack(new_cid)}"
-                    )
-                coids = cell.oids
-                if not coids:
-                    grid._occupied += 1
-                slot[oid] = len(coids)
-                coids.append(oid)
-                cell.xs.append(nx)
-                cell.ys.append(ny)
-                grid._n_objects += 1
-                n_ins += 1
-                object_cells[oid] = new_cid
-                ms = marks_store[new_cid]
-                if ms:
-                    for qid in ms:
-                        if qid in updated_qids:
-                            continue
-                        state, nn, pqx, pqy, ispt = probes[qid]
-                        if oid in nn._dists:
-                            continue
-                        if ispt:
-                            d = hypot(nx - pqx, ny - pqy)
-                        else:
-                            if not state.strategy.accepts(nx, ny, oid):
-                                continue
-                            d = state.strategy.dist(nx, ny)
-                        if d <= state.best_dist:
-                            sc = scratch_get(qid)
-                            if sc is None:
-                                sc = scratch[qid] = self._acquire_scratch(state)
-                            sc.note_incomer(d, oid)
-                continue
-            if old is not None:
-                # Disappearance: off-line NNs are outgoing ones (Section 4.2).
-                # (Inlined Grid.delete_at, as in the move path above.)
-                old_cid = object_cells.pop(oid)
-                cell = cells_store[old_cid]
-                idx = None if cell is None else cell.slot.pop(oid, None)
-                if idx is None:
-                    raise KeyError(
-                        f"object {oid} not found in cell {grid.unpack(old_cid)}"
-                    )
-                coids = cell.oids
-                last_oid = coids.pop()
-                lx = cell.xs.pop()
-                ly = cell.ys.pop()
-                if last_oid != oid:
-                    coids[idx] = last_oid
-                    cell.xs[idx] = lx
-                    cell.ys[idx] = ly
-                    cell.slot[last_oid] = idx
-                elif not coids:
-                    grid._occupied -= 1
-                grid._n_objects -= 1
-                n_del += 1
-                ms = marks_store[old_cid]
-                if ms:
-                    for qid in ms:
-                        if qid in updated_qids:
-                            continue
-                        state, nn, _pqx, _pqy, _ispt = probes[qid]
-                        sc = scratch_get(qid)
-                        if oid in nn._dists:
-                            if sc is None:
-                                sc = scratch[qid] = self._acquire_scratch(state)
-                            nn.remove(oid)
-                            sc.note_outgoing()
-                        elif sc is not None and oid in sc.in_list._dists:
-                            sc.in_list.remove(oid)
-                continue
-            # Appearance (old is None; both None is rejected by ObjectUpdate).
-            assert new is not None
-            new_cid = cell_id(new[0], new[1])
-            # (Inlined Grid.insert_at, as in the move path above.)
-            cell = cells_store[new_cid]
-            if cell is None:
-                cell = cell_cls()
-                cells_store[new_cid] = cell
-            slot = cell.slot
-            if oid in slot:
-                raise KeyError(
-                    f"object {oid} already present in cell {grid.unpack(new_cid)}"
-                )
-            coids = cell.oids
-            if not coids:
-                grid._occupied += 1
-            slot[oid] = len(coids)
-            coids.append(oid)
-            cell.xs.append(new[0])
-            cell.ys.append(new[1])
-            grid._n_objects += 1
-            n_ins += 1
-            object_cells[oid] = new_cid
-            ms = marks_store[new_cid]
-            if ms:
-                nx = new[0]
-                ny = new[1]
-                for qid in ms:
-                    if qid in updated_qids:
-                        continue
-                    state, nn, pqx, pqy, ispt = probes[qid]
-                    if oid in nn._dists:
-                        continue
-                    if ispt:
-                        d = hypot(nx - pqx, ny - pqy)
-                    else:
-                        if not state.strategy.accepts(nx, ny, oid):
-                            continue
-                        d = state.strategy.dist(nx, ny)
-                    if d <= state.best_dist:
-                        sc = scratch_get(qid)
-                        if sc is None:
-                            sc = scratch[qid] = self._acquire_scratch(state)
-                        sc.note_incomer(d, oid)
-
-        if n_del or n_ins:
-            stats.deletes += n_del
-            stats.inserts += n_ins
-
-        return self._finish_cycle(scratch, query_updates)
-
-    def process_flat(
-        self,
-        batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ) -> set[int]:
-        """Columnar fast path: one cycle straight off a
-        :class:`FlatUpdateBatch`.
-
-        Byte-identical to :meth:`process` over ``batch.to_object_updates()``
-        (same changed sets, results and deterministic counters — the
-        equivalence suite pins this): the loop below is the update handling
-        of Figure 3.8 with every per-update value read from the parallel
-        columns by one ``zip`` unpack instead of dataclass attribute reads
-        plus position-tuple indexing.
-
-        The zip stays four columns wide on purpose — each extra zip column
-        costs measurably at this trip count (``python -m repro.perf
-        micro``).  The old coordinates are never read (the authoritative
-        old cell comes from the object->cell map, exactly as in
-        :meth:`process`) and the appearance mask is not consulted either:
-        for any consistent stream an appearing object is exactly one the
-        map does not know.  Consequence for *invalid* streams: a movement
-        row for an unknown object is treated as an appearance here, where
-        :meth:`process` would raise — the validity checks that matter
-        (double insert, delete of a missing object) still raise in both.
-        """
-        if query_updates is None:
-            query_updates = batch.query_updates
-        updated_qids = {qu.qid for qu in query_updates}
-        scratch: dict[int, CycleScratch] = {}
-        self._apply_flat_rows(batch, scratch, updated_qids)
+        appeared = self._apply_flat_rows(batch, scratch, updated_qids)
+        flagged = list(compress(batch.oids, batch.appear))
+        if appeared != flagged:
+            raise KeyError(
+                "object rows disagree with the object table: unknown objects "
+                f"moved {sorted(set(appeared) - set(flagged))}, on-line "
+                f"objects appeared {sorted(set(flagged) - set(appeared))}"
+            )
         return self._finish_cycle(scratch, query_updates)
 
     def _apply_flat_rows(
@@ -1065,20 +742,33 @@ class CPMMonitor(ContinuousMonitor):
         batch: FlatUpdateBatch,
         scratch: dict[int, CycleScratch],
         updated_qids: set[int],
-    ) -> None:
+    ) -> list[int]:
         """Apply a flat batch's object maintenance + influence probes.
 
-        The per-row loop of :meth:`process_flat`, factored out so cycle
-        assembly (scratch, query updates, :meth:`_finish_cycle`) and row
-        application are separable: the partitioned shard engine
-        (:mod:`repro.service.partition`) overrides this method to splice
-        boundary-crossing "leave" rows into the stream and to apply one
-        cycle's rows across several commands.
+        The per-row loop of the cycle (Figure 3.8), kept apart from cycle
+        assembly (scratch, query updates, :meth:`_finish_cycle`) so the
+        partitioned shard engine (:mod:`repro.service.partition`) can
+        splice boundary-crossing "leave" rows into the stream and apply
+        one cycle's rows across several commands.
+
+        Every per-row value comes off the parallel columns by one ``zip``
+        unpack, kept four columns wide on purpose — each extra zip column
+        costs measurably at this trip count.  The old coordinates are
+        never read: the authoritative old cell comes from the
+        object->cell map (one dict hit versus re-deriving it from the
+        update's old position).  The appearance mask is not consulted
+        either — an object the map does not know appears, a known one
+        moves, which is what lets the partitioned coordinator route a
+        plain move row to a shard that has never seen the object.
+        Returns the oids that took the appearance path, in row order, for
+        the public boundary (:meth:`_cycle`) to hold against the mask.
         """
         grid = self._grid
         scratch_get = scratch.get
-        # Inlined cell addressing, live stores and counters — the same
-        # storage-mirror locals as `process` (see the comments there).
+        # Inlined cell addressing (same float ops as Grid.cell_id), the
+        # live mark/cell stores and the counters: one multiply-add + one
+        # index per influence probe, zero function frames per columnar
+        # mutation (the storage-mirror contract of the grid module).
         marks_store = grid._marks
         cells_store = grid._cells
         stats = grid.stats
@@ -1115,6 +805,7 @@ class CPMMonitor(ContinuousMonitor):
             )
         else:
             new_cids = repeat(None)
+        appeared: list[int] = []
         n_del = 0
         n_ins = 0
         for oid, nx, ny, dis, new_cid in zip(
@@ -1160,6 +851,7 @@ class CPMMonitor(ContinuousMonitor):
                     grid._n_objects += 1
                     n_ins += 1
                     object_cells[oid] = new_cid
+                    appeared.append(oid)
                     ms = marks_store[new_cid]
                     if ms:
                         for qid in ms:
@@ -1183,8 +875,13 @@ class CPMMonitor(ContinuousMonitor):
                                 sc.note_incomer(d, oid)
                     continue
                 if old_cid == new_cid:
-                    # Same-cell move (inlined Grid.relocate_at + one
-                    # influence probe; see `process`).
+                    # Same-cell move (the common case at coarse grids): two
+                    # in-place column stores and one influence probe
+                    # instead of a delete/insert pair touching the mark set
+                    # twice.  The combined loop below is exactly the
+                    # delete-phase followed by the insert-phase of Figure
+                    # 3.8 for a cell whose mark set is probed once.
+                    # (Inlined Grid.relocate_at.)
                     cell = cells_store[old_cid]
                     idx = None if cell is None else cell.slot.get(oid)
                     if idx is None:
@@ -1361,15 +1058,15 @@ class CPMMonitor(ContinuousMonitor):
         if n_del or n_ins:
             stats.deletes += n_del
             stats.inserts += n_ins
+        return appeared
 
     def _finish_cycle(
         self,
         scratch: dict[int, CycleScratch],
         query_updates: Sequence[QueryUpdate],
     ) -> set[int]:
-        """The cycle tail shared by :meth:`process` and :meth:`process_flat`:
-        finalize the touched queries (Figure 3.8 lines 17-24), then run the
-        query-update phase of Figure 3.9."""
+        """The cycle tail: finalize the touched queries (Figure 3.8 lines
+        17-24), then run the query-update phase of Figure 3.9."""
         queries = self._queries
         changed: set[int] = set()
         for qid, sc in scratch.items():
@@ -1383,18 +1080,7 @@ class CPMMonitor(ContinuousMonitor):
                     changed.add(qid)
         self._scratch_pool.extend(scratch.values())
 
-        # Figure 3.9 lines 5-9: terminations first within each update, then
-        # (re-)insertions.
-        for qu in query_updates:
-            if qu.kind is QueryUpdateKind.TERMINATE:
-                self.remove_query(qu.qid)
-                changed.discard(qu.qid)
-                continue
-            if qu.kind is QueryUpdateKind.MOVE:
-                self.remove_query(qu.qid)
-            assert qu.point is not None
-            self.install_query(qu.qid, qu.point, qu.k or 1)
-            changed.add(qu.qid)
+        self._apply_query_updates(query_updates, changed)
         return changed
 
     def _finalize_query(self, state: QueryState, sc: CycleScratch) -> None:

@@ -523,7 +523,7 @@ class Grid:
     ) -> None:
         """:meth:`move` with both cell ids precomputed by the caller.
 
-        The columnar update loops (``process_flat``) address whole
+        The baselines' columnar update loops address whole
         batches through :meth:`batch_cell_ids` and then drive this
         entry point, skipping the per-row addressing of :meth:`move`.
         Same fast path, same failure modes, same counters (one delete

@@ -13,8 +13,7 @@ cycle.  A cycle closes on the first of three triggers:
   as coalesced/dropped counts in the stats, not as an error).
 
 Each closed cycle drains the buffer, assembles one columnar
-:class:`repro.updates.FlatUpdateBatch` (or a row batch with
-``flat=False``) and hands it to
+:class:`repro.updates.FlatUpdateBatch` and hands it to
 :meth:`repro.service.service.MonitoringService.tick_report`; the per-cycle
 :class:`CycleIngestStats` aggregates into an :class:`IngestReport`.
 
@@ -168,9 +167,6 @@ class IngestDriver:
         honor_marks: close cycles on the feed's own :class:`CycleMark`
             boundaries (on by default; turn off to re-cut a marked feed
             purely by size/deadline).
-        flat: hand the engines columnar batches (the fast path); with
-            ``False`` each batch is converted to the row encoding first —
-            same stream, used by the equivalence tests.
         record: keep every applied :class:`FlatUpdateBatch` in
             :attr:`recorded` (the offline-replay verification hook).
         clock: time source for deadlines (monotonic seconds); injectable
@@ -205,7 +201,6 @@ class IngestDriver:
         max_batch: int | None = None,
         cycle_deadline: float | None = None,
         honor_marks: bool = True,
-        flat: bool = True,
         record: bool = False,
         clock: Callable[[], float] = time.monotonic,
         on_cycle: Callable[[CycleIngestStats], None] | None = None,
@@ -224,7 +219,6 @@ class IngestDriver:
         self.max_batch = max_batch
         self.cycle_deadline = cycle_deadline
         self.honor_marks = honor_marks
-        self.flat = flat
         self.record = record
         self.clock = clock
         self.on_cycle = on_cycle
@@ -438,7 +432,7 @@ class IngestDriver:
         ingest_sec = clock() - cycle_start
         if self.record:
             self.recorded.append(batch)
-        tick = self.service.tick_report(batch if self.flat else batch.to_batch())
+        tick = self.service.tick_report(batch)
         elapsed = clock() - cycle_start
         if self._spans is not None:
             self._spans.record("drain", drain_done - cycle_start)

@@ -118,9 +118,8 @@ class Workload:
     def flat_batches(self) -> list[FlatUpdateBatch]:
         """The stream re-encoded columnar, one
         :class:`repro.updates.FlatUpdateBatch` per timestamp (lossless —
-        see ``FlatUpdateBatch.from_batch``); the input of the
-        ``process_flat`` fast path and the offline-replay reference the
-        ingestion tests compare against.
+        see ``FlatUpdateBatch.from_batch``); the engines' native input and
+        the offline-replay reference the ingestion tests compare against.
 
         Memoized: the replay loop (:meth:`repro.api.session.Session.replay`)
         drives every monitor through the columnar cycle, and converting

@@ -5,6 +5,13 @@ CPM, YPK-CNN, SEA-CNN and the brute-force reference all implement
 (:meth:`repro.api.session.Session.replay`), the experiment drivers and the
 cross-algorithm equivalence tests can treat them interchangeably.
 
+An engine implements exactly one cycle: the :meth:`ContinuousMonitor._cycle`
+hook over a columnar :class:`repro.updates.FlatUpdateBatch`.  The public
+cycle names — ``process``, ``process_batch``, ``process_flat``,
+``process_deltas``, ``process_deltas_flat`` — are adapters defined once
+here: the row names columnarize with ``FlatUpdateBatch.from_updates``, the
+delta names wrap the hook in targeted result capture.
+
 Results are lists of ``(distance, object_id)`` pairs sorted ascending by
 ``(distance, object_id)``; ties on distance are broken by object id in every
 implementation so identical inputs produce identical outputs.
@@ -141,6 +148,10 @@ class ContinuousMonitor(ABC):
     def query_ids(self) -> list[int]:
         """Ids of all currently registered queries."""
 
+    @abstractmethod
+    def query_k(self, qid: int) -> int:
+        """The ``k`` a registered query was installed with."""
+
     def result_table(self) -> dict[int, list[ResultEntry]]:
         """Full ``{qid: result}`` snapshot of every registered query."""
         return {qid: self.result(qid) for qid in self.query_ids()}
@@ -230,17 +241,88 @@ class ContinuousMonitor(ABC):
         self.stats.restore(state.stats)
 
     # ------------------------------------------------------------------
-    # Stream processing
+    # Stream processing: one columnar cycle per engine, adapters here
     # ------------------------------------------------------------------
 
+    #: while a delta-reporting cycle runs, engines record here, once per
+    #: query, the query's *pre-cycle* result at the moment the query is
+    #: first touched (see :meth:`_open_capture`).  ``None`` disables
+    #: capture.
+    _delta_log: dict[int, list[ResultEntry]] | None = None
+
     @abstractmethod
+    def _cycle(
+        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
+    ) -> set[int]:
+        """Process one cycle — the only engine-specific cycle code.
+
+        Applies the batch's object rows (update handling, Figure 3.8),
+        then ``query_updates`` (Figure 3.9, through
+        :meth:`_apply_query_updates`); the batch's own ``query_updates``
+        field is not read.  Returns the ids of the queries whose result
+        changed, including inserted and moved ones.  While
+        :attr:`_delta_log` is a dict the engine stores each query's
+        pre-cycle result under its qid before first mutating it.
+        """
+
+    def _cycle_deltas(
+        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
+    ) -> dict[int, ResultDelta]:
+        """:meth:`_cycle` with targeted capture: one :class:`ResultDelta`
+        per changed query plus a ``terminated`` delta per removed one.
+        Only the touched queries pay.  Composite tiers override this twin
+        to merge their shards' deltas instead."""
+        before = self._open_capture(query_updates)
+        try:
+            changed = self._cycle(batch, query_updates)
+        finally:
+            self._delta_log = None
+        return self._close_capture(before, changed, query_updates)
+
+    def _open_capture(
+        self, query_updates: Sequence[QueryUpdate]
+    ) -> dict[int, list[ResultEntry]]:
+        """Arm :attr:`_delta_log`, pre-capturing the queries that receive
+        query updates (their results change through remove/install, not
+        through object handling).  The caller runs the cycle, resets
+        :attr:`_delta_log` to ``None`` and hands the returned log to
+        :meth:`_close_capture`."""
+        if self._delta_log is not None:
+            raise RuntimeError("process_deltas is not re-entrant")
+        before: dict[int, list[ResultEntry]] = {}
+        installed = set(self.query_ids())
+        for qu in query_updates:
+            if qu.qid in installed and qu.qid not in before:
+                before[qu.qid] = self.result(qu.qid)
+        self._delta_log = before
+        return before
+
+    def _close_capture(
+        self,
+        before: dict[int, list[ResultEntry]],
+        changed: set[int],
+        query_updates: Sequence[QueryUpdate],
+    ) -> dict[int, ResultDelta]:
+        """Diff the captured pre-cycle results against the live ones."""
+        deltas: dict[int, ResultDelta] = {}
+        for qid in changed:
+            deltas[qid] = diff_results(qid, before.get(qid, []), self.result(qid))
+        live = set(self.query_ids())
+        for qu in query_updates:
+            if qu.kind is QueryUpdateKind.TERMINATE and qu.qid not in live:
+                deltas[qu.qid] = diff_results(
+                    qu.qid, before.get(qu.qid, []), [], terminated=True
+                )
+        return deltas
+
     def process(
         self,
-        object_updates: Sequence[ObjectUpdate],
+        object_updates: Iterable[ObjectUpdate],
         query_updates: Sequence[QueryUpdate] = (),
     ) -> set[int]:
         """Process one cycle of updates; returns ids of queries whose result
         changed (including newly inserted and moved queries)."""
+        return self._cycle(FlatUpdateBatch.from_updates(object_updates), query_updates)
 
     def process_batch(self, batch: UpdateBatch) -> set[int]:
         """Process a packaged :class:`repro.updates.UpdateBatch`."""
@@ -253,33 +335,16 @@ class ContinuousMonitor(ABC):
     ) -> set[int]:
         """Process one cycle from a columnar :class:`FlatUpdateBatch`.
 
-        Contract: byte-identical to :meth:`process` over
-        ``batch.to_object_updates()`` — same changed set, same results,
-        same deterministic access counters.  ``query_updates`` overrides
-        the batch's own query updates when given (the sharded monitor
-        routes them separately).
-
-        This base implementation translates back to the
-        :class:`ObjectUpdate` vocabulary; monitors with a columnar hot
-        path (CPM) override it to iterate the flat arrays end to end.
+        ``query_updates`` overrides the batch's own query updates when
+        given (the sharded monitor routes them separately).
         """
         if query_updates is None:
             query_updates = batch.query_updates
-        return self.process(batch.to_object_updates(), query_updates)
-
-    # ------------------------------------------------------------------
-    # Delta reporting
-    # ------------------------------------------------------------------
-
-    #: when a capture-aware ``process`` implementation sees this dict it
-    #: records, once per query, the query's *pre-cycle* result under its
-    #: qid at the moment the query is first touched (see
-    #: :meth:`_process_deltas_captured`).  ``None`` disables capture.
-    _delta_log: dict[int, list[ResultEntry]] | None = None
+        return self._cycle(batch, query_updates)
 
     def process_deltas(
         self,
-        object_updates: Sequence[ObjectUpdate],
+        object_updates: Iterable[ObjectUpdate],
         query_updates: Sequence[QueryUpdate] = (),
     ) -> dict[int, ResultDelta]:
         """Process one cycle and report structured per-query result deltas.
@@ -287,92 +352,20 @@ class ContinuousMonitor(ABC):
         The returned mapping holds one :class:`ResultDelta` for every query
         whose result changed (the keys match :meth:`process`'s return set)
         plus a ``terminated`` delta for every query removed this cycle.
-
-        This base implementation snapshots the full result table around
-        :meth:`process` — correct for any monitor, O(n) per cycle.  The
-        built-in monitors override it with targeted capture that only pays
-        for the touched queries.
         """
-        before = self.result_table()
-        changed = self.process(object_updates, query_updates)
-        deltas: dict[int, ResultDelta] = {}
-        for qid in changed:
-            deltas[qid] = diff_results(qid, before.get(qid, []), self.result(qid))
-        live = set(self.query_ids())
-        for qid in before.keys() - live:
-            deltas[qid] = diff_results(qid, before[qid], [], terminated=True)
-        return deltas
+        return self._cycle_deltas(
+            FlatUpdateBatch.from_updates(object_updates), query_updates
+        )
 
     def process_deltas_flat(
         self,
         batch: FlatUpdateBatch,
         query_updates: Sequence[QueryUpdate] | None = None,
     ) -> dict[int, ResultDelta]:
-        """Delta-reporting twin of :meth:`process_flat`.
-
-        Contract: the returned deltas are byte-identical to
-        :meth:`process_deltas` over ``batch.to_object_updates()`` (same
-        keys, same :class:`ResultDelta` tuples, same deterministic
-        counters).  This base implementation translates back to the
-        :class:`ObjectUpdate` vocabulary; monitors whose columnar loop
-        feeds :attr:`_delta_log` (CPM) override it so streaming
-        deployments keep the columnar apply.
-        """
+        """Delta-reporting twin of :meth:`process_flat`."""
         if query_updates is None:
             query_updates = batch.query_updates
-        return self.process_deltas(batch.to_object_updates(), query_updates)
-
-    def _process_deltas_captured(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
-    ) -> dict[int, ResultDelta]:
-        """Shared targeted-capture implementation of :meth:`process_deltas`.
-
-        Monitors whose ``process`` feeds :attr:`_delta_log` (recording each
-        touched query's pre-cycle result before its first mutation) call
-        this helper; it pre-captures the queries receiving query updates
-        (their results change through remove/install, not through object
-        handling), runs the cycle, and diffs.
-        """
-        return self._captured_deltas(
-            query_updates, lambda: self.process(object_updates, query_updates)
-        )
-
-    def _captured_deltas(
-        self,
-        query_updates: Sequence[QueryUpdate],
-        run,
-    ) -> dict[int, ResultDelta]:
-        """Targeted-capture core shared by the row and columnar cycles.
-
-        ``run`` executes one cycle (``process`` or ``process_flat`` over
-        the same ``query_updates``) and returns its changed set; any
-        capture-aware cycle loop works because the capture happens at
-        scratch acquisition, which both loops share.
-        """
-        if self._delta_log is not None:
-            raise RuntimeError("process_deltas is not re-entrant")
-        before: dict[int, list[ResultEntry]] = {}
-        installed = set(self.query_ids())
-        for qu in query_updates:
-            if qu.qid in installed and qu.qid not in before:
-                before[qu.qid] = self.result(qu.qid)
-        self._delta_log = before
-        try:
-            changed = run()
-        finally:
-            self._delta_log = None
-        deltas: dict[int, ResultDelta] = {}
-        for qid in changed:
-            deltas[qid] = diff_results(qid, before.get(qid, []), self.result(qid))
-        live = set(self.query_ids())
-        for qu in query_updates:
-            if qu.kind is QueryUpdateKind.TERMINATE and qu.qid not in live:
-                deltas[qu.qid] = diff_results(
-                    qu.qid, before.get(qu.qid, []), [], terminated=True
-                )
-        return deltas
+        return self._cycle_deltas(batch, query_updates)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -392,15 +385,31 @@ class ContinuousMonitor(ABC):
     # ------------------------------------------------------------------
 
     def apply_query_update(self, update: QueryUpdate) -> None:
-        """Default query-update dispatch used by implementations.
+        """Apply one query update (Figure 3.9).
 
-        Figure 3.9 treats a moving query as a termination followed by an
-        insertion at the new location.
+        A moving query is a termination followed by an insertion at the
+        new location; a ``MOVE`` that carries no ``k`` keeps the query's.
         """
         if update.kind is QueryUpdateKind.TERMINATE:
             self.remove_query(update.qid)
             return
+        k = update.k
         if update.kind is QueryUpdateKind.MOVE:
+            if k is None:
+                k = self.query_k(update.qid)
             self.remove_query(update.qid)
         assert update.point is not None
-        self.install_query(update.qid, update.point, update.k or 1)
+        self.install_query(update.qid, update.point, k or 1)
+
+    def _apply_query_updates(
+        self, query_updates: Sequence[QueryUpdate], changed: set[int]
+    ) -> None:
+        """The query-update phase of a cycle (Figure 3.9 lines 5-9), in
+        stream order; folds the outcome into ``changed`` (a terminated
+        query is not a change, an inserted or moved one always is)."""
+        for qu in query_updates:
+            self.apply_query_update(qu)
+            if qu.kind is QueryUpdateKind.TERMINATE:
+                changed.discard(qu.qid)
+            else:
+                changed.add(qu.qid)

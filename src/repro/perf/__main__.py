@@ -21,11 +21,11 @@ Gate a change against a baseline::
         --threshold wall_sec=0.5
 
 Time the hot loop shapes in isolation (advisory; per-object ns of the
-dict scan loop versus the fused columnar kernel, plus the per-update ns
-of the dataclass batch walk versus the flat-array walk)::
+dict scan loop versus the fused columnar kernel, plus the within-kernel
+per numeric backend)::
 
     PYTHONPATH=src python -m repro.perf micro
-    PYTHONPATH=src python -m repro.perf micro --sizes 8,64 --batch-sizes 4096 --json
+    PYTHONPATH=src python -m repro.perf micro --sizes 8,64 --json
 
 CI enforces the deterministic counters while treating wall-clock as
 advisory (``--warn-noisy`` = ``--warn-metric`` for each of wall_sec,
@@ -46,14 +46,11 @@ import sys
 from repro.perf.compare import NOISY_METRICS, compare_reports, render_comparison
 from repro.perf.micro import (
     DEFAULT_BACKEND_SIZES,
-    DEFAULT_BATCH_SIZES,
     DEFAULT_SIZES,
     render_micro,
     render_micro_backends,
-    render_micro_batch,
     run_micro,
     run_micro_backends,
-    run_micro_batch,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.runner import run_suite
@@ -185,18 +182,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     micro = sub.add_parser(
         "micro",
-        help="time the scan/batch-apply kernels in isolation (advisory "
-        "wall-clock)",
+        help="time the scan kernels in isolation (advisory wall-clock)",
     )
     micro.add_argument(
         "--sizes",
         default=",".join(str(s) for s in DEFAULT_SIZES),
         help="comma-separated cell populations to time (scan shapes)",
-    )
-    micro.add_argument(
-        "--batch-sizes",
-        default=",".join(str(s) for s in DEFAULT_BATCH_SIZES),
-        help="comma-separated update-batch sizes to time (apply shapes)",
     )
     micro.add_argument(
         "--backend-sizes",
@@ -287,31 +278,22 @@ def _parse_sizes(raw: str, flag: str) -> tuple[int, ...]:
 
 def _cmd_micro(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes, "--sizes")
-    batch_sizes = _parse_sizes(args.batch_sizes, "--batch-sizes")
     backend_sizes = _parse_sizes(args.backend_sizes, "--backend-sizes")
     repeats = max(1, args.repeats)
     scan_rows = run_micro(sizes, repeats=repeats)
-    batch_rows = run_micro_batch(batch_sizes, repeats=repeats)
     backend_result = run_micro_backends(backend_sizes, repeats=repeats)
     if args.json:
         import json
 
         print(
             json.dumps(
-                {
-                    "scan": scan_rows,
-                    "batch": batch_rows,
-                    "backends": backend_result,
-                },
+                {"scan": scan_rows, "backends": backend_result},
                 indent=1,
             )
         )
     else:
         print("cell-scan shapes (dict era vs columnar):")
         print(render_micro(scan_rows))
-        print()
-        print("batch-apply shapes (ObjectUpdate dataclass vs FlatUpdateBatch):")
-        print(render_micro_batch(batch_rows))
         print()
         print("within-kernel per numeric backend (scalar loop vs numpy):")
         print(render_micro_backends(backend_result))

@@ -15,23 +15,6 @@ the two storage layouts the library has used:
   :class:`repro.grid.kernels.CellColumns`, coordinates arriving as plain
   floats with no tuple indirection.
 
-**Batch applies** — the per-update cost of walking one cycle's update
-batch under the two batch encodings (the ingestion tier's reason to
-exist, see :mod:`repro.ingest`):
-
-* **dataclass** — the ``Sequence[ObjectUpdate]`` shape: per update three
-  frozen-dataclass attribute reads, ``None`` checks on the boundary
-  cases, and position-tuple subscripts for the new coordinates;
-* **flat** — the :class:`repro.updates.FlatUpdateBatch` shape the CPM
-  ``process_flat`` loop iterates: one four-column ``zip`` unpack (the
-  width is deliberate — see ``process_flat``), coordinates arriving as
-  plain floats.
-
-Both apply shapes feed the identical minimal sink, so the delta isolates
-the per-update *encoding read* cost — the piece the columnar batch
-exists to shrink.  (The downstream grid mutations are identical between
-the paths by construction and would only dilute the signal here.)
-
 **Backend scans** — the fused within-kernel timed once per installed
 numeric backend (``list`` / ``array`` / ``numpy``, see
 :mod:`repro.grid.kernels`) over a ladder of cell occupancies.  The
@@ -58,17 +41,10 @@ import timeit
 from math import hypot
 
 from repro.grid.kernels import CellColumns, available_backends, resolve_backend
-from repro.updates import FlatUpdateBatch, ObjectUpdate
 
 #: cell populations timed by default: a sparse cell, the paper's typical
 #: occupancy band, and a dense hotspot cell.
 DEFAULT_SIZES = (4, 32, 256)
-
-#: batch sizes timed by default: a typical agility-sampled cycle and two
-#: ingest-flush scales.  The flat encoding's edge grows with the batch —
-#: a big dataclass batch walks thousands of scattered 3-pointer objects
-#: (cache-miss bound), the columnar batch walks five dense arrays.
-DEFAULT_BATCH_SIZES = (1024, 8192, 65536)
 
 #: occupancy ladder for the per-backend kernel scan — dense enough around
 #: the expected numpy crossover (tens of objects) to pin it down.
@@ -316,110 +292,6 @@ def render_micro_backends(result: dict) -> str:
         lines.append(
             f"numpy crossover at ~{crossover} objects/cell "
             "(VEC_MIN_OCCUPANCY; override with REPRO_KERNEL_VEC_MIN)"
-        )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Batch-apply shapes (the FlatUpdateBatch rationale, measured)
-# ----------------------------------------------------------------------
-
-_DATACLASS_STMT = """
-acc = 0.0
-n_off = 0
-for upd in updates:
-    old = upd.old
-    new = upd.new
-    if old is not None and new is not None:
-        acc += new[0] + new[1] + upd.oid
-    elif old is not None:
-        n_off += 1
-    else:
-        acc += new[0] + new[1] + upd.oid
-"""
-
-_FLAT_STMT = """
-acc = 0.0
-n_off = 0
-for oid, nx, ny, dis in zip(oids, new_xs, new_ys, disappear):
-    if dis:
-        n_off += 1
-    else:
-        acc += nx + ny + oid
-"""
-
-
-def _populate_batch(n_updates: int, seed: int) -> tuple[list, FlatUpdateBatch]:
-    """One cycle's updates in both encodings (~90% moves, 5% appearances,
-    5% disappearances — the Brinkhoff lifecycle mix)."""
-    rng = random.Random(seed)
-    updates: list[ObjectUpdate] = []
-    for oid in range(n_updates):
-        x0, y0 = rng.random(), rng.random()
-        x1, y1 = rng.random(), rng.random()
-        roll = rng.random()
-        if roll < 0.05:
-            updates.append(ObjectUpdate(oid, None, (x1, y1)))
-        elif roll < 0.10:
-            updates.append(ObjectUpdate(oid, (x0, y0), None))
-        else:
-            updates.append(ObjectUpdate(oid, (x0, y0), (x1, y1)))
-    return updates, FlatUpdateBatch.from_updates(updates)
-
-
-def run_micro_batch(
-    sizes: tuple[int, ...] = DEFAULT_BATCH_SIZES, repeats: int = 5, seed: int = 2005
-) -> list[dict]:
-    """Time both batch-apply shapes; returns one row per batch size.
-
-    Both shapes walk the same mixed update stream (moves plus the rare
-    boundary cases) into the same sink, so the delta is the encoding
-    cost: dataclass attribute reads + tuple subscripts versus one flat
-    ``zip`` unpack.
-    """
-    rows: list[dict] = []
-    for n_updates in sizes:
-        updates, flat = _populate_batch(n_updates, seed)
-        namespace = {
-            "updates": updates,
-            "oids": flat.oids,
-            "new_xs": flat.new_xs,
-            "new_ys": flat.new_ys,
-            "disappear": flat.disappear,
-        }
-        # Sanity: both shapes accumulate the same values.
-        check: dict = dict(namespace)
-        exec(_DATACLASS_STMT, check)  # noqa: S102 - fixed local statement
-        expected = (check["acc"], check["n_off"])
-        exec(_FLAT_STMT, check)  # noqa: S102
-        assert (check["acc"], check["n_off"]) == expected
-        dataclass_ns = _time_per_object(
-            _DATACLASS_STMT, namespace, n_updates, repeats
-        )
-        flat_ns = _time_per_object(_FLAT_STMT, namespace, n_updates, repeats)
-        rows.append(
-            {
-                "n_updates": n_updates,
-                "dataclass_ns_per_update": round(dataclass_ns, 2),
-                "flat_ns_per_update": round(flat_ns, 2),
-                "speedup": round(dataclass_ns / flat_ns, 3)
-                if flat_ns
-                else float("inf"),
-            }
-        )
-    return rows
-
-
-def render_micro_batch(rows: list[dict]) -> str:
-    lines = [
-        f"{'updates/batch':>13} {'dataclass ns/upd':>17} "
-        f"{'flat ns/upd':>12} {'flat':>6}"
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['n_updates']:>13} {row['dataclass_ns_per_update']:>17.1f} "
-            f"{row['flat_ns_per_update']:>12.1f} "
-            f"{row['speedup']:>5.2f}x"
         )
     return "\n".join(lines)
 

@@ -64,15 +64,9 @@ from repro.geometry.rects import Rect
 from repro.grid.grid import Grid
 from repro.grid.stats import GridStats
 from repro.monitor import ResultEntry
-from repro.service.deltas import ResultDelta, diff_results
 from repro.service.executor import SerialShardExecutor, ShardExecutor
-from repro.service.sharding import ShardedMonitor, ShardPlan
-from repro.updates import (
-    FlatUpdateBatch,
-    ObjectUpdate,
-    QueryUpdate,
-    QueryUpdateKind,
-)
+from repro.service.sharding import ShardedMonitor, ShardPlan, row_error
+from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
 
 #: Dense cell stores only — the sentinel scheme swaps objects into grid
 #: slots, which requires the list-backed store (every Grid backend uses
@@ -256,29 +250,17 @@ class PartitionShardEngine(CPMMonitor):
     def partition_begin(
         self, query_updates: tuple[QueryUpdate, ...], want_deltas: bool
     ) -> None:
-        """Open one cycle: scratch + (optionally) targeted delta capture.
-
-        Replicates the head of
-        :meth:`repro.monitor.ContinuousMonitor._captured_deltas` so the
-        shard-local capture is byte-identical to the single engine's.
-        """
+        """Open one cycle: scratch + (optionally) targeted delta capture
+        (the open half of the single engine's ``_cycle_deltas``, so the
+        shard-local capture is byte-identical to it)."""
         if self._cycle_scratch is not None:
             raise RuntimeError("partitioned cycle already open")
         self._cycle_qus = query_updates
         self._cycle_updated = {qu.qid for qu in query_updates}
         self._cycle_scratch = {}
-        if want_deltas:
-            if self._delta_log is not None:
-                raise RuntimeError("process_deltas is not re-entrant")
-            before: dict[int, list[ResultEntry]] = {}
-            installed = set(self.query_ids())
-            for qu in query_updates:
-                if qu.qid in installed and qu.qid not in before:
-                    before[qu.qid] = self.result(qu.qid)
-            self._delta_log = before
-            self._cycle_before = before
-        else:
-            self._cycle_before = None
+        self._cycle_before = (
+            self._open_capture(query_updates) if want_deltas else None
+        )
 
     def partition_apply(self, chunk: FlatUpdateBatch) -> None:
         """Apply one translated row chunk inside the open cycle."""
@@ -308,19 +290,7 @@ class PartitionShardEngine(CPMMonitor):
             if before is None:
                 payload = changed
             else:
-                # Tail of ``_captured_deltas``, verbatim.
-                deltas: dict[int, ResultDelta] = {}
-                for qid in changed:
-                    deltas[qid] = diff_results(
-                        qid, before.get(qid, []), self.result(qid)
-                    )
-                live = set(self.query_ids())
-                for qu in query_updates:
-                    if qu.kind is QueryUpdateKind.TERMINATE and qu.qid not in live:
-                        deltas[qu.qid] = diff_results(
-                            qu.qid, before.get(qu.qid, []), [], terminated=True
-                        )
-                payload = deltas
+                payload = self._close_capture(before, changed, query_updates)
             released = self._evict_unmarked()
             return payload, released
         finally:
@@ -338,7 +308,7 @@ class PartitionShardEngine(CPMMonitor):
         batch: FlatUpdateBatch,
         scratch: dict[int, CycleScratch],
         updated_qids: set[int],
-    ) -> None:
+    ) -> list[int]:
         """Splice **leave** rows (both masks set) into the base loop.
 
         The coordinator encodes "this object moved out of your tracked
@@ -354,12 +324,12 @@ class PartitionShardEngine(CPMMonitor):
             i for i, (a, d) in enumerate(zip(appear, disappear)) if a and d
         ]
         if not leave_rows:
-            super()._apply_flat_rows(batch, scratch, updated_qids)
-            return
+            return super()._apply_flat_rows(batch, scratch, updated_qids)
+        appeared: list[int] = []
         pos = 0
         for i in leave_rows:
             if i > pos:
-                super()._apply_flat_rows(
+                appeared += super()._apply_flat_rows(
                     _sub_batch(batch, pos, i), scratch, updated_qids
                 )
             self._apply_leave(
@@ -367,9 +337,10 @@ class PartitionShardEngine(CPMMonitor):
             )
             pos = i + 1
         if pos < len(batch.oids):
-            super()._apply_flat_rows(
+            appeared += super()._apply_flat_rows(
                 _sub_batch(batch, pos, len(batch.oids)), scratch, updated_qids
             )
+        return appeared
 
     def _apply_leave(
         self,
@@ -972,14 +943,19 @@ class PartitionedMonitor(ShardedMonitor):
     # The partitioned cycle
     # ------------------------------------------------------------------
 
-    def _partition_cycle(
+    def _fan_out(
         self,
         batch: FlatUpdateBatch,
         query_updates: Sequence[QueryUpdate],
         want_deltas: bool,
     ):
+        """One partitioned cycle (replaces the replicated fan-out): live
+        migrations, ``partition_begin``, the translated row streams,
+        ``partition_finish``, then the inherited merge."""
         query_updates = tuple(query_updates)
-        origin_shard = dict(self._query_shard) if query_updates else {}
+        origin_shard = (
+            dict(self._query_shard) if want_deltas and query_updates else {}
+        )
         self._migrate(self._plan_migrations(query_updates))
         per_shard_qu = self._split_query_updates(query_updates)
         n = self.n_shards
@@ -1017,9 +993,12 @@ class PartitionedMonitor(ShardedMonitor):
         inserts/deletes) and fans it, chunk by chunk, to exactly the
         shards tracking the touched cells.  Cross-boundary moves send a
         plain move row to the new cell's trackers (shards that do not
-        know the object take the appearance path off their object map,
-        exactly like the single engine's flat loop) and a **leave** row
-        to trackers of only the old cell.
+        know the object take the appearance path off their object map)
+        and a **leave** row to trackers of only the old cell.
+
+        This is the tier's public boundary for object rows: a row whose
+        ``appear`` flag disagrees with whether the store holds the object
+        raises ``KeyError``.
         """
         n_rows = len(batch.oids)
         if not n_rows:
@@ -1052,18 +1031,21 @@ class PartitionedMonitor(ShardedMonitor):
             )
             pending = 0
 
-        for row, (oid, ox, oy, nx, ny, dis) in enumerate(
-            zip(
-                batch.oids,
-                batch.old_xs,
-                batch.old_ys,
-                batch.new_xs,
-                batch.new_ys,
-                batch.disappear,
-            )
+        for oid, ox, oy, nx, ny, ap, dis in zip(
+            batch.oids,
+            batch.old_xs,
+            batch.old_ys,
+            batch.new_xs,
+            batch.new_ys,
+            batch.appear,
+            batch.disappear,
         ):
+            old_cid = store_cell.get(oid)
+            known = old_cid is not None
+            if known if ap else not known:
+                raise row_error(oid, ap)
             if dis:
-                old_cid = store_cell.pop(oid)
+                del store_cell[oid]
                 delete_at(old_cid, oid)
                 del positions[oid]
                 m = col_mask[old_cid // rows] | dyn_mask.get(old_cid, 0)
@@ -1078,7 +1060,6 @@ class PartitionedMonitor(ShardedMonitor):
                     m ^= low
             else:
                 new_cid = cell_id(nx, ny)
-                old_cid = store_cell.get(oid)
                 point = (nx, ny)
                 if old_cid is None:
                     insert_at(new_cid, oid, point)
@@ -1140,44 +1121,6 @@ class PartitionedMonitor(ShardedMonitor):
         self._n_sync_rows += sync_extra
         if self._m_sync is not None and sync_extra:
             self._m_sync.inc(sync_extra)
-
-    # ------------------------------------------------------------------
-    # Public cycle entry points
-    # ------------------------------------------------------------------
-
-    def process(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
-    ) -> set[int]:
-        batch = FlatUpdateBatch.from_updates(object_updates)
-        return self._partition_cycle(batch, tuple(query_updates), False)
-
-    def process_flat(
-        self,
-        batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ) -> set[int]:
-        if query_updates is None:
-            query_updates = batch.query_updates
-        return self._partition_cycle(batch, tuple(query_updates), False)
-
-    def process_deltas(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
-    ) -> dict[int, ResultDelta]:
-        batch = FlatUpdateBatch.from_updates(object_updates)
-        return self._partition_cycle(batch, tuple(query_updates), True)
-
-    def process_deltas_flat(
-        self,
-        batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ) -> dict[int, ResultDelta]:
-        if query_updates is None:
-            query_updates = batch.query_updates
-        return self._partition_cycle(batch, tuple(query_updates), True)
 
     # ------------------------------------------------------------------
     # Traffic accounting

@@ -3,11 +3,11 @@
 A :class:`MonitoringService` couples one monitor — single-engine or
 :class:`repro.service.sharding.ShardedMonitor` — with a
 :class:`repro.service.subscriptions.SubscriptionHub`.  Callers feed it
-update batches (:meth:`tick`); the service decides per cycle whether the
-cheap path (``process``/``process_flat``) suffices or the delta path
-(``process_deltas``/``process_deltas_flat``) must run to feed
-subscribers, and publishes the resulting stream through the hub's
-per-query routing.
+update batches in either encoding (:meth:`tick`, :meth:`tick_flat`); the
+service normalises to columns once, decides per cycle whether the plain
+cycle (``process_flat``) suffices or the delta twin
+(``process_deltas_flat``) must run to feed subscribers, and publishes the
+resulting stream through the hub's per-query routing.
 
 Programs normally talk to the service through the typed client surface
 (:class:`repro.api.session.Session` in-process,
@@ -50,7 +50,7 @@ class TickReport:
     query_updates: int = 0
     #: wall-clock spent producing the cycle's outcome: the monitor's
     #: update handling *plus*, when :attr:`streamed` is set, the
-    #: per-query delta diffing of the ``process_deltas`` path.  On the
+    #: per-query delta diffing of the delta twin.  On the
     #: no-subscriber cheap path this is exactly the monitor's cycle
     #: time; either way it excludes subscriber fan-out, which is
     #: reported separately as :attr:`publish_sec`.
@@ -175,102 +175,65 @@ class MonitoringService:
         is intentional, not a dropped value.  Callers that need the label
         echoed back alongside cycle timing use :meth:`tick_report`.
         """
-        self.last_timestamp = timestamp
-        if not self.hub.has_subscribers:
-            changed = self.monitor.process(object_updates, query_updates)
-        else:
-            changed = self._publish_cycle(
-                timestamp,
-                self.monitor.process_deltas(object_updates, query_updates),
-            )
-        self._count_tick(changed)
-        return changed
+        batch = FlatUpdateBatch.from_updates(object_updates, query_updates)
+        return self._run_cycle(batch, timestamp).changed
 
-    def _count_tick(self, changed: set[int]) -> None:
+    def tick_batch(self, batch: UpdateBatch) -> set[int]:
+        """Process a packaged :class:`repro.updates.UpdateBatch`."""
+        return self.tick_report(batch).changed
+
+    def tick_flat(self, batch: FlatUpdateBatch) -> set[int]:
+        """Process a columnar :class:`repro.updates.FlatUpdateBatch`."""
+        return self._run_cycle(batch, batch.timestamp).changed
+
+    def tick_report(self, batch: UpdateBatch | FlatUpdateBatch) -> TickReport:
+        """Process one packaged cycle and report label, changes and timing.
+
+        Accepts either batch encoding (a row batch is columnarized first)
+        and returns a :class:`TickReport` — the surface the ingestion
+        driver consumes (``tick`` stays the backward-compatible
+        changed-set entry point).  The timing is decomposed so streaming
+        callers can see the diff cost: ``process_sec`` covers the monitor
+        cycle *including* the per-query delta diffing of the streamed
+        path, ``publish_sec`` covers only the subscriber fan-out.
+        """
+        if not isinstance(batch, FlatUpdateBatch):
+            batch = FlatUpdateBatch.from_batch(batch)
+        return self._run_cycle(batch, batch.timestamp)
+
+    def _run_cycle(
+        self, batch: FlatUpdateBatch, timestamp: int | None
+    ) -> TickReport:
+        """The one cycle every tick flavor runs: the monitor's plain cycle
+        with no subscribers, its delta twin plus hub fan-out with."""
+        self.last_timestamp = timestamp
+        streamed = self.hub.has_subscribers
+        publish_sec = 0.0
+        t0 = time.perf_counter()
+        if not streamed:
+            changed = self.monitor.process_flat(batch)
+            process_sec = time.perf_counter() - t0
+        else:
+            deltas = self.monitor.process_deltas_flat(batch)
+            t1 = time.perf_counter()
+            process_sec = t1 - t0
+            self.hub.publish(timestamp, deltas)
+            # The ``process`` changed-set contract: terminated queries
+            # are deltas, not changes.
+            changed = {qid for qid, d in deltas.items() if not d.terminated}
+            publish_sec = time.perf_counter() - t1
+            if self._m_streamed is not None:
+                self._m_streamed.inc()
         self.ticks += 1
         self.total_changed += len(changed)
         if self._m_ticks is not None:
             self._m_ticks.inc()
             self._m_changed.inc(len(changed))
-
-    def _publish_cycle(self, timestamp: int | None, deltas) -> set[int]:
-        """The streamed cycle tail shared by every tick flavor: fan the
-        deltas out, then reduce them to the ``process`` changed-set
-        contract (terminated queries are deltas, not changes)."""
-        self.hub.publish(timestamp, deltas)
-        return {qid for qid, delta in deltas.items() if not delta.terminated}
-
-    def tick_batch(self, batch: UpdateBatch) -> set[int]:
-        """Process a packaged :class:`repro.updates.UpdateBatch`."""
-        return self.tick(
-            batch.object_updates, batch.query_updates, timestamp=batch.timestamp
-        )
-
-    def tick_flat(self, batch: FlatUpdateBatch) -> set[int]:
-        """Process a columnar :class:`repro.updates.FlatUpdateBatch`.
-
-        Both paths keep the columnar apply: with no subscribers the batch
-        goes straight into the monitor's ``process_flat``; with
-        subscribers listening the delta twin ``process_deltas_flat`` runs
-        — CPM's flat loop with targeted pre-cycle capture — so streaming
-        deployments never fall back to the dataclass vocabulary.
-        """
-        self.last_timestamp = batch.timestamp
-        if not self.hub.has_subscribers:
-            changed = self.monitor.process_flat(batch)
-        else:
-            changed = self._publish_cycle(
-                batch.timestamp, self.monitor.process_deltas_flat(batch)
-            )
-        self._count_tick(changed)
-        return changed
-
-    def tick_report(self, batch: UpdateBatch | FlatUpdateBatch) -> TickReport:
-        """Process one packaged cycle and report label, changes and timing.
-
-        Accepts either batch encoding (columnar batches take the
-        :meth:`tick_flat` fast path) and returns a :class:`TickReport` —
-        the surface the ingestion driver consumes (``tick`` stays the
-        backward-compatible changed-set entry point).  The timing is
-        decomposed so streaming callers can see the diff cost:
-        ``process_sec`` covers the monitor cycle *including* the
-        per-query delta diffing of the streamed path, ``publish_sec``
-        covers only the subscriber fan-out.
-        """
-        flat = isinstance(batch, FlatUpdateBatch)
-        if flat:
-            n_objects = len(batch.oids)
-        else:
-            n_objects = len(batch.object_updates)
-        self.last_timestamp = batch.timestamp
-        streamed = self.hub.has_subscribers
-        publish_sec = 0.0
-        t0 = time.perf_counter()
-        if not streamed:
-            if flat:
-                changed = self.monitor.process_flat(batch)
-            else:
-                changed = self.monitor.process_batch(batch)
-            process_sec = time.perf_counter() - t0
-        else:
-            if flat:
-                deltas = self.monitor.process_deltas_flat(batch)
-            else:
-                deltas = self.monitor.process_deltas(
-                    batch.object_updates, batch.query_updates
-                )
-            process_sec = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            changed = self._publish_cycle(batch.timestamp, deltas)
-            publish_sec = time.perf_counter() - t1
-        self._count_tick(changed)
-        if streamed and self._m_streamed is not None:
-            self._m_streamed.inc()
         return TickReport(
-            timestamp=batch.timestamp,
+            timestamp=timestamp,
             changed=changed,
             streamed=streamed,
-            object_updates=n_objects,
+            object_updates=len(batch.oids),
             query_updates=len(batch.query_updates),
             process_sec=process_sec,
             publish_sec=publish_sec,

@@ -50,12 +50,7 @@ from repro.service.executor import (
     SerialShardExecutor,
     ShardExecutor,
 )
-from repro.updates import (
-    FlatUpdateBatch,
-    ObjectUpdate,
-    QueryUpdate,
-    QueryUpdateKind,
-)
+from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,6 +160,14 @@ class ShardEngineFactory:
 
             return SeaCnnMonitor(self.cells_per_axis, bounds=self.bounds)
         raise ValueError(f"unknown algorithm {self.algorithm!r}")
+
+
+def row_error(oid: int, appearing: int) -> KeyError:
+    """The rejection of an object row that disagrees with the object table
+    (raised at the tiers' public boundary, see ``_fan_out``)."""
+    return KeyError(
+        f"object {oid} " + ("appeared twice" if appearing else "is not on-line")
+    )
 
 
 class ShardedMonitor(ContinuousMonitor):
@@ -342,6 +345,9 @@ class ShardedMonitor(ContinuousMonitor):
     def query_ids(self) -> list[int]:
         return list(self._query_shard)
 
+    def query_k(self, qid: int) -> int:
+        return self._call(self._query_shard[qid], "query_k", qid)
+
     def query_shard(self, qid: int) -> int:
         """Shard currently hosting a query (diagnostics)."""
         return self._query_shard[qid]
@@ -374,6 +380,9 @@ class ShardedMonitor(ContinuousMonitor):
         per_shard: list[list[QueryUpdate]] = [[] for _ in range(self.n_shards)]
         _GONE = -1
         overlay: dict[int, int] = {}
+        # k set by this batch's own updates: a k-less MOVE keeps the
+        # query's k, which a cross-shard split must carry to the new shard.
+        batch_k: dict[int, int] = {}
 
         def lookup(qid: int) -> int:
             shard = overlay.get(qid)
@@ -392,16 +401,17 @@ class ShardedMonitor(ContinuousMonitor):
             new_shard = self.plan.shard_of_point(qu.point[0], qu.point[1])
             if qu.kind is QueryUpdateKind.MOVE:
                 old_shard = lookup(qu.qid)
+                if qu.k is not None:
+                    batch_k[qu.qid] = qu.k
                 if old_shard == new_shard:
                     per_shard[new_shard].append(qu)
                 else:
+                    k = batch_k.get(qu.qid) or self.query_k(qu.qid)
                     per_shard[old_shard].append(
                         QueryUpdate(qu.qid, QueryUpdateKind.TERMINATE)
                     )
                     per_shard[new_shard].append(
-                        QueryUpdate(
-                            qu.qid, QueryUpdateKind.INSERT, qu.point, qu.k
-                        )
+                        QueryUpdate(qu.qid, QueryUpdateKind.INSERT, qu.point, k)
                     )
             else:
                 gone = overlay.get(qu.qid) == _GONE
@@ -412,6 +422,7 @@ class ShardedMonitor(ContinuousMonitor):
                     # raises KeyError on a duplicate insert).
                     raise KeyError(f"query {qu.qid} is already installed")
                 per_shard[new_shard].append(qu)
+                batch_k[qu.qid] = qu.k or 1
             overlay[qu.qid] = new_shard
         for qid, shard in overlay.items():
             if shard == _GONE:
@@ -422,105 +433,58 @@ class ShardedMonitor(ContinuousMonitor):
                 self._query_shard[qid] = shard
         return per_shard
 
-    def _apply_positions(self, object_updates: Sequence[ObjectUpdate]) -> None:
-        positions = self._positions
-        for upd in object_updates:
-            if upd.new is not None:
-                positions[upd.oid] = upd.new
-            else:
-                positions.pop(upd.oid, None)
-
-    def process(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
+    def _cycle(
+        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
     ) -> set[int]:
-        per_shard_qu = self._split_query_updates(query_updates)
-        object_updates = tuple(object_updates)
-        self._apply_positions(object_updates)
-        changed_sets = self._call_all(
-            "process",
-            [(object_updates, tuple(qus)) for qus in per_shard_qu],
-        )
-        changed: set[int] = set()
-        for shard_changed in changed_sets:
-            changed.update(shard_changed)
-        return changed
+        return self._fan_out(batch, query_updates, False)
 
-    def process_flat(
+    def _cycle_deltas(
+        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
+    ) -> dict[int, ResultDelta]:
+        return self._fan_out(batch, query_updates, True)
+
+    def _fan_out(
         self,
         batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ) -> set[int]:
-        """Route a columnar batch: object maintenance replicated to every
-        shard (the replication contract above — one flat batch fans out
-        as-is, no per-shard re-packing), query updates split by owning
-        shard exactly as in :meth:`process`.  Each shard engine runs its
-        own ``process_flat`` (CPM's columnar loop), so the fast path stays
-        flat end to end across the service layer."""
-        if query_updates is None:
-            query_updates = batch.query_updates
-        per_shard_qu = self._split_query_updates(query_updates)
-        positions = self._positions
-        for oid, nx, ny, dis in zip(
-            batch.oids, batch.new_xs, batch.new_ys, batch.disappear
-        ):
-            if dis:
-                positions.pop(oid, None)
-            else:
-                positions[oid] = (nx, ny)
-        changed_sets = self._call_all(
-            "process_flat",
-            [(batch, tuple(qus)) for qus in per_shard_qu],
-        )
-        changed: set[int] = set()
-        for shard_changed in changed_sets:
-            changed.update(shard_changed)
-        return changed
+        query_updates: Sequence[QueryUpdate],
+        want_deltas: bool,
+    ):
+        """One cycle across the fleet: object maintenance replicated to
+        every shard (the replication contract above — one flat batch fans
+        out as-is, no per-shard re-packing; a process-backed executor
+        ships it as one shared-memory block), query updates split by
+        owning shard.  Each shard engine runs its own columnar cycle;
+        with ``want_deltas`` the per-shard delta maps are merged into the
+        single-engine view, otherwise the changed sets are united.
 
-    def process_deltas(
-        self,
-        object_updates: Sequence[ObjectUpdate],
-        query_updates: Sequence[QueryUpdate] = (),
-    ) -> dict[int, ResultDelta]:
-        # Snapshot the routing before it mutates: the merge below needs to
+        This is the tier's public boundary for object rows: a row whose
+        ``appear`` flag disagrees with whether the object is on-line
+        raises ``KeyError`` before any shard sees the batch.
+        """
+        # Snapshot the routing before it mutates: the delta merge needs to
         # know which shard held each query at the *start* of the cycle.
-        origin_shard = dict(self._query_shard) if query_updates else {}
-        per_shard_qu = self._split_query_updates(query_updates)
-        object_updates = tuple(object_updates)
-        self._apply_positions(object_updates)
-        shard_deltas = self._call_all(
-            "process_deltas",
-            [(object_updates, tuple(qus)) for qus in per_shard_qu],
+        origin_shard = (
+            dict(self._query_shard) if want_deltas and query_updates else {}
         )
-        return self._merge_shard_deltas(origin_shard, shard_deltas)
-
-    def process_deltas_flat(
-        self,
-        batch: FlatUpdateBatch,
-        query_updates: Sequence[QueryUpdate] | None = None,
-    ) -> dict[int, ResultDelta]:
-        """Columnar delta reporting: :meth:`process_flat` routing with the
-        :meth:`process_deltas` merge.  Each shard engine runs its own
-        ``process_deltas_flat`` (CPM's columnar loop with capture), so the
-        streaming path stays flat end to end across the service layer."""
-        if query_updates is None:
-            query_updates = batch.query_updates
-        origin_shard = dict(self._query_shard) if query_updates else {}
         per_shard_qu = self._split_query_updates(query_updates)
         positions = self._positions
-        for oid, nx, ny, dis in zip(
-            batch.oids, batch.new_xs, batch.new_ys, batch.disappear
+        for oid, nx, ny, ap, dis in zip(
+            batch.oids, batch.new_xs, batch.new_ys, batch.appear, batch.disappear
         ):
+            known = oid in positions
+            if known if ap else not known:
+                raise row_error(oid, ap)
             if dis:
-                positions.pop(oid, None)
+                del positions[oid]
             else:
                 positions[oid] = (nx, ny)
-        shard_deltas = self._call_all(
-            "process_deltas_flat",
+        payloads = self._call_all(
+            "process_deltas_flat" if want_deltas else "process_flat",
             [(batch, tuple(qus)) for qus in per_shard_qu],
         )
-        return self._merge_shard_deltas(origin_shard, shard_deltas)
+        if want_deltas:
+            return self._merge_shard_deltas(origin_shard, payloads)
+        return set().union(*payloads)
 
     def _merge_shard_deltas(
         self,

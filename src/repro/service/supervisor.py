@@ -92,6 +92,7 @@ _READ_ONLY = frozenset(
         "result",
         "result_table",
         "query_ids",
+        "query_k",
         "query_state",
         "object_position",
         "best_dist",

@@ -15,13 +15,15 @@ the tuple with two boundary cases the evaluation needs:
 Query updates follow Figure 3.9: a query may be ``insert``-ed, ``move``-d
 (handled as a termination plus a re-insertion) or ``terminate``-d.
 
-Two batch encodings coexist: the row-oriented :class:`UpdateBatch` (one
-:class:`ObjectUpdate` dataclass per row — the vocabulary every monitor
-accepts) and the columnar :class:`FlatUpdateBatch` (parallel
+One engine encoding, one convenience encoding: every monitor's cycle
+iterates the columnar :class:`FlatUpdateBatch` (parallel
 ``oids``/``old_xs``/``old_ys``/``new_xs``/``new_ys`` arrays plus
-appearance/disappearance masks — the ``process_flat`` hot path of the
-ingestion tier).  Conversion between the two is lossless in both
-directions.
+appearance/disappearance masks — what the ingestion tier assembles and
+the shard transport ships); the row-oriented :class:`UpdateBatch` (one
+:class:`ObjectUpdate` dataclass per row) is the hand-written form, and
+the row entry points (``process``, ``process_batch``) columnarize it
+with :meth:`FlatUpdateBatch.from_updates` before the one cycle runs.
+Conversion between the two is lossless in both directions.
 """
 
 from __future__ import annotations
@@ -114,10 +116,10 @@ class FlatUpdateBatch:
       are placeholders.
 
     The layout exists for the update-handling hot path: a monitor's
-    ``process_flat`` iterates the parallel columns with one ``zip`` —
-    plain floats, no per-update dataclass attribute reads and no
-    position-tuple indexing (see ``CPMMonitor.process_flat``).  Conversion
-    to and from the :class:`ObjectUpdate` vocabulary is lossless
+    cycle iterates the parallel columns with one ``zip`` — plain floats,
+    no per-update dataclass attribute reads and no position-tuple
+    indexing (see ``CPMMonitor._apply_flat_rows``).  Conversion to and
+    from the :class:`ObjectUpdate` vocabulary is lossless
     (:meth:`from_updates` / :meth:`to_object_updates` round-trip
     byte-identically), so both representations describe the same stream.
 

@@ -182,6 +182,20 @@ class TestEndToEnd:
             client.tick(timestamp=2)
             assert len(seen) > moved_deltas
 
+    def test_query_move_frame_without_k_keeps_k(self, endpoint):
+        """A raw ``query`` move frame may omit ``"k"``; the query keeps
+        the k it was registered with instead of shrinking to 1."""
+        from repro.updates import QueryUpdate, QueryUpdateKind
+
+        _session, _server, host, port = endpoint
+        with Client.connect(host, port) as client:
+            handle = client.register(KnnSpec(point=(0.5, 0.5), k=4))
+            move = QueryUpdate(handle.qid, QueryUpdateKind.MOVE, (0.25, 0.25))
+            assert '"k"' not in wire.encode_frame(wire.QueryOp(update=move))
+            client.send_query_update(move)
+            client.tick(timestamp=1)
+            assert len(handle.snapshot()) == 4
+
     def test_resubscribe_upgrades_include_unchanged(self, endpoint):
         """Re-subscribing with include_unchanged=True replaces the
         register-time watch instead of being silently dropped."""

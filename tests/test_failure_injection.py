@@ -12,7 +12,10 @@ import pytest
 from repro.baselines.sea import SeaCnnMonitor
 from repro.baselines.ypk import YpkCnnMonitor
 from repro.core.cpm import CPMMonitor
+from repro.service.partition import PartitionedMonitor
+from repro.service.sharding import ShardedMonitor
 from repro.updates import (
+    FlatUpdateBatch,
     ObjectUpdate,
     QueryUpdate,
     QueryUpdateKind,
@@ -26,6 +29,75 @@ ALL_MONITORS = [
     lambda: YpkCnnMonitor(cells_per_axis=8),
     lambda: SeaCnnMonitor(cells_per_axis=8),
 ]
+
+
+#: the public boundaries that validate object rows, by tier.
+ROW_BOUNDARIES = {
+    "cpm": lambda: CPMMonitor(cells_per_axis=8),
+    "sharded": lambda: ShardedMonitor(2, cells_per_axis=8),
+    "partitioned": lambda: PartitionedMonitor(2, cells_per_axis=8),
+}
+
+#: the four ways one cycle's object rows reach an engine.
+ENTRY_POINTS = {
+    "process": lambda m, rows: m.process(rows),
+    "process_flat": lambda m, rows: m.process_flat(
+        FlatUpdateBatch.from_updates(rows)
+    ),
+    "process_deltas": lambda m, rows: m.process_deltas(rows),
+    "process_deltas_flat": lambda m, rows: m.process_deltas_flat(
+        FlatUpdateBatch.from_updates(rows)
+    ),
+}
+
+
+@pytest.mark.parametrize("tier", ROW_BOUNDARIES)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+class TestObjectRowsMeanTheSameEverywhere:
+    """A row whose kind disagrees with whether the object is on-line is
+    rejected with ``KeyError`` — through the row names and the columnar
+    names alike, on the single engine and on both tiers."""
+
+    @pytest.fixture()
+    def monitor(self, tier):
+        monitor = ROW_BOUNDARIES[tier]()
+        monitor.load_objects([(1, (0.1, 0.1)), (2, (0.6, 0.6))])
+        yield monitor
+        close = getattr(monitor, "close", None)
+        if close is not None:
+            close()
+
+    def test_move_of_unknown_object(self, monitor, entry):
+        with pytest.raises(KeyError):
+            ENTRY_POINTS[entry](monitor, [move_update(9, (0.5, 0.5), (0.6, 0.6))])
+
+    def test_disappearance_of_unknown_object(self, monitor, entry):
+        with pytest.raises(KeyError):
+            ENTRY_POINTS[entry](monitor, [disappear_update(9, (0.5, 0.5))])
+
+    def test_double_appearance_same_cell(self, monitor, entry):
+        with pytest.raises(KeyError):
+            ENTRY_POINTS[entry](monitor, [appear_update(1, (0.11, 0.11))])
+
+    def test_double_appearance_other_cell(self, monitor, entry):
+        """The appearance lands in a *different* cell than the object's
+        own: a check that only looks in the new cell accepts it and
+        leaves a second copy of the object behind."""
+        with pytest.raises(KeyError):
+            ENTRY_POINTS[entry](monitor, [appear_update(1, (0.9, 0.9))])
+
+    def test_valid_lifecycle_is_accepted(self, monitor, entry):
+        ENTRY_POINTS[entry](
+            monitor,
+            [
+                appear_update(3, (0.3, 0.3)),
+                move_update(3, (0.3, 0.3), (0.8, 0.2)),
+                disappear_update(1, (0.1, 0.1)),
+                appear_update(1, (0.9, 0.9)),
+            ],
+        )
+        assert monitor.object_position(3) == (0.8, 0.2)
+        assert monitor.object_position(1) == (0.9, 0.9)
 
 
 class TestPopulationCollapse:
@@ -118,6 +190,21 @@ class TestStreamEdgeCases:
         monitor.process([appear_update(1, (0.5, 0.5))])
         with pytest.raises(KeyError):
             monitor.process([appear_update(1, (0.6, 0.6))])
+
+    def test_cpm_double_appearance_across_cells_leaves_no_ghost(self):
+        monitor = CPMMonitor(cells_per_axis=8)
+        monitor.process([appear_update(1, (0.1, 0.1))])
+        with pytest.raises(KeyError):
+            monitor.process([appear_update(1, (0.9, 0.9))])
+        result = monitor.install_query(0, (0.1, 0.1), 2)
+        assert [oid for _d, oid in result] == [1]
+
+    @pytest.mark.parametrize("make", ALL_MONITORS[1:])
+    def test_baselines_reject_double_appearance_across_cells(self, make):
+        monitor = make()
+        monitor.process([appear_update(1, (0.1, 0.1))])
+        with pytest.raises(KeyError):
+            monitor.process([appear_update(1, (0.9, 0.9))])
 
     def test_cpm_object_bounces_within_one_batch(self):
         """Move in, out, and back in within a single batch."""

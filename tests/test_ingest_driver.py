@@ -96,24 +96,6 @@ class TestMarkHonoringReplay:
         for key in ("sync_rows", "pulls", "pull_objects", "migrations"):
             assert report.partition[key] >= 0
 
-    def test_row_path_driver_matches_flat_path_driver(self):
-        workload = BrinkhoffGenerator(SPEC).generate()
-        flat_service = _fresh_service()
-        flat_driver = IngestDriver(WorkloadFeed(workload), flat_service, flat=True)
-        flat_driver.prime(k=SPEC.k)
-        flat_driver.run()
-
-        row_service = _fresh_service()
-        row_driver = IngestDriver(WorkloadFeed(workload), row_service, flat=False)
-        row_driver.prime(k=SPEC.k)
-        row_driver.run()
-
-        assert flat_service.monitor.result_table() == row_service.monitor.result_table()
-        for field in ("cell_scans", "objects_scanned", "inserts", "deletes"):
-            assert getattr(flat_service.monitor.stats, field) == getattr(
-                row_service.monitor.stats, field
-            ), field
-
     def test_max_cycles_caps_the_run(self):
         workload = BrinkhoffGenerator(SPEC).generate()
         service = _fresh_service()
