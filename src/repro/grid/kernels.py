@@ -28,9 +28,9 @@ Three kernel shapes make up the public scan surface:
   ``scan_all_flat``) for consumers that apply their own predicate — on
   CPython 3.11 this zip-loop shape is what the 2-D baselines use, and
   the CPM engine inlines the same loops against the storage directly
-  (see ``python -m repro.perf micro`` for why: the comprehension frame
-  offsets the column savings at low occupancy, so the framed kernels
-  are kept as the *API*, not the hot path).
+  (the comprehension frame offsets the column savings at low occupancy
+  — measured in PR 3, see CHANGES.md — so the framed kernels are kept
+  as the *API*, not the hot path).
 
 The kernels are *pure* (no accounting): the grid front-ends
 (:meth:`repro.grid.grid.Grid.scan_within` and friends) charge the cell
@@ -63,8 +63,8 @@ environment variable, or the auto default):
     coordinate buffers zero-copy and a squared-distance prefilter +
     exact scalar finish replaces the per-row loop once a cell's
     population reaches :data:`VEC_MIN_OCCUPANCY` (below it, vector-call
-    overhead loses to the comprehension — crossover measured by
-    ``python -m repro.perf micro --backends``).  Results are
+    overhead loses to the comprehension — crossover recorded in PR 7,
+    see the ``BENCH_PR7.json`` annotations).  Results are
     byte-identical to ``list`` by construction.  Auto-selected when
     numpy is importable; never a hard dependency.
 """
@@ -225,12 +225,11 @@ class KernelBackend:
 
 
 #: cell population at which the numpy vectorized scan overtakes the
-#: inlined scalar comprehension.  Measured by ``python -m repro.perf
-#: micro --backends`` on CPython 3.11 (see benchmarks/BENCH_PR7.json):
-#: below ~48 rows the ``np.frombuffer`` view setup + prefilter overhead
-#: loses to the comprehension; from ~64 rows the vector pass wins and
-#: the gap widens with occupancy.  Override per-process with the
-#: ``REPRO_KERNEL_VEC_MIN`` environment variable.
+#: inlined scalar comprehension.  Measured in PR 7 on CPython 3.11 (see
+#: CHANGES.md and the ``BENCH_PR7.json`` annotations): below ~48 rows
+#: the ``np.frombuffer`` view setup + prefilter overhead loses to the
+#: comprehension; from ~64 rows the vector pass wins and the gap widens
+#: with occupancy.
 VEC_MIN_OCCUPANCY = 64
 
 #: batch row count at which the vectorized addressing kernel
@@ -245,9 +244,8 @@ VEC_MIN_OCCUPANCY = 64
 #: 128 keeps sub-crossover batches on the scalar path.
 VEC_MIN_BATCH = 128
 
-#: environment knobs.
+#: environment knob.
 _BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-_VEC_MIN_ENV = "REPRO_KERNEL_VEC_MIN"
 
 #: resolved-once cache: ``None`` = not probed yet, ``False`` = numpy
 #: absent, otherwise the numpy :class:`KernelBackend`.
@@ -257,16 +255,12 @@ _numpy_backend_cache: object = None
 def _make_numpy_backend() -> KernelBackend:
     from repro.grid import _numpy_kernels as nk
 
-    vec_min = VEC_MIN_OCCUPANCY
-    override = os.environ.get(_VEC_MIN_ENV)
-    if override:
-        vec_min = max(1, int(override))
     return KernelBackend(
         name="numpy",
         cell_factory=BufferCellColumns,
         within_nd=nk.within_nd,
         vec_within=nk.within_cell,
-        vec_min=vec_min,
+        vec_min=VEC_MIN_OCCUPANCY,
         batch_cell_ids=nk.batch_cell_ids,
     )
 
@@ -300,8 +294,8 @@ def resolve_backend(backend: "str | KernelBackend | None" = None) -> KernelBacke
     ``REPRO_KERNEL_BACKEND`` environment variable beats the ``auto``
     default.  ``auto`` picks ``numpy`` when numpy is importable and the
     stdlib ``array`` backend otherwise — the measured-fastest choice at
-    the workload occupancies of the perf suite (``perf micro
-    --backends`` records the crossover).  Requesting ``numpy`` where
+    the workload occupancies of the perf suite (PR 7's interleaved A/B,
+    ``BENCH_PR7.json`` annotations).  Requesting ``numpy`` where
     numpy is not installed raises ``ImportError``; unknown names raise
     ``ValueError``.
     """

@@ -1,23 +1,22 @@
-"""``repro.perf`` — the reproducible performance-measurement subsystem.
+"""``repro.perf`` — the deterministic-counter gate.
 
-The paper's headline claim (Section 6) is a *CPU-time* claim: CPM beats
-YPK-CNN and SEA-CNN by constant factors in the grid hot path.  Such claims
-are only credible — and only *stay* true — with a machine-checked
-measurement pipeline.  This package provides it:
+The paper's evaluation (Section 6) reports two kinds of number: CPU time,
+and cell accesses per query per timestamp (Figure 6.3b).  This package
+owns the second kind — counts that are byte-exact for a fixed workload and
+seed, so any growth is an algorithmic regression and not runner noise.
+Timing is ``python3 -m bench``'s job; nothing here reads a clock.
 
 * :mod:`repro.perf.suite` — the canonical suite of scaled workloads
   (network-based scalability sweeps, k and granularity sweeps, uniform and
-  skewed stress cases) replayed across CPM / YPK-CNN / SEA-CNN;
-* :mod:`repro.perf.runner` — replays the suite and collects wall-clock,
-  cell accesses per query per timestamp and peak RSS per case;
-* :mod:`repro.perf.schema` — the schema-versioned ``BENCH_*.json`` format;
-* :mod:`repro.perf.compare` — diffs two BENCH files against configurable
-  regression thresholds (non-zero exit on regression), the perf gate CI
-  runs on every PR;
+  skewed stress cases, the service tiers) replayed across CPM / YPK-CNN /
+  SEA-CNN;
+* :mod:`repro.perf.runner` — replays the suite and collects the counters
+  per case, optionally with the service tier instrumented
+  (``--telemetry``: the counters must not move);
+* :mod:`repro.perf.schema` — the schema-versioned counter-file format;
+* :mod:`repro.perf.compare` — diffs two counter files exactly (non-zero
+  exit when any counter grew), the gate CI runs on every PR;
 * ``python -m repro.perf`` — the command-line entry point.
-
-Every PR in the ROADMAP trajectory records its bench as ``BENCH_PR<N>.json``
-so the performance history of the repository is itself reproducible.
 """
 
 from repro.perf.schema import SCHEMA_VERSION, BenchCase, BenchReport, SchemaError

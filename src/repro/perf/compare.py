@@ -1,63 +1,24 @@
-"""The perf gate: diff two bench files against regression thresholds.
+"""The counter gate: diff two bench files exactly.
 
 ``repro.perf compare old.json new.json`` matches cases by ``case_id`` and
-flags every metric whose *increase* exceeds its threshold (all suite
-metrics are costs — lower is better).  Deterministic counters (cell scans)
-carry tight thresholds; wall-clock carries a loose one because CI machines
-are noisy.
+compares every metric both sides carry.  Every metric is a count that is
+deterministic for a fixed workload and seed, and every one is a cost, so
+there is no threshold: any *increase* is a real algorithmic regression,
+any *decrease* is listed as ``improved`` (the committed baseline is then
+refreshed by hand).  The exit code is the contract:
 
-Metrics can additionally be demoted to *advisory* (``--warn-metric`` /
-``warn_metrics``): their regressions are reported as warnings but do not
-fail the gate.  CI runs with the wall-clock metrics advisory and the
-deterministic counters enforcing — the counters are byte-exact for a fixed
-workload, so any growth there is a real algorithmic regression regardless
-of runner noise.  The exit code is the contract:
-
-* ``0`` — no enforced regression (or ``--warn-only``);
-* ``1`` — at least one enforced metric regressed past its threshold, or a
-  baseline case disappeared from the new run;
+* ``0`` — no counter grew and no baseline case disappeared;
+* ``1`` — at least one counter grew, or a baseline case is missing from
+  the new run;
 * ``2`` — the files could not be compared at all (schema mismatch,
   different scale or suite).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.perf.schema import BenchReport, SchemaError
-
-#: default relative-increase thresholds per metric (0.05 = +5% fails).
-DEFAULT_THRESHOLDS: dict[str, float] = {
-    # Wall-clock is noisy on shared runners; only gross regressions fail.
-    "wall_sec": 0.30,
-    "process_sec": 0.30,
-    # Cell scans are deterministic for a fixed workload: any growth beyond
-    # rounding is a real algorithmic regression.
-    "cell_scans": 0.02,
-    "cell_accesses_per_query_per_ts": 0.02,
-    # Delivered deltas (subscription_routing cases) are deterministic too:
-    # growth means the per-query routing leaks traffic it should not.
-    "deltas_delivered": 0.02,
-    # Partition traffic (partition_scaling cases) is deterministic for a
-    # fixed workload: growth means the halo/pull protocol ships rows or
-    # round-trips it previously avoided.
-    "partition_fanout_rows": 0.02,
-    "partition_sync_rows": 0.02,
-    "partition_pulls": 0.02,
-    "partition_pull_objects": 0.02,
-    "partition_migrations": 0.02,
-    # Peak RSS is a coarse high-water mark.
-    "peak_rss_kb": 0.30,
-}
-
-#: metrics below this baseline magnitude are skipped (relative deltas on
-#: near-zero baselines are meaningless noise).
-_MIN_BASELINE = {"wall_sec": 1e-3, "process_sec": 1e-3}
-
-#: the wall-clock/RSS metrics CI demotes to advisory (runner noise); the
-#: remaining suite metrics are deterministic counters and stay enforced.
-NOISY_METRICS = ("wall_sec", "process_sec", "peak_rss_kb")
 
 
 @dataclass(slots=True)
@@ -68,22 +29,14 @@ class Delta:
     metric: str
     old: float
     new: float
-    threshold: float
-    #: advisory deltas report but never fail the gate.
-    advisory: bool = False
-
-    @property
-    def ratio(self) -> float:
-        if self.old == 0:
-            return float("inf") if self.new > 0 else 1.0
-        return self.new / self.old
 
     @property
     def regressed(self) -> bool:
-        floor = _MIN_BASELINE.get(self.metric, 0.0)
-        if self.old < floor and self.new < floor:
-            return False
-        return self.ratio > 1.0 + self.threshold
+        return self.new > self.old
+
+    @property
+    def improved(self) -> bool:
+        return self.new < self.old
 
 
 @dataclass(slots=True)
@@ -96,25 +49,14 @@ class Comparison:
 
     @property
     def regressions(self) -> list[Delta]:
-        """Enforced regressions (they fail the gate)."""
-        return [d for d in self.deltas if d.regressed and not d.advisory]
-
-    @property
-    def warnings(self) -> list[Delta]:
-        """Advisory regressions (reported, never failing)."""
-        return [d for d in self.deltas if d.regressed and d.advisory]
+        return [d for d in self.deltas if d.regressed]
 
     @property
     def ok(self) -> bool:
         return not self.regressions and not self.missing_cases
 
 
-def compare_reports(
-    old: BenchReport,
-    new: BenchReport,
-    thresholds: dict[str, float] | None = None,
-    warn_metrics: Iterable[str] = (),
-) -> Comparison:
+def compare_reports(old: BenchReport, new: BenchReport) -> Comparison:
     """Diff ``new`` against the ``old`` baseline.
 
     Raises :class:`SchemaError` when the two files measure different
@@ -129,11 +71,6 @@ def compare_reports(
         raise SchemaError(
             f"suite mismatch: baseline ran {old.suite!r}, new run {new.suite!r}"
         )
-    limits = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        limits.update(thresholds)
-    advisory = frozenset(warn_metrics)
-
     new_by_id = {case.case_id: case for case in new.cases}
     deltas: list[Delta] = []
     missing: list[str] = []
@@ -142,19 +79,11 @@ def compare_reports(
         if new_case is None:
             missing.append(old_case.case_id)
             continue
-        for metric, threshold in limits.items():
-            if metric not in old_case.metrics or metric not in new_case.metrics:
-                continue
-            deltas.append(
-                Delta(
-                    case_id=old_case.case_id,
-                    metric=metric,
-                    old=float(old_case.metrics[metric]),
-                    new=float(new_case.metrics[metric]),
-                    threshold=threshold,
-                    advisory=metric in advisory,
+        for metric, old_value in old_case.metrics.items():
+            if metric in new_case.metrics:
+                deltas.append(
+                    Delta(old_case.case_id, metric, old_value, new_case.metrics[metric])
                 )
-            )
     return Comparison(
         deltas=deltas, missing_cases=missing, new_cases=sorted(new_by_id)
     )
@@ -162,41 +91,26 @@ def compare_reports(
 
 def render_comparison(comparison: Comparison, *, verbose: bool = False) -> str:
     """Human-readable diff summary (regressions always listed)."""
-    lines: list[str] = []
     regressions = comparison.regressions
-    warnings = comparison.warnings
-    improvements = [
-        d for d in comparison.deltas if not d.regressed and d.ratio < 1.0 - d.threshold
-    ]
-    lines.append(
+    improvements = [d for d in comparison.deltas if d.improved]
+    lines = [
         f"compared {len(comparison.deltas)} metric pairs: "
-        f"{len(regressions)} regression(s), {len(warnings)} warning(s), "
-        f"{len(improvements)} improvement(s) beyond threshold"
-    )
+        f"{len(regressions)} regression(s), {len(improvements)} improvement(s)"
+    ]
     for delta in regressions:
         lines.append(
             f"  REGRESSION {delta.case_id} {delta.metric}: "
-            f"{delta.old:g} -> {delta.new:g} "
-            f"({(delta.ratio - 1.0) * 100.0:+.1f}%, limit +{delta.threshold * 100:.0f}%)"
-        )
-    for delta in warnings:
-        lines.append(
-            f"  WARNING {delta.case_id} {delta.metric}: "
-            f"{delta.old:g} -> {delta.new:g} "
-            f"({(delta.ratio - 1.0) * 100.0:+.1f}%, limit +{delta.threshold * 100:.0f}%, "
-            "advisory)"
+            f"{delta.old} -> {delta.new} ({delta.new - delta.old:+g})"
         )
     for case_id in comparison.missing_cases:
         lines.append(f"  MISSING baseline case disappeared: {case_id}")
     for case_id in comparison.new_cases:
         lines.append(f"  NEW case without baseline: {case_id}")
-    shown = improvements if not verbose else comparison.deltas
-    for delta in shown:
+    for delta in comparison.deltas if verbose else improvements:
         if delta.regressed:
             continue
         lines.append(
-            f"  {'improved' if delta.ratio < 1.0 else 'ok':>8} "
-            f"{delta.case_id} {delta.metric}: {delta.old:g} -> {delta.new:g} "
-            f"({(delta.ratio - 1.0) * 100.0:+.1f}%)"
+            f"  {'improved' if delta.improved else 'ok':>8} "
+            f"{delta.case_id} {delta.metric}: {delta.old} -> {delta.new}"
         )
     return "\n".join(lines)

@@ -1,14 +1,13 @@
-"""The schema-versioned ``BENCH_*.json`` interchange format.
+"""The schema-versioned counter-file format ``repro.perf`` reads and writes.
 
 A bench file is a flat, diff-friendly JSON document::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "scale": 0.02,
       "suite": "full",
-      "repeats": 3,
       "environment": {"python": "3.11.7", "platform": "Linux-..."},
-      "annotations": {"pr": "1", "note": "seed baseline"},
+      "annotations": {"pr": "16", "note": "counter baseline"},
       "cases": [
         {
           "case_id": "scalability_n/N=2000/CPM",
@@ -16,20 +15,22 @@ A bench file is a flat, diff-friendly JSON document::
           "algorithm": "CPM",
           "params": {"n_objects": 2000, "n_queries": 100, "k": 16,
                      "grid": 16, "timestamps": 14, "seed": 2005},
-          "metrics": {"wall_sec": 0.151, "process_sec": 0.143,
-                      "install_sec": 0.008, "cell_scans": 4985,
+          "metrics": {"cell_scans": 4985,
                       "cell_accesses_per_query_per_ts": 3.56,
-                      "objects_scanned": 81230, "results_changed": 1393,
-                      "peak_rss_kb": 38912}
+                      "objects_scanned": 81230, "results_changed": 1393}
         },
         ...
       ]
     }
 
-``schema_version`` gates evolution: readers refuse files written by an
-incompatible writer instead of silently misinterpreting them.  All loading
-errors raise :class:`SchemaError` so the CLI can map them to a distinct
-exit code (2, versus 1 for a genuine perf regression).
+Every metric is a count that is deterministic for a fixed workload and
+seed; nothing in the file depends on a clock or the host (timing lives in
+``python3 -m bench``).  ``schema_version`` gates evolution: readers refuse
+files written by an incompatible writer instead of silently
+misinterpreting them — version 1 files (root ``BENCH_PR1–7.json``) carried
+wall-clock metrics and are not readable here.  All loading errors raise
+:class:`SchemaError` so the CLI can map them to a distinct exit code (2,
+versus 1 for a genuine counter regression).
 """
 
 from __future__ import annotations
@@ -40,19 +41,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 #: current writer version; bump on any incompatible layout change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: metric keys every case must carry (extra keys are allowed and preserved).
-REQUIRED_METRICS = (
-    "wall_sec",
-    "process_sec",
-    "cell_scans",
-    "cell_accesses_per_query_per_ts",
-)
-
-#: the reduced requirement for wall-clock-only cases (process-backed shard
-#: executors record no deterministic counters; see repro.perf.runner).
-WALLCLOCK_REQUIRED_METRICS = ("wall_sec", "process_sec")
+REQUIRED_METRICS = ("cell_scans", "cell_accesses_per_query_per_ts")
 
 
 class SchemaError(ValueError):
@@ -88,22 +80,14 @@ class BenchCase:
         metrics = raw["metrics"]
         if not isinstance(metrics, dict):
             raise SchemaError(f"case {raw['case_id']!r}: metrics must be an object")
-        params = raw["params"]
-        if isinstance(params, dict) and params.get("executor") in (
-            "process",
-            "supervised",
-        ):
-            required = WALLCLOCK_REQUIRED_METRICS
-        else:
-            required = REQUIRED_METRICS
-        for key in required:
+        for key in REQUIRED_METRICS:
             if key not in metrics:
                 raise SchemaError(
                     f"case {raw['case_id']!r} is missing required metric {key!r}"
                 )
-            if not isinstance(metrics[key], (int, float)) or isinstance(
-                metrics[key], bool
-            ):
+        # compare diffs every metric, so every one must be a number.
+        for key, value in metrics.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SchemaError(
                     f"case {raw['case_id']!r}: metric {key!r} must be a number"
                 )
@@ -122,7 +106,6 @@ class BenchReport:
 
     scale: float
     suite: str = "full"
-    repeats: int = 1
     schema_version: int = SCHEMA_VERSION
     environment: dict = field(default_factory=dict)
     annotations: dict = field(default_factory=dict)
@@ -142,7 +125,6 @@ class BenchReport:
             "schema_version": self.schema_version,
             "scale": self.scale,
             "suite": self.suite,
-            "repeats": self.repeats,
             "environment": dict(self.environment),
             "annotations": dict(self.annotations),
             "cases": [case.to_dict() for case in self.cases],
@@ -173,7 +155,6 @@ class BenchReport:
         return cls(
             scale=float(raw["scale"]),
             suite=str(raw.get("suite", "full")),
-            repeats=int(raw.get("repeats", 1)),
             schema_version=int(version),
             environment=dict(raw.get("environment", {})),
             annotations=dict(raw.get("annotations", {})),

@@ -1,8 +1,9 @@
-"""The canonical perf workload suite.
+"""The canonical counter workload suite.
 
 One suite run replays a fixed set of workload cases into every monitoring
-algorithm.  The cases mirror the paper's evaluation axes at a configurable
-``scale`` (1.0 = the paper's Table 6.1 sizes):
+algorithm and records their deterministic counters.  The cases mirror the
+paper's evaluation axes at a configurable ``scale`` (1.0 = the paper's
+Table 6.1 sizes):
 
 * ``scalability_n`` — the Figure 6.2a object-population sweep over the
   network-based (Brinkhoff-style) generator;
@@ -13,80 +14,51 @@ algorithm.  The cases mirror the paper's evaluation axes at a configurable
 * ``uniform``       — the Section 4.1 analysis setting (uniform random
   displacement);
 * ``skewed``        — the adversarial Gaussian-hotspot workload;
-* ``shard_scaling`` — the service-layer sharding sweep: the Figure 6.2
-  defaults workload replayed into a ``repro.service`` sharded CPM monitor
-  at S ∈ {1, 2, 4, 8} shards (serial executor, so the metric isolates
-  partitioning/service overhead; S=1 measures the pure adapter cost);
-* ``shard_scaling_wallclock`` — the same sweep on the
-  ``ProcessShardExecutor`` (one worker process per shard): records
-  *wall-clock-only* metrics — real multi-core speedup — and omits the
-  deterministic counters (they would duplicate the serial scenario's)
-  and peak RSS (unmeasurable across workers from the parent).  Full
-  suite only (worker startup is too heavy for the CI smoke subset);
-* ``partition_scaling`` — the shard sweep on the *partitioned* service
+* ``high_density``  — the uniform workload over a grid sized so mean cell
+  occupancy sits well above ``VEC_MIN_OCCUPANCY`` (64): the only counter
+  gate in the regime where the numpy backend's vectorized cell scans
+  engage.  It runs on the auto backend; counters are byte-identical
+  across backends by the backend-equivalence contract;
+* ``shard_scaling`` — the Figure 6.2 defaults workload replayed into a
+  ``repro.service`` sharded CPM monitor at S ∈ {1, 2, 4, 8} shards
+  (serial executor; S=1 is the pure adapter);
+* ``partition_scaling`` — the same sweep on the *partitioned* service
   tier (``repro.service.partition``): each shard owns a column block
-  plus a halo instead of replicating the object table.  Serial
-  executor, so every deterministic counter is recorded — and because
-  the partitioned tier is counter-exact against the single engine, the
-  gate pins them to the engine's own values, not S-fold copies.  The
-  partition traffic counters (fan-out rows, halo sync rows, pulls,
-  migrations) are deterministic for a fixed workload and gate exactly
-  like cell scans;
-* ``partition_scaling_wallclock`` — the partitioned sweep on the
-  ``ProcessShardExecutor``: real multi-core speedup *with* per-shard
-  object ownership, the configuration where partitioning is supposed to
-  beat replicated sharding.  Wall-clock metrics plus the deterministic
-  partition traffic counters.  Full suite only;
-* ``high_density`` — a coarse-grid/high-occupancy stress shape: the
-  uniform workload over a grid sized so mean cell occupancy sits well
-  above ``VEC_MIN_OCCUPANCY`` (64), the regime where the numpy kernel
-  backend's vectorized cell scans engage.  The case runs once per
-  *available* kernel backend (``high_density/list`` is the scalar
-  reference, ``high_density/numpy`` the vector A/B arm when numpy is
-  importable) — counters are byte-identical across backends by the
-  backend-equivalence contract, so only the wall-clock ratio carries
-  information;
-* ``fault_recovery`` — the same wall-clock sweep on the
-  ``SupervisedShardExecutor`` with **no faults injected**: prices the
-  supervision layer itself (command logging + recv deadlines) against
-  ``shard_scaling_wallclock``, whose raw executor it wraps.  The fault
-  paths themselves are correctness-tested by the chaos suite
-  (``tests/test_fault_tolerance.py``), not timed here;
+  plus a halo instead of replicating the object table.  The tier is
+  counter-exact against the single engine, so the gate pins the engine's
+  own values, plus the partition traffic counters (fan-out rows, halo
+  sync rows, pulls, migrations);
 * ``streaming_ingest`` — the defaults workload pushed through the full
   ``repro.ingest`` pipeline (feed → buffer → batcher →
   ``MonitoringService.tick_flat``) instead of the direct replay loop.
-  The driver honors the feed's cycle marks, so the cycle structure — and
-  therefore every deterministic counter — is byte-comparable with the
-  plain replay; the extra ``ingest_sec`` metric (advisory, not gated)
-  prices the ingestion tier itself;
+  The driver honors the feed's cycle marks, so every counter is
+  byte-comparable with the plain replay;
 * ``subscription_routing`` — the defaults workload replayed through a
   ``MonitoringService`` with per-query subscriptions on a quarter of the
   queries plus one firehose: the delta-streaming path of the client API
   (``repro.api``).  The grid counters stay byte-comparable with the
   plain replay (delta capture never touches the grid) and the extra
-  ``deltas_delivered`` metric is itself deterministic, so the gate pins
-  the routing exactly;
+  ``deltas_delivered`` counter pins the routing;
 * ``subscription_scale`` — the pub/sub stress shape: **every** query
-  carries multiple per-query subscriptions (``SuiteCase.subscribers``
-  per query — tens of thousands of live subscriptions at full scale),
-  pricing the hub's topic routing under subscriber fan-out.  The
-  ``deltas_delivered`` counter stays deterministic (fixed workload ×
-  fixed subscription multiplicity), so CI gates it like any counter.
+  carries ``SuiteCase.subscribers`` per-query subscriptions (tens of
+  thousands of live subscriptions at full scale).
 
 Workload materialization is deterministic (fixed seed per case), so two
 runs of the same suite at the same scale replay byte-identical update
-streams — which is what makes the deterministic counters (cell scans)
-byte-comparable across code versions.
+streams — which is what makes the counters byte-comparable across code
+versions.  Process-backed executors have no case here: their counters
+would duplicate the serial cases', and their timing belongs to
+``python3 -m bench``.
 
 The ``smoke`` suite is the subset cheap enough for per-PR CI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.experiments.common import make_workload, scaled_grid, scaled_spec
-from repro.grid.kernels import VEC_MIN_OCCUPANCY, available_backends
+from repro.grid.kernels import VEC_MIN_OCCUPANCY
 from repro.mobility.skewed import SkewedGenerator
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import Workload, WorkloadSpec
@@ -118,11 +90,7 @@ class SuiteCase:
 
     ``shards > 0`` marks a service-layer case: the workload is replayed
     into a :class:`repro.service.sharding.ShardedMonitor` with that many
-    shards (CPM engines) instead of a bare algorithm.  ``executor``
-    selects the shard executor: ``"serial"`` (deterministic, in-process),
-    ``"process"`` (one worker per shard, wall-clock-only metrics) or
-    ``"supervised"`` (the fault-tolerant process executor, fault-free —
-    prices the supervision overhead).
+    shards (CPM engines, serial executor) instead of a bare algorithm.
     ``ingest`` routes the replay through the ``repro.ingest`` pipeline
     (mark-honoring, columnar fast path) instead of the direct loop.
     ``subscribed`` replays through a delta-streaming service;
@@ -135,7 +103,6 @@ class SuiteCase:
     spec: WorkloadSpec
     grid: int
     shards: int = 0
-    executor: str = "serial"
     ingest: bool = False
     subscribed: bool = False
     subscribers: int = 0
@@ -143,9 +110,6 @@ class SuiteCase:
     #: (owned column blocks + halo sync) instead of the replicated
     #: ``ShardedMonitor``.  Only meaningful with ``shards > 0``.
     partitioned: bool = False
-    #: explicit kernel backend for the engine grid (``high_density``
-    #: A/B arms); ``None`` keeps the auto default.
-    backend: str | None = None
 
     def materialize(self) -> Workload:
         if self.workload == "network":
@@ -159,21 +123,10 @@ class SuiteCase:
 
 def _dedup(cases: list[SuiteCase]) -> list[SuiteCase]:
     """Drop cases whose scaled parameters collapsed onto an earlier case."""
-    seen: set[tuple] = set()
+    seen: set[SuiteCase] = set()
     out: list[SuiteCase] = []
     for case in cases:
-        signature = (
-            case.workload,
-            case.spec,
-            case.grid,
-            case.shards,
-            case.executor,
-            case.ingest,
-            case.subscribed,
-            case.subscribers,
-            case.partitioned,
-            case.backend,
-        )
+        signature = replace(case, key="")
         if signature in seen:
             continue
         seen.add(signature)
@@ -191,7 +144,7 @@ def build_suite(
     default = scaled_spec(scale, seed=seed)
     cases: list[SuiteCase] = []
 
-    # Scalability: CPU versus N (the bench_fig_6_2 workload family).
+    # Scalability versus N (the Figure 6.2a workload family).
     for paper_n in PAPER_N:
         n_objects = max(200, round(paper_n * scale))
         cases.append(
@@ -203,7 +156,7 @@ def build_suite(
             )
         )
     if suite == "full":
-        # Scalability: CPU versus n.
+        # Scalability versus n.
         for paper_q in PAPER_QUERIES:
             n_queries = max(2, round(paper_q * scale))
             cases.append(
@@ -284,104 +237,34 @@ def build_suite(
         )
     )
     # Coarse-grid/high-occupancy stress: size the grid so mean cell
-    # occupancy clears the vectorized-scan threshold with headroom, then
-    # run one arm per available kernel backend.  Counters are
-    # byte-identical across arms (backend equivalence); the wall-clock
-    # ratio is the A/B signal for the vector kernels.
+    # occupancy clears the vectorized-scan threshold with headroom.
     dense_grid = max(2, int((default.n_objects / (2 * VEC_MIN_OCCUPANCY)) ** 0.5))
-    for backend in available_backends():
-        if backend == "array":
-            # Same scalar scan loops as "list" (only the column storage
-            # differs); the A/B arms are scalar-reference vs vector.
-            continue
-        cases.append(
-            SuiteCase(
-                key=f"high_density/{backend}",
-                workload="uniform",
-                spec=default,
-                grid=dense_grid,
-                backend=backend,
-            )
+    cases.append(
+        SuiteCase(
+            key="high_density/default",
+            workload="uniform",
+            spec=default,
+            grid=dense_grid,
         )
-    # Service-layer shard scaling over the defaults workload.  The shard
-    # count is clamped to the grid's column count (tiny smoke grids).
+    )
+    # Service-layer shard scaling over the defaults workload, replicated
+    # then partitioned (owned column blocks + halo sync; counter-exact
+    # against the single engine, plus the partition traffic counters).
+    # The shard count is clamped to the grid's column count (tiny smoke
+    # grids).
     shard_counts = SHARD_SCALING if suite == "full" else SHARD_SCALING_SMOKE
-    for n_shards in shard_counts:
-        if n_shards > grid:
-            continue
-        cases.append(
-            SuiteCase(
-                key=f"shard_scaling/S={n_shards}",
-                workload="network",
-                spec=default,
-                grid=grid,
-                shards=n_shards,
-            )
-        )
-    # Partitioned shard scaling (owned column blocks + halo sync): the
-    # serial sweep records every deterministic counter — counter-exact
-    # against the single engine — plus the partition traffic counters.
-    for n_shards in shard_counts:
-        if n_shards > grid:
-            continue
-        cases.append(
-            SuiteCase(
-                key=f"partition_scaling/S={n_shards}",
-                workload="network",
-                spec=default,
-                grid=grid,
-                shards=n_shards,
-                partitioned=True,
-            )
-        )
-    if suite == "full":
-        # Real multi-core speedup on the process-backed executor
-        # (ROADMAP: "parallel shard executor in the perf gate").
-        for n_shards in SHARD_SCALING:
+    for family, partitioned in (("shard_scaling", False), ("partition_scaling", True)):
+        for n_shards in shard_counts:
             if n_shards > grid:
                 continue
             cases.append(
                 SuiteCase(
-                    key=f"shard_scaling_wallclock/S={n_shards}",
+                    key=f"{family}/S={n_shards}",
                     workload="network",
                     spec=default,
                     grid=grid,
                     shards=n_shards,
-                    executor="process",
-                )
-            )
-        # The partitioned sweep on real worker processes: per-shard
-        # object ownership AND multi-core parallelism — the
-        # configuration where partitioning must beat replication.
-        for n_shards in SHARD_SCALING:
-            if n_shards > grid:
-                continue
-            cases.append(
-                SuiteCase(
-                    key=f"partition_scaling_wallclock/S={n_shards}",
-                    workload="network",
-                    spec=default,
-                    grid=grid,
-                    shards=n_shards,
-                    executor="process",
-                    partitioned=True,
-                )
-            )
-        # Supervision overhead: the identical sweep wrapped in the
-        # fault-tolerant executor, zero faults firing — the wall-clock
-        # delta against shard_scaling_wallclock IS the price of fault
-        # tolerance (command log + recv deadline per command).
-        for n_shards in SHARD_SCALING:
-            if n_shards > grid:
-                continue
-            cases.append(
-                SuiteCase(
-                    key=f"fault_recovery/S={n_shards}",
-                    workload="network",
-                    spec=default,
-                    grid=grid,
-                    shards=n_shards,
-                    executor="supervised",
+                    partitioned=partitioned,
                 )
             )
     return _dedup(cases)

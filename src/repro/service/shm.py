@@ -38,7 +38,8 @@ ROW_BYTES = 42
 #: default minimum batch length for the shared-memory path.  Below this the
 #: fixed per-segment cost (shm_open/mmap/unlink syscalls on both sides)
 #: exceeds what pickling a few KB through the pipe costs; measured
-#: crossover is a few hundred rows (see ``python -m repro.perf micro``).
+#: crossover is a few hundred rows (recorded in PR 7: CHANGES.md and the
+#: ``BENCH_PR7.json`` annotations).
 SHM_MIN_ROWS = 256
 
 

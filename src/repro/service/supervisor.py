@@ -109,7 +109,7 @@ class SupervisedShardExecutor(ProcessShardExecutor):
     Drop-in replacement: pass it as ``executor=`` to
     :class:`repro.service.sharding.ShardedMonitor`.  With no faults the
     only added work per command is one log append, so supervision
-    overhead is negligible (see the ``fault_recovery`` perf annotation).
+    overhead is negligible (measured in PR 8, see CHANGES.md).
 
     Args:
         policy: recovery policy (default ``RESTART``).

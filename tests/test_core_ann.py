@@ -92,6 +92,38 @@ class TestAnnMonitoring:
             monitor.process(updates)
             assert monitor.result(0) == brute_ann(positions, points, 3, fn), (fn, t)
 
+    @pytest.mark.parametrize("fn", ["sum", "min", "max"])
+    def test_monitoring_cost_same_order_as_plain_nn(self, fn):
+        """Section 5: an aggregate query is monitored at a cost of the same
+        order as a plain NN query over the same update stream."""
+        rng = random.Random(7)
+        _, positions = fresh(n_objects=500)
+        batches = []
+        for _ in range(10):
+            updates = []
+            for oid in rng.sample(sorted(positions), 50):
+                old = positions[oid]
+                new = (
+                    min(max(old[0] + rng.uniform(-0.05, 0.05), 0.0), 1.0),
+                    min(max(old[1] + rng.uniform(-0.05, 0.05), 0.0), 1.0),
+                )
+                positions[oid] = new
+                updates.append(move_update(oid, old, new))
+            batches.append(updates)
+
+        def scans(install):
+            monitor, _ = fresh(n_objects=500)
+            install(monitor)
+            for updates in batches:
+                monitor.process(updates)
+            return monitor.stats.cell_scans
+
+        plain = scans(lambda m: m.install_query(0, (0.5, 0.5), k=8))
+        aggregate = scans(
+            lambda m: m.install_ann_query(0, QUERY_SETS[0], k=8, fn=fn)
+        )
+        assert 0 < aggregate < 100 * plain
+
     def test_best_ann_disappears(self):
         monitor, positions = fresh()
         points = QUERY_SETS[1]

@@ -176,8 +176,8 @@ class TestSupervisedRecovery:
     def test_no_faults_means_no_recovery_overhead_in_counters(self):
         """Supervision must be invisible when nothing fails: counters and
         results byte-identical to the plain sharded run (the wall-clock
-        price is benchmarked by the ``fault_recovery`` perf cases, not
-        asserted here — CI timing is noise)."""
+        price was measured once, in PR 8 — see CHANGES.md — and is not
+        asserted here: CI timing is noise)."""
         workload = small_workload(timestamps=5)
         ref_report, ref_log = replay(
             ShardedMonitor(2, cells_per_axis=CELLS), workload
