@@ -35,7 +35,6 @@ from repro.geometry.points import Point
 from repro.geometry.rects import Rect
 from repro.grid.cell import CellCoord
 from repro.grid.grid import Grid
-from repro.grid.kernels import KernelBackend
 from repro.grid.stats import GridStats
 from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
 from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
@@ -77,12 +76,11 @@ class SeaCnnMonitor(ContinuousMonitor):
         *,
         bounds: Rect | tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
         delta: float | None = None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         if delta is not None:
-            self._grid = Grid(delta=delta, bounds=bounds, backend=backend)
+            self._grid = Grid(delta=delta, bounds=bounds)
         else:
-            self._grid = Grid(cells_per_axis, bounds=bounds, backend=backend)
+            self._grid = Grid(cells_per_axis, bounds=bounds)
         self._positions: dict[int, Point] = {}
         self._queries: dict[int, _SeaQuery] = {}
 
@@ -160,8 +158,8 @@ class SeaCnnMonitor(ContinuousMonitor):
         read answer-region state, so running both after the move matches
         the delete-then-insert interleaving exactly.  Both cell ids of
         every row come from one batch addressing pass
-        (:meth:`repro.grid.grid.Grid.batch_cell_ids`, vectorized on the
-        numpy backend) and the mark sets are read straight off the
+        (:meth:`repro.grid.grid.Grid.batch_cell_ids`, vectorized where
+        numpy imports) and the mark sets are read straight off the
         packed-id store — no coordinate tuples anywhere in the loop.
         """
         grid = self._grid

@@ -29,7 +29,6 @@ from repro.baselines.common import collect_cell_objects, square_cells, two_step_
 from repro.geometry.points import Point
 from repro.geometry.rects import Rect
 from repro.grid.grid import Grid
-from repro.grid.kernels import KernelBackend
 from repro.grid.stats import GridStats
 from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
 from repro.updates import FlatUpdateBatch, QueryUpdate
@@ -56,12 +55,11 @@ class YpkCnnMonitor(ContinuousMonitor):
         *,
         bounds: Rect | tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
         delta: float | None = None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         if delta is not None:
-            self._grid = Grid(delta=delta, bounds=bounds, backend=backend)
+            self._grid = Grid(delta=delta, bounds=bounds)
         else:
-            self._grid = Grid(cells_per_axis, bounds=bounds, backend=backend)
+            self._grid = Grid(cells_per_axis, bounds=bounds)
         self._positions: dict[int, Point] = {}
         self._queries: dict[int, _YpkQuery] = {}
 
@@ -133,8 +131,8 @@ class YpkCnnMonitor(ContinuousMonitor):
         (movements through :meth:`Grid.move_ids`, whose same-cell fast
         path relocates in place with identical delete+insert counters).
         Both cell ids of every row come from one batch addressing pass
-        (:meth:`repro.grid.grid.Grid.batch_cell_ids`, vectorized on the
-        numpy backend) and the columns are consumed by a single zip.
+        (:meth:`repro.grid.grid.Grid.batch_cell_ids`, vectorized where
+        numpy imports) and the columns are consumed by a single zip.
         """
         grid = self._grid
         positions = self._positions

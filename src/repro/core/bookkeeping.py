@@ -182,6 +182,67 @@ class QueryState:
         self.marked_upto = 0
 
     # ------------------------------------------------------------------
+    # Carriage between engines (live migration, partition checkpoints)
+    # ------------------------------------------------------------------
+
+    def export(self) -> dict:
+        """This row of QT as plain data; :meth:`adopt` is the inverse.
+
+        The lists are copies, so the record shares no mutable state with
+        the live query (the strategy object travels as is).
+        """
+        return {
+            "qid": self.qid,
+            "k": self.k,
+            "strategy": self.strategy,
+            "entries": self.nn.entries(),
+            "best_dist": self.best_dist,
+            "visit_cids": list(self.visit_cids),
+            "visit_keys": list(self.visit_keys),
+            "marked_upto": self.marked_upto,
+            "heap": self.heap.export(),
+        }
+
+    @classmethod
+    def adopt(cls, record: dict, grid: Grid) -> "QueryState":
+        """Rebuild an exported query over ``grid`` with its book-keeping
+        verbatim — no search — and put its influence marks on the grid.
+
+        The marks go on *uncounted* (no ``mark_ops``): they arrive with
+        the query, a storage motion the single engine never performs.
+        """
+        strategy = record["strategy"]
+        state = cls(
+            record["qid"], strategy, record["k"], strategy.partition(grid)
+        )
+        state.nn.replace(record["entries"])
+        state.best_dist = record["best_dist"]
+        state.visit_cids = list(record["visit_cids"])
+        state.visit_keys = list(record["visit_keys"])
+        state.marked_upto = record["marked_upto"]
+        state.heap.adopt(record["heap"])
+        qid = state.qid
+        marks_store = grid._marks
+        for cid in state.visit_cids[: state.marked_upto]:
+            ms = marks_store[cid]
+            if ms is None:
+                marks_store[cid] = {qid}
+            else:
+                ms.add(qid)
+        grid._mark_count += state.marked_upto
+        return state
+
+    def detach_marks(self, grid: Grid) -> None:
+        """Take the influence marks off ``grid`` uncounted, keeping
+        ``marked_upto``: the marks leave with :meth:`export`'s record
+        and :meth:`adopt` puts the same prefix on the adopting grid."""
+        qid = self.qid
+        marks_store = grid._marks
+        for cid in self.visit_cids[: self.marked_upto]:
+            marks_store[cid].remove(qid)
+        grid._mark_count -= self.marked_upto
+
+    # ------------------------------------------------------------------
     # Low-memory fallback
     # ------------------------------------------------------------------
 

@@ -14,7 +14,10 @@ processing pipeline:
   updates.  Only queries whose influence region intersects an updated cell
   are touched; if the k best incomers (``in_list``) outnumber the outgoing
   NNs (``out_count``) the new result is assembled *without accessing the
-  grid*, otherwise re-computation runs.
+  grid*, otherwise re-computation runs.  One rule is added to the figure:
+  an NN that moves into a cell not marked for the query is outgoing even
+  at ``dist == best_dist`` (see :meth:`CPMMonitor._apply_flat_rows`), so
+  every NN lies in a marked cell.
 * **NN monitoring** (Figure 3.9) — the per-cycle driver: object updates
   first (ignoring queries that received updates), then query terminations,
   movements (termination + re-insertion) and insertions.
@@ -54,7 +57,11 @@ from repro.geometry.aggregates import AggregateFunction
 from repro.geometry.points import Point
 from repro.geometry.rects import Rect
 from repro.grid.grid import Grid
-from repro.grid.kernels import VEC_MIN_BATCH as _VEC_MIN_BATCH, KernelBackend
+from repro.grid.kernels import (
+    VEC_MIN_BATCH as _VEC_MIN_BATCH,
+    VEC_MIN_OCCUPANCY as _VEC_MIN_OCCUPANCY,
+    CellColumns,
+)
 from repro.grid.stats import GridStats
 from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
 from repro.updates import FlatUpdateBatch, QueryUpdate
@@ -73,12 +80,11 @@ class CPMMonitor(ContinuousMonitor):
         delta: float | None = None,
         reuse_bookkeeping: bool = True,
         merge_optimization: bool = True,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         if delta is not None:
-            self._grid = Grid(delta=delta, bounds=bounds, backend=backend)
+            self._grid = Grid(delta=delta, bounds=bounds)
         else:
-            self._grid = Grid(cells_per_axis, bounds=bounds, backend=backend)
+            self._grid = Grid(cells_per_axis, bounds=bounds)
         # oid -> packed cell id: the authoritative object->cell map.  The
         # update loop reads it instead of re-deriving the old cell from
         # the update's old coordinates (one dict hit versus ~a dozen
@@ -222,11 +228,15 @@ class CPMMonitor(ContinuousMonitor):
         self._run_search(state)
         state.best_dist = state.nn.kth_dist
         state.reconcile_marks(self._grid, processed_upto=state.visit_length)
-        self._queries[qid] = state
-        self._query_probes[qid] = (
+        self._register_query(state)
+        return state.result_entries()
+
+    def _register_query(self, state: QueryState) -> None:
+        """Enter a searched (or adopted) query into QT and the probe table."""
+        self._queries[state.qid] = state
+        self._query_probes[state.qid] = (
             state, state.nn, state.qx, state.qy, state.is_point
         )
-        return state.result_entries()
 
     def remove_query(self, qid: int) -> None:
         """Terminate a query: drop its QT entry and influence marks."""
@@ -334,9 +344,9 @@ class CPMMonitor(ContinuousMonitor):
         cells_store = grid._cells
         marks_store = grid._marks
         stats = grid.stats
-        # Vectorized cell-scan kernel (numpy backend; None elsewhere).
+        # Vectorized cell-scan kernel (None without numpy).
         vec_within = grid._vec_within
-        vec_min = grid._vec_min
+        vec_min = _VEC_MIN_OCCUPANCY
         # The NN list identity is stable here: the search only inserts (in
         # place); replace() — which rebinds — never runs during a search.
         heap_list = heap._heap
@@ -563,7 +573,7 @@ class CPMMonitor(ContinuousMonitor):
         cells_store = grid._cells
         stats = grid.stats
         vec_within = grid._vec_within
-        vec_min = grid._vec_min
+        vec_min = _VEC_MIN_OCCUPANCY
         qid = state.qid
         is_point = state.is_point
         qx = state.qx
@@ -748,11 +758,21 @@ class CPMMonitor(ContinuousMonitor):
         The per-row loop of the cycle (Figure 3.8), kept apart from cycle
         assembly (scratch, query updates, :meth:`_finish_cycle`) so the
         partitioned shard engine (:mod:`repro.service.partition`) can
-        splice boundary-crossing "leave" rows into the stream and apply
-        one cycle's rows across several commands.
+        apply one cycle's rows across several commands.
+
+        One rule goes beyond the figure's "p remains in the NN set if
+        ``dist(p', q) <= best_dist``": an NN whose cross-cell move lands
+        in a cell not carrying q's mark is *outgoing*.  Every cell with
+        ``mindist < best_dist`` is marked, so this only decides the exact
+        tie ``d == mindist == best_dist`` (a cell touching the circle
+        from outside) — where keeping p would leave an NN in a cell whose
+        later updates never probe q.  Re-computation re-finds p and marks
+        its cell, which keeps the invariant *every NN of q lies in a cell
+        marked for q*; it is also why a partitioned shard that does not
+        track the destination cell is told p disappeared and nothing more.
 
         Every per-row value comes off the parallel columns by one ``zip``
-        unpack, kept four columns wide on purpose — each extra zip column
+        unpack, kept five columns wide on purpose — each extra zip column
         costs measurably at this trip count.  The old coordinates are
         never read: the authoritative old cell comes from the
         object->cell map (one dict hit versus re-deriving it from the
@@ -774,7 +794,7 @@ class CPMMonitor(ContinuousMonitor):
         stats = grid.stats
         object_cells = self._object_cells
         probes = self._query_probes
-        cell_cls = grid.cell_factory
+        cell_cls = CellColumns
         bounds = grid.bounds
         bx0 = bounds.x0
         by0 = bounds.y0
@@ -784,12 +804,13 @@ class CPMMonitor(ContinuousMonitor):
         rows_1 = rows - 1
 
         object_cells_get = object_cells.get
-        # Batch addressing kernel (numpy backend): the new cell of every
-        # row precomputed in one vectorized pass and zipped in as a fifth
+        # Batch addressing kernel (numpy): the new cell of every row
+        # precomputed in one vectorized pass and zipped in as a fifth
         # column (full-row alignment — a disappear row's cid is simply
         # never read, which is cheaper than compressing rows out and
-        # pulling from an iterator).  The scalar backends zip a stream of
-        # ``None`` instead and keep the inlined per-row arithmetic.
+        # pulling from an iterator).  Without numpy, or below the batch
+        # crossover, the loop zips a stream of ``None`` instead and keeps
+        # the inlined per-row arithmetic.
         vec_cells = grid._vec_cell_ids
         if vec_cells is not None and len(batch.oids) >= _VEC_MIN_BATCH:
             new_cids: Iterable[int | None] = vec_cells(
@@ -966,8 +987,16 @@ class CPMMonitor(ContinuousMonitor):
                             else:
                                 ok = state.strategy.accepts(nx, ny, oid)
                                 d = state.strategy.dist(nx, ny) if ok else 0.0
-                            if ok and d <= state.best_dist:
-                                # p remains in the NN set; update the order.
+                            if (
+                                ok
+                                and d <= state.best_dist
+                                and (nms := marks_store[new_cid])
+                                and qid in nms
+                            ):
+                                # p remains in the NN set (within
+                                # best_dist *and* in a cell marked for q
+                                # — the tie rule of the docstring);
+                                # update the order.
                                 nn.update_dist(oid, d)
                                 sc.note_reorder()
                             else:

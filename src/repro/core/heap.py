@@ -88,3 +88,13 @@ class SearchHeap:
     def entries(self) -> list[Entry]:
         """Snapshot of the raw entries (diagnostics/tests only)."""
         return list(self._heap)
+
+    def export(self) -> tuple[list[Entry], int]:
+        """The heap as plain data: raw entries in heap order plus the
+        tie-break counter.  :meth:`adopt` on an empty heap rebuilds an
+        identical one (same pop order, same future sequence numbers)."""
+        return list(self._heap), self._seq
+
+    def adopt(self, exported: tuple[list[Entry], int]) -> None:
+        entries, self._seq = exported
+        self._heap = list(entries)

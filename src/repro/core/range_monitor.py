@@ -26,7 +26,6 @@ from repro.geometry.points import Point
 from repro.geometry.rects import Rect
 from repro.grid.cell import CellCoord
 from repro.grid.grid import Grid
-from repro.grid.kernels import KernelBackend
 from repro.grid.stats import GridStats
 from repro.updates import ObjectUpdate
 
@@ -55,12 +54,11 @@ class GridRangeMonitor:
         *,
         bounds: Rect | tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
         delta: float | None = None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         if delta is not None:
-            self._grid = Grid(delta=delta, bounds=bounds, backend=backend)
+            self._grid = Grid(delta=delta, bounds=bounds)
         else:
-            self._grid = Grid(cells_per_axis, bounds=bounds, backend=backend)
+            self._grid = Grid(cells_per_axis, bounds=bounds)
         self._positions: dict[int, Point] = {}
         self._queries: dict[int, _RangeQuery] = {}
 

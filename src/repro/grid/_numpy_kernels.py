@@ -1,10 +1,9 @@
 """Vectorized scan kernels over buffer-backed cell columns (numpy).
 
-This module is imported *lazily* by :func:`repro.grid.kernels.resolve_backend`
-— only when numpy is installed and the ``numpy`` backend is selected — so
-``import repro`` never touches numpy (the library stays stdlib-only by
-default; see the "no hard numpy import" contract in the README's numeric
-backends section).
+This module is imported *lazily* by :func:`repro.grid.kernels.accelerators`
+— on the first grid construction, and only successfully where numpy is
+installed — so ``import repro`` never touches numpy (the library stays
+stdlib-only by default; see "numpy acceleration" in the README).
 
 Byte-identity contract
 ----------------------
@@ -22,7 +21,7 @@ hundreds of objects), so the exact finish touches few rows while numpy
 eats the O(population) arithmetic.
 
 The coordinate views are *zero-copy*: ``np.frombuffer`` maps the live
-``array('d')`` buffers of a :class:`repro.grid.kernels.BufferCellColumns`.
+``array('d')`` buffers of a :class:`repro.grid.kernels.CellColumns`.
 Views are taken per scan and never cached — an ``append`` may realloc the
 backing buffer, so a held view could go stale.
 """
@@ -46,7 +45,7 @@ _MAX_SQUARE_BOUND = 1.3e154
 
 def within_cell(cell, qx: float, qy: float, r: float) -> list[tuple[float, int]]:
     """Vectorized twin of the inlined scalar ``within`` scan over one
-    buffer-backed cell: ``(dist, oid)`` pairs with ``dist <= r``, in
+    cell: ``(dist, oid)`` pairs with ``dist <= r``, in
     column order, distances by ``math.hypot``."""
     xs = cell.xs
     ys = cell.ys
@@ -67,16 +66,6 @@ def within_cell(cell, qx: float, qy: float, r: float) -> list[tuple[float, int]]
         if d <= r:
             append((d, oids[i]))
     return out
-
-
-def best_k_cell(
-    cell, qx: float, qy: float, k: int, bound: float
-) -> list[tuple[float, int]]:
-    """Vectorized twin of :func:`repro.grid.kernels.best_k`."""
-    hits = within_cell(cell, qx, qy, bound)
-    if len(hits) > 1:
-        hits.sort()
-    return hits[:k]
 
 
 def batch_cell_ids(

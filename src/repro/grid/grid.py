@@ -9,19 +9,22 @@ tuple allocation plus a tuple hash.  Grids too large for dense backing
 fall back transparently to a sparse store with identical semantics.
 
 Per-cell object lists are *columnar*
-(:class:`repro.grid.kernels.CellColumns`): parallel ``oids`` / ``xs`` /
-``ys`` lists plus an ``oid -> slot`` hash side index.  The side index
-preserves the paper's cost model ("the object lists of the cells are
-implemented as hash tables so that the deletion of an object from its old
-cell and the insertion into its new one takes expected ``Time_ind = 2``",
-Section 4.1: insert appends a row, delete swaps the last row into the
-freed slot — both expected O(1)), while the flat coordinate columns let
-the scan kernels (:meth:`Grid.scan_within`, :meth:`Grid.scan_best_k`,
-:meth:`Grid.scan_all_flat`) run their distance-and-filter loops as single
-fused comprehensions instead of per-object dict iteration.  Empty cell
-columns and mark sets are kept in place once allocated: cells that
-repeatedly empty and refill (the common case under sustained update
-streams) reuse their containers instead of churning the allocator.
+(:class:`repro.grid.kernels.CellColumns`): an ``oids`` list and two
+``array('d')`` coordinate columns plus an ``oid -> slot`` hash side
+index.  The side index preserves the paper's cost model ("the object
+lists of the cells are implemented as hash tables so that the deletion of
+an object from its old cell and the insertion into its new one takes
+expected ``Time_ind = 2``", Section 4.1: insert appends a row, delete
+swaps the last row into the freed slot — both expected O(1)), while the
+flat coordinate columns let the scan kernels (:meth:`Grid.scan_within`,
+:meth:`Grid.scan_best_k`, :meth:`Grid.scan_all_flat`) run their
+distance-and-filter loops as single fused comprehensions — or, where
+numpy imports and a cell holds at least
+:data:`repro.grid.kernels.VEC_MIN_OCCUPANCY` objects, as one vectorized
+pass over the same buffers.  Empty cell columns and mark sets are kept in
+place once allocated: cells that repeatedly empty and refill (the common
+case under sustained update streams) reuse their containers instead of
+churning the allocator.
 
 The grid additionally hosts *query marks*: per-cell sets of query ids.  CPM
 uses them as influence lists ("each cell c of the grid is associated with
@@ -35,11 +38,11 @@ Two parallel APIs are exposed: the coordinate API (``insert``, ``scan``,
 the packed-id API (``cell_id``, ``insert_at``, ``delete_at``,
 ``relocate_at``, ``add_mark_id`` ...).  The CPM engine inlines this
 module's storage layout directly in its hottest loops — cell addressing,
-columnar mutations, influence probes, scan kernels and mark maintenance
-— as does :meth:`Grid.move` itself; any change to the packing scheme,
-the cell decision or the column layout here must be mirrored in
-``repro.core.cpm`` and ``repro.core.bookkeeping`` (the storage-mirror
-contract).  Both views address the same storage and may be mixed freely.
+columnar mutations, influence probes, scan kernels and mark maintenance;
+any change to the packing scheme, the cell decision or the column layout
+here must be mirrored in ``repro.core.cpm`` and ``repro.core.bookkeeping``
+(the storage-mirror contract — those two modules and no other).  Both
+views address the same storage and may be mixed freely.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ from repro.geometry.rects import Rect
 from repro.grid.cell import CellCoord, cell_bounds, cell_index
 from repro.grid.kernels import (
     VEC_MIN_BATCH as _VEC_MIN_BATCH,
-    KernelBackend,
+    VEC_MIN_OCCUPANCY as _VEC_MIN_OCCUPANCY,
+    CellColumns,
+    accelerators,
     best_k,
-    resolve_backend,
 )
 from repro.grid.stats import GridStats
 
@@ -93,20 +97,11 @@ class Grid:
             workspace, the last column/row possibly extending past it.
         bounds: workspace rectangle; defaults to the unit square used by the
             paper's normalized datasets.
-        backend: numeric kernel backend — a name (``"list"`` /
-            ``"array"`` / ``"numpy"`` / ``"auto"``), a resolved
-            :class:`repro.grid.kernels.KernelBackend`, or ``None`` to
-            honor ``REPRO_KERNEL_BACKEND`` (default ``auto``: numpy when
-            installed, the stdlib ``array('d')`` buffers otherwise).
-            Every backend produces byte-identical scan results and
-            counters; only the speed differs.
     """
 
     __slots__ = (
-        "backend",
         "boundary_epsilon",
         "bounds",
-        "cell_factory",
         "cols",
         "delta",
         "rows",
@@ -117,7 +112,6 @@ class Grid:
         "_n_objects",
         "_occupied",
         "_vec_cell_ids",
-        "_vec_min",
         "_vec_within",
     )
 
@@ -127,7 +121,6 @@ class Grid:
         *,
         delta: float | None = None,
         bounds: Rect | tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
-        backend: str | KernelBackend | None = None,
     ) -> None:
         if not isinstance(bounds, Rect):
             bounds = Rect(*bounds)
@@ -156,15 +149,13 @@ class Grid:
             + abs(bounds.x1) + abs(bounds.y1)
         )
         self.stats = GridStats()
-        # The numeric backend: the cell representation every mutation
-        # path constructs, plus the (optional) vectorized scan kernel
-        # the scan front-ends call once a cell's population reaches
-        # the crossover (see repro.grid.kernels).
-        self.backend = resolve_backend(backend)
-        self.cell_factory = self.backend.cell_factory
-        self._vec_within = self.backend.vec_within
-        self._vec_min = self.backend.vec_min
-        self._vec_cell_ids = self.backend.batch_cell_ids
+        # The optional numpy kernels (None without numpy): the cell scan
+        # the front-ends call from VEC_MIN_OCCUPANCY objects up and the
+        # batch addressing pass from VEC_MIN_BATCH rows up — same results
+        # as the scalar loops either way (see repro.grid.kernels).
+        accel = accelerators()
+        self._vec_within = accel.within_cell
+        self._vec_cell_ids = accel.batch_cell_ids
         n_cells = self.cols * self.rows
         # cid -> CellColumns and cid -> {qid, ...}; dense list backing
         # when the grid fits, sparse fallback otherwise.
@@ -219,9 +210,8 @@ class Grid:
         truthy rows are omitted from the result (the masked columnar
         loops address only the unmasked rows).
 
-        Backends with a batch addressing kernel
-        (``KernelBackend.batch_cell_ids``: numpy) run it vectorized
-        past :data:`repro.grid.kernels.VEC_MIN_BATCH` rows; otherwise a
+        With numpy importable the pass runs vectorized from
+        :data:`repro.grid.kernels.VEC_MIN_BATCH` rows up; otherwise a
         scalar loop produces the same list.
         """
         bounds = self.bounds
@@ -362,7 +352,7 @@ class Grid:
         cells = self._cells
         cell = cells[cid]
         if cell is None:
-            cell = self.cell_factory()
+            cell = CellColumns()
             cells[cid] = cell
         slot = cell.slot
         if oid in slot:
@@ -428,106 +418,27 @@ class Grid:
     ) -> tuple[CellCoord, CellCoord]:
         """Relocate an object; returns ``(old_cell, new_cell)``.
 
-        Same-cell moves (the common case at coarse granularities) take an
-        in-place relocate fast path — each cell id is computed once and
-        no delete/insert pair runs.  Counters are identical to the
-        two-step path (one delete plus one insert bump either way).  The
-        addressing and both columnar mutations run inline (zero callee
-        frames): this is the whole object-maintenance path of the
-        YPK-CNN / SEA-CNN update loops.
+        The coordinate-addressed front of :meth:`move_ids` (which the
+        update loops drive directly with batch-computed cell ids).
         """
-        bounds = self.bounds
-        bx0 = bounds.x0
-        by0 = bounds.y0
-        delta = self.delta
-        cols_1 = self.cols - 1
+        old_cid = self.cell_id(old[0], old[1])
+        new_cid = self.cell_id(new[0], new[1])
+        self.move_ids(oid, old_cid, new_cid, new[0], new[1])
         rows = self.rows
-        rows_1 = rows - 1
-        # Inlined cell_id for both endpoints (same float ops).
-        i = int((old[0] - bx0) / delta)
-        if i < 0:
-            i = 0
-        elif i > cols_1:
-            i = cols_1
-        j = int((old[1] - by0) / delta)
-        if j < 0:
-            j = 0
-        elif j > rows_1:
-            j = rows_1
-        old_cid = i * rows + j
-        i = int((new[0] - bx0) / delta)
-        if i < 0:
-            i = 0
-        elif i > cols_1:
-            i = cols_1
-        j = int((new[1] - by0) / delta)
-        if j < 0:
-            j = 0
-        elif j > rows_1:
-            j = rows_1
-        new_cid = i * rows + j
-        cells = self._cells
-        stats = self.stats
-        cell = cells[old_cid]
-        if old_cid == new_cid:
-            # Inlined relocate_at.
-            idx = None if cell is None else cell.slot.get(oid)
-            if idx is None:
-                raise KeyError(
-                    f"object {oid} not found in cell {self.unpack(old_cid)}"
-                )
-            cell.xs[idx] = new[0]
-            cell.ys[idx] = new[1]
-        else:
-            # Inlined delete_at (delete-by-swap) ...
-            idx = None if cell is None else cell.slot.pop(oid, None)
-            if idx is None:
-                raise KeyError(
-                    f"object {oid} not found in cell {self.unpack(old_cid)}"
-                )
-            oids = cell.oids
-            last_oid = oids.pop()
-            lx = cell.xs.pop()
-            ly = cell.ys.pop()
-            if last_oid != oid:
-                oids[idx] = last_oid
-                cell.xs[idx] = lx
-                cell.ys[idx] = ly
-                cell.slot[last_oid] = idx
-            elif not oids:
-                self._occupied -= 1
-            # ... and inlined insert_at on the new cell (duplicate guard
-            # kept: a second row for oid would be unscannable corruption).
-            cell = cells[new_cid]
-            if cell is None:
-                cell = self.cell_factory()
-                cells[new_cid] = cell
-            slot = cell.slot
-            if oid in slot:
-                raise KeyError(
-                    f"object {oid} already present in cell {self.unpack(new_cid)}"
-                )
-            oids = cell.oids
-            if not oids:
-                self._occupied += 1
-            slot[oid] = len(oids)
-            oids.append(oid)
-            cell.xs.append(new[0])
-            cell.ys.append(new[1])
-        stats.deletes += 1
-        stats.inserts += 1
         return (divmod(old_cid, rows), divmod(new_cid, rows))
 
     def move_ids(
         self, oid: int, old_cid: int, new_cid: int, nx: float, ny: float
     ) -> None:
-        """:meth:`move` with both cell ids precomputed by the caller.
+        """Relocate an object between two cells given by packed id.
 
-        The baselines' columnar update loops address whole
-        batches through :meth:`batch_cell_ids` and then drive this
-        entry point, skipping the per-row addressing of :meth:`move`.
-        Same fast path, same failure modes, same counters (one delete
-        plus one insert bump whether or not the cell changes).
+        The whole object-maintenance path of the YPK-CNN / SEA-CNN
+        update loops, which address whole batches through
+        :meth:`batch_cell_ids` first.  Same-cell moves (the common case
+        at coarse granularities) take an in-place relocate fast path;
+        counters are identical either way (one delete plus one insert
+        bump), and both columnar mutations run inline (zero callee
+        frames).
         """
         cells = self._cells
         stats = self.stats
@@ -562,7 +473,7 @@ class Grid:
             # ... and inlined insert_at on the new cell.
             cell = cells[new_cid]
             if cell is None:
-                cell = self.cell_factory()
+                cell = CellColumns()
                 cells[new_cid] = cell
             slot = cell.slot
             if oid in slot:
@@ -642,10 +553,10 @@ class Grid:
         if not oids:
             return []
         stats.objects_scanned += len(oids)
-        # Vectorized distance+filter pass past the crossover occupancy
-        # (numpy backend only; byte-identical to the scalar loop).
+        # Vectorized distance+filter pass from the crossover occupancy
+        # up (numpy only; byte-identical to the scalar loop).
         vec = self._vec_within
-        if vec is not None and len(oids) >= self._vec_min:
+        if vec is not None and len(oids) >= _VEC_MIN_OCCUPANCY:
             return vec(cell, qx, qy, r)
         # kernels.within, inlined to spare one frame per scanned cell.
         return [
@@ -671,7 +582,7 @@ class Grid:
             return []
         stats.objects_scanned += len(oids)
         vec = self._vec_within
-        if vec is not None and len(oids) >= self._vec_min:
+        if vec is not None and len(oids) >= _VEC_MIN_OCCUPANCY:
             hits = vec(cell, qx, qy, bound)
             if len(hits) > 1:
                 hits.sort()
@@ -726,6 +637,50 @@ class Grid:
     def occupied_cells(self) -> int:
         """Number of cells currently holding at least one object."""
         return self._occupied
+
+    # ------------------------------------------------------------------
+    # Uncounted storage motions (the partitioned shards' halo cells)
+    # ------------------------------------------------------------------
+
+    @property
+    def dense(self) -> bool:
+        """Whether the cell store is list-backed (up to ``_DENSE_LIMIT``
+        cells) rather than the sparse fallback."""
+        return isinstance(self._cells, list)
+
+    def cell_rows(self, cid: int) -> tuple[tuple, tuple, tuple]:
+        """Detached ``(oids, xs, ys)`` copy of a cell — no access charged."""
+        cell = self._cells[cid]
+        if cell is None:
+            return _EMPTY_COLUMNS
+        return (tuple(cell.oids), tuple(cell.xs), tuple(cell.ys))
+
+    def install_cell(self, cid: int, oids, xs, ys) -> CellColumns:
+        """Put a fresh cell holding these rows into slot ``cid``.
+
+        A storage motion, not an update: no counter moves, only the
+        object and occupancy tallies.  The slot must hold no objects
+        (``None``, an empty cell or a stand-in from :meth:`evict_cell`).
+        """
+        cell = CellColumns()
+        for oid, x, y in zip(oids, xs, ys):
+            cell.insert(oid, x, y)
+        self._cells[cid] = cell
+        if oids:
+            self._occupied += 1
+            self._n_objects += len(oids)
+        return cell
+
+    def evict_cell(self, cid: int, stand_in=None) -> list[int]:
+        """Inverse of :meth:`install_cell`: leave ``stand_in`` in the slot
+        and return the oids the cell held — no counter moves."""
+        cell = self._cells[cid]
+        self._cells[cid] = stand_in
+        if cell is None or not cell.oids:
+            return []
+        self._occupied -= 1
+        self._n_objects -= len(cell.oids)
+        return cell.oids
 
     # ------------------------------------------------------------------
     # Query marks (influence lists / answer regions)

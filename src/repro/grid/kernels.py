@@ -1,5 +1,5 @@
 """Columnar cell storage, the fused scan/filter kernels and the
-pluggable numeric-backend registry.
+optional numpy accelerators.
 
 The per-cell object store of the grid index is *columnar*: a cell keeps
 its objects in three parallel flat columns — ``oids`` / ``xs`` / ``ys``
@@ -38,53 +38,37 @@ access before delegating, so the paper's counters — one charged access
 per scan call, ``objects_scanned`` bumped by the cell population — are
 identical to the dict-store era, byte for byte.
 
-Numeric backends
-----------------
+numpy acceleration
+------------------
 
-Three interchangeable backends serve the same kernel interface
-(:class:`KernelBackend`); which one a grid uses is decided at
-construction (``Grid(backend=...)``, the ``REPRO_KERNEL_BACKEND``
-environment variable, or the auto default):
-
-``list``
-    The pure-python reference: plain list columns, scalar comprehension
-    kernels.  Always available; the byte-identity baseline every other
-    backend is tested against.
-``array``
-    Stdlib buffer backend: :class:`BufferCellColumns` stores ``xs`` /
-    ``ys`` as ``array('d')`` — contiguous float64 buffers exposable as
-    memoryviews (:meth:`BufferCellColumns.coord_views`) — while the
-    scan loops stay scalar (``array('d')`` supports the exact same
-    append/pop/index/zip surface as a list).  The default whenever
-    numpy is not installed.
-``numpy``
-    The ``array`` storage plus vectorized scan kernels
-    (:mod:`repro.grid._numpy_kernels`): ``np.frombuffer`` maps the live
-    coordinate buffers zero-copy and a squared-distance prefilter +
-    exact scalar finish replaces the per-row loop once a cell's
-    population reaches :data:`VEC_MIN_OCCUPANCY` (below it, vector-call
-    overhead loses to the comprehension — crossover recorded in PR 7,
-    see the ``BENCH_PR7.json`` annotations).  Results are
-    byte-identical to ``list`` by construction.  Auto-selected when
-    numpy is importable; never a hard dependency.
+There is one storage — ``array('d')`` coordinate columns, contiguous
+float64 buffers ``np.frombuffer`` maps zero-copy — and one scalar
+implementation of every scan.  Where numpy imports,
+:func:`accelerators` additionally offers vectorized twins
+(:mod:`repro.grid._numpy_kernels`) that the grids bind at construction
+and call only past two measured crossovers: a cell scan from
+:data:`VEC_MIN_OCCUPANCY` objects, batch cell addressing from
+:data:`VEC_MIN_BATCH` rows.  Nothing selects them but those two sizes
+and whether numpy is importable; their results are byte-identical to the
+scalar loops by construction (squared-distance prefilter, exact scalar
+finish), so the scalar loops double as the reference tests compare
+against.  numpy is never a hard dependency and ``import repro`` never
+imports it.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from dataclasses import dataclass
+from functools import cache
 from math import dist as _dist, hypot as _hypot
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 __all__ = [
     "CellColumns",
-    "BufferCellColumns",
-    "KernelBackend",
+    "Accelerators",
     "VEC_MIN_OCCUPANCY",
     "VEC_MIN_BATCH",
-    "available_backends",
-    "resolve_backend",
+    "accelerators",
     "within",
     "best_k",
     "within_nd",
@@ -93,6 +77,13 @@ __all__ = [
 
 class CellColumns:
     """One cell's objects as parallel columns plus a slot index.
+
+    ``oids`` is a plain list (ids feed tuple construction and dict
+    probes, never vector math, and list indexing beats ``array('q')``
+    unboxing); ``xs`` / ``ys`` are ``array('d')`` — the same
+    append/pop/index/assign/zip surface as a list for the scalar loops
+    (and the CPM engine's inlined copies of them), and contiguous
+    float64 buffers for the numpy kernels.
 
     Invariants: ``len(oids) == len(xs) == len(ys)``;
     ``slot[oids[i]] == i`` for every position ``i``.  Deletion swaps the
@@ -104,11 +95,11 @@ class CellColumns:
 
     def __init__(self) -> None:
         self.oids: list[int] = []
-        self.xs: list[float] = []
-        self.ys: list[float] = []
+        self.xs = array("d")
+        self.ys = array("d")
         self.slot: dict[int, int] = {}
         #: the (oids, xs, ys) triple, prebuilt once — flat scans return
-        #: it without allocating (the lists mutate in place, so the
+        #: it without allocating (the columns mutate in place, so the
         #: tuple stays valid for the cell's lifetime).
         self.columns = (self.oids, self.xs, self.ys)
 
@@ -162,68 +153,6 @@ class CellColumns:
         }
 
 
-class BufferCellColumns(CellColumns):
-    """:class:`CellColumns` with ``array('d')`` coordinate buffers.
-
-    Same interface, same invariants, same mutation semantics —
-    ``array('d')`` supports the exact append/pop/index/assign/zip
-    surface the scalar loops (and the CPM engine's inlined copies of
-    them) drive, so every consumer works unchanged.  What changes is
-    the representation: ``xs`` / ``ys`` are contiguous float64 buffers,
-    so they can be exposed as memoryviews (:meth:`coord_views`) and
-    mapped zero-copy by the vectorized numpy kernels
-    (``np.frombuffer``; see :mod:`repro.grid._numpy_kernels`).
-
-    ``oids`` stays a plain list: object ids feed tuple construction and
-    dict probes (never numeric vector math), and list indexing is
-    faster than ``array('q')`` unboxing on every CPython this repo
-    targets.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        self.oids: list[int] = []
-        self.xs = array("d")
-        self.ys = array("d")
-        self.slot: dict[int, int] = {}
-        self.columns = (self.oids, self.xs, self.ys)
-
-    def coord_views(self) -> tuple[memoryview, memoryview]:
-        """Zero-copy float64 memoryviews of the coordinate buffers.
-
-        Views are snapshots of the *current* buffer: take them per scan
-        and drop them before the next mutation (an append may realloc).
-        """
-        return (memoryview(self.xs), memoryview(self.ys))
-
-
-@dataclass(frozen=True, slots=True)
-class KernelBackend:
-    """One numeric backend: a cell representation plus its kernels.
-
-    ``vec_within`` is the cell-level vectorized scan (``None`` for
-    scalar backends); grids call it instead of the inlined comprehension
-    once a cell's population reaches ``vec_min``.  ``within_nd`` is the
-    d-dimensional kernel consumed by :class:`repro.ndim.grid.NdGrid`.
-    ``batch_cell_ids`` is the *batch* addressing kernel (``None`` for
-    scalar backends): given the coordinate columns of a whole
-    :class:`repro.updates.FlatUpdateBatch` it computes every row's packed
-    cell id in one vectorized pass — the update loops of the monitors
-    consume it instead of the inlined per-row ``int((x - x0) / delta)``
-    arithmetic once a batch reaches :data:`VEC_MIN_BATCH` rows.
-    All kernels are byte-identical to the ``list`` reference — the
-    backend changes *how* a scan runs, never what it returns.
-    """
-
-    name: str
-    cell_factory: type
-    within_nd: Callable
-    vec_within: Optional[Callable] = None
-    vec_min: int = 0
-    batch_cell_ids: Optional[Callable] = None
-
-
 #: cell population at which the numpy vectorized scan overtakes the
 #: inlined scalar comprehension.  Measured in PR 7 on CPython 3.11 (see
 #: CHANGES.md and the ``BENCH_PR7.json`` annotations): below ~48 rows
@@ -233,7 +162,7 @@ class KernelBackend:
 VEC_MIN_OCCUPANCY = 64
 
 #: batch row count at which the vectorized addressing kernel
-#: (``KernelBackend.batch_cell_ids``) overtakes the inlined per-row cell
+#: (``Accelerators.batch_cell_ids``) overtakes the inlined per-row cell
 #: arithmetic in the monitors' update loops.  The kernel's fixed cost is
 #: two ``np.frombuffer`` views plus a handful of whole-column ufunc
 #: passes (~15 µs against ~190 ns saved per row in isolation —
@@ -244,85 +173,29 @@ VEC_MIN_OCCUPANCY = 64
 #: 128 keeps sub-crossover batches on the scalar path.
 VEC_MIN_BATCH = 128
 
-#: environment knob.
-_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
-#: resolved-once cache: ``None`` = not probed yet, ``False`` = numpy
-#: absent, otherwise the numpy :class:`KernelBackend`.
-_numpy_backend_cache: object = None
+class Accelerators(NamedTuple):
+    """The vectorized twins of the scalar kernels — each ``None`` when
+    numpy does not import, each byte-identical to its scalar reference."""
 
-
-def _make_numpy_backend() -> KernelBackend:
-    from repro.grid import _numpy_kernels as nk
-
-    return KernelBackend(
-        name="numpy",
-        cell_factory=BufferCellColumns,
-        within_nd=nk.within_nd,
-        vec_within=nk.within_cell,
-        vec_min=VEC_MIN_OCCUPANCY,
-        batch_cell_ids=nk.batch_cell_ids,
-    )
+    #: ``within_cell(cell, qx, qy, r)``: one cell's ``within`` scan.
+    within_cell: Optional[Callable] = None
+    #: ``batch_cell_ids(xs, ys, x0, y0, delta, cols_1, rows_1, rows,
+    #: skip)``: the packed cell id of every row of a coordinate column pair.
+    batch_cell_ids: Optional[Callable] = None
+    #: ``within_nd(oids, pts, q, r)``: the d-dimensional ``within``.
+    within_nd: Optional[Callable] = None
 
 
-def _numpy_backend() -> KernelBackend | None:
-    global _numpy_backend_cache
-    cached = _numpy_backend_cache
-    if cached is None:
-        try:
-            backend = _make_numpy_backend()
-        except ImportError:
-            _numpy_backend_cache = False
-            return None
-        _numpy_backend_cache = backend
-        return backend
-    return cached or None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends importable in this interpreter."""
-    names = ["list", "array"]
-    if _numpy_backend() is not None:
-        names.append("numpy")
-    return tuple(names)
-
-
-def resolve_backend(backend: "str | KernelBackend | None" = None) -> KernelBackend:
-    """Resolve a backend selector to a :class:`KernelBackend`.
-
-    Precedence: an explicit argument (name or backend object) beats the
-    ``REPRO_KERNEL_BACKEND`` environment variable beats the ``auto``
-    default.  ``auto`` picks ``numpy`` when numpy is importable and the
-    stdlib ``array`` backend otherwise — the measured-fastest choice at
-    the workload occupancies of the perf suite (PR 7's interleaved A/B,
-    ``BENCH_PR7.json`` annotations).  Requesting ``numpy`` where
-    numpy is not installed raises ``ImportError``; unknown names raise
-    ``ValueError``.
-    """
-    if isinstance(backend, KernelBackend):
-        return backend
-    name = backend or os.environ.get(_BACKEND_ENV) or "auto"
-    name = name.strip().lower()
-    if name == "auto":
-        np_backend = _numpy_backend()
-        return np_backend if np_backend is not None else _ARRAY_BACKEND
-    if name == "list":
-        return _LIST_BACKEND
-    if name == "array":
-        return _ARRAY_BACKEND
-    if name == "numpy":
-        np_backend = _numpy_backend()
-        if np_backend is None:
-            raise ImportError(
-                "the 'numpy' kernel backend requires numpy "
-                "(pip install repro[numpy]); the stdlib 'array' backend "
-                "is the drop-in fallback"
-            )
-        return np_backend
-    raise ValueError(
-        f"unknown kernel backend {name!r} "
-        f"(expected one of: auto, list, array, numpy)"
-    )
+@cache
+def accelerators() -> Accelerators:
+    """The accelerators this interpreter offers — probed on first call,
+    so importing this module never imports numpy."""
+    try:
+        from repro.grid import _numpy_kernels as nk
+    except ImportError:
+        return Accelerators()
+    return Accelerators(nk.within_cell, nk.batch_cell_ids, nk.within_nd)
 
 
 def within(
@@ -377,14 +250,3 @@ def within_nd(
     return [
         (d, oid) for oid, p in zip(oids, pts) if (d := _dist(p, q)) <= r
     ]
-
-
-#: the scalar backends (module-level singletons; the numpy backend is
-#: materialized lazily by :func:`_numpy_backend` so importing this module
-#: never imports numpy).
-_LIST_BACKEND = KernelBackend(
-    name="list", cell_factory=CellColumns, within_nd=within_nd
-)
-_ARRAY_BACKEND = KernelBackend(
-    name="array", cell_factory=BufferCellColumns, within_nd=within_nd
-)

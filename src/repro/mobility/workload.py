@@ -123,9 +123,8 @@ class Workload:
 
         Memoized: the replay loop (:meth:`repro.api.session.Session.replay`)
         drives every monitor through the columnar cycle, and converting
-        once keeps repeated replays of one workload — the perf suite's
-        repeat-and-keep-minimum estimator, A/B backend comparisons —
-        from re-paying the row-to-column transpose.  Callers must not
+        once keeps repeated replays of one workload from re-paying the
+        row-to-column transpose.  Callers must not
         mutate the returned batches.
         """
         if self._flat is None:

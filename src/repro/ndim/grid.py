@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
-from repro.grid.kernels import resolve_backend, within_nd
+from repro.grid.kernels import VEC_MIN_OCCUPANCY, accelerators, within_nd
 from repro.grid.stats import GridStats
 
 NdPoint = tuple[float, ...]
@@ -79,8 +79,7 @@ class NdGrid:
         "_cells",
         "_marks",
         "_n_objects",
-        "_vec_min",
-        "_within_nd",
+        "_vec_within_nd",
     )
 
     def __init__(
@@ -89,7 +88,6 @@ class NdGrid:
         *,
         bounds: Sequence[tuple[float, float]] | None = None,
         dimensions: int = 3,
-        backend: str | None = None,
     ) -> None:
         if cells_per_axis < 1:
             raise ValueError("cells_per_axis must be positive")
@@ -112,12 +110,10 @@ class NdGrid:
         self._cells: dict[NdCell, _NdCellColumns] = {}
         self._marks: dict[NdCell, set[int]] = {}
         self._n_objects = 0
-        # d-dimensional cells keep rows as point tuples regardless of the
-        # backend; only the distance+filter kernel is swapped (the numpy
-        # one copies into a matrix, so it pays off past the crossover).
-        kernel = resolve_backend(backend)
-        self._within_nd = kernel.within_nd
-        self._vec_min = kernel.vec_min if kernel.within_nd is not within_nd else 0
+        # d-dimensional cells keep rows as point tuples; the optional
+        # numpy kernel (None without numpy) copies them into a matrix, so
+        # it only pays off from the crossover occupancy up.
+        self._vec_within_nd = accelerators().within_nd
 
     # ------------------------------------------------------------------
     # Addressing
@@ -257,8 +253,9 @@ class NdGrid:
             return []
         oids = columns.oids
         self.stats.objects_scanned += len(oids)
-        if len(oids) >= self._vec_min:
-            return self._within_nd(oids, columns.pts, q, r)
+        vec = self._vec_within_nd
+        if vec is not None and len(oids) >= VEC_MIN_OCCUPANCY:
+            return vec(oids, columns.pts, q, r)
         return within_nd(oids, columns.pts, q, r)
 
     def __len__(self) -> int:

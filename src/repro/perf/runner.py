@@ -23,7 +23,7 @@ from collections.abc import Callable
 from repro.api.session import Session, replay_workload
 from repro.engine.metrics import RunReport
 from repro.experiments.common import build_monitor
-from repro.grid.kernels import available_backends
+from repro.grid.kernels import accelerators
 from repro.ingest.driver import IngestDriver
 from repro.ingest.feeds import WorkloadFeed
 from repro.mobility.workload import Workload
@@ -229,7 +229,9 @@ def run_suite(
         environment=environment_info(),
         annotations=dict(annotations or {}),
     )
-    report.annotations.setdefault("kernel_backends", ",".join(available_backends()))
+    report.annotations.setdefault(
+        "numpy_kernels", "on" if accelerators().within_cell else "off"
+    )
     for case in build_suite(scale, suite=suite):
         workload = case.materialize()
         # Shard-scaling, ingest and subscription cases measure the

@@ -16,9 +16,9 @@ Table 6.1 sizes):
 * ``skewed``        — the adversarial Gaussian-hotspot workload;
 * ``high_density``  — the uniform workload over a grid sized so mean cell
   occupancy sits well above ``VEC_MIN_OCCUPANCY`` (64): the only counter
-  gate in the regime where the numpy backend's vectorized cell scans
-  engage.  It runs on the auto backend; counters are byte-identical
-  across backends by the backend-equivalence contract;
+  gate in the regime where the numpy cell-scan kernel engages (when
+  numpy imports; the counters are the same with and without it by the
+  byte-identity contract of ``repro.grid.kernels``);
 * ``shard_scaling`` — the Figure 6.2 defaults workload replayed into a
   ``repro.service`` sharded CPM monitor at S ∈ {1, 2, 4, 8} shards
   (serial executor; S=1 is the pure adapter);

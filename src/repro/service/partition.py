@@ -15,9 +15,11 @@ maintenance.  This module is the partitioned alternative:
   :class:`FlatUpdateBatch` into per-shard row streams: a row is fanned
   only to the shards *tracking* the touched cells (static column mask ∪
   dynamic interest acquired through pulls/prefetch).  A move whose old
-  cell is tracked but whose new cell is not becomes a **leave** row
-  (``appear`` and ``disappear`` both set): the shard applies the delete
-  phase and the influence probes of the cross-cell move, but no insert.
+  cell a shard tracks but whose new cell it does not reaches that shard
+  as a plain **disappearance**: a cell the shard does not track carries
+  none of its queries' marks, and an NN that moves into an unmarked
+  cell is outgoing in the single engine too (the tie rule of
+  ``CPMMonitor._apply_flat_rows``), so there is nothing else to probe.
 * **Pull path** — when CPM re-computation expands past the halo, the
   first attribute access on a sentinel fetches the cell's rows from the
   coordinator store, synchronously over the shard's command pipe.  The
@@ -54,7 +56,6 @@ from __future__ import annotations
 import pickle
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from math import hypot
 
 from repro.core.bookkeeping import CycleScratch, QueryState
 from repro.core.cpm import CPMMonitor
@@ -68,15 +69,21 @@ from repro.service.executor import SerialShardExecutor, ShardExecutor
 from repro.service.sharding import ShardedMonitor, ShardPlan, row_error
 from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
 
-#: Dense cell stores only — the sentinel scheme swaps objects into grid
-#: slots, which requires the list-backed store (every Grid backend uses
-#: one below this cell count).
-_DENSE_LIMIT = 1 << 21
-
 #: Translation streams in chunks so process-backed shards overlap chunk
 #: application with coordinator-side translation of the next chunk.
 _CHUNK_ROWS = 2048
 _MAX_CHUNKS = 64
+
+
+def _require_dense(grid: Grid) -> Grid:
+    """Partitioning keeps a stand-in in *every* untracked cell slot, which
+    only the dense list-backed store affords."""
+    if not grid.dense:
+        raise ValueError(
+            f"partitioning requires a dense cell store (grid {grid.cols}x"
+            f"{grid.rows})"
+        )
+    return grid
 
 
 class _HaloCell:
@@ -86,17 +93,22 @@ class _HaloCell:
     method — the search loops only ever read attributes) materializes
     the real cell by pulling its rows from the coordinator and forwards
     to it.  After the first touch the grid slot holds the real cell, so
-    subsequent slot reads never see the sentinel again.
+    subsequent slot reads never see the sentinel again; a loop still
+    holding the sentinel keeps reaching the same real cell through it.
     """
 
-    __slots__ = ("_engine", "_cid")
+    __slots__ = ("_engine", "_cid", "_cell")
 
     def __init__(self, engine: "PartitionShardEngine", cid: int) -> None:
         self._engine = engine
         self._cid = cid
+        self._cell = None
 
     def __getattr__(self, name: str):
-        return getattr(self._engine._materialize(self._cid), name)
+        cell = self._cell
+        if cell is None:
+            cell = self._cell = self._engine._materialize(self._cid)
+        return getattr(cell, name)
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,6 @@ class PartitionShardFactory:
     shard: int
     track_lo: int
     track_hi: int
-    backend: str | None = None
 
     def __call__(self) -> "PartitionShardEngine":
         return PartitionShardEngine(
@@ -117,7 +128,6 @@ class PartitionShardFactory:
             shard=self.shard,
             track_lo=self.track_lo,
             track_hi=self.track_hi,
-            backend=self.backend,
         )
 
 
@@ -133,6 +143,12 @@ class PartitionShardEngine(CPMMonitor):
     cell — so the apply phase never pulls, and pulls are confined to
     the finish phase where the parent process is guaranteed to be
     listening on the command pipe.
+
+    Nothing of the engine's cycle is overridden: the row loop, the cycle
+    tail and the searches are :class:`CPMMonitor`'s, run over a grid some
+    of whose slots fill on first touch.  It is a subclass rather than a
+    wrapper because what it adds (sentinels, the split cycle, migration,
+    the full-fidelity checkpoint) works on the engine's own tables.
     """
 
     def __init__(
@@ -143,28 +159,19 @@ class PartitionShardEngine(CPMMonitor):
         shard: int = 0,
         track_lo: int = 0,
         track_hi: int | None = None,
-        backend: str | None = None,
     ) -> None:
-        super().__init__(cells_per_axis, bounds=bounds, backend=backend)
-        grid = self._grid
-        if not isinstance(grid._cells, list) or grid.cols * grid.rows > _DENSE_LIMIT:
-            raise ValueError(
-                "partitioned shards require the dense list cell store "
-                f"(grid {grid.cols}x{grid.rows})"
-            )
+        super().__init__(cells_per_axis, bounds=bounds)
+        grid = _require_dense(self._grid)
         self.shard = shard
         self.track_lo = track_lo
         self.track_hi = grid.cols if track_hi is None else track_hi
         self._dyn_tracked: set[int] = set()
         self._pull_fn = None
-        cells = grid._cells
         rows = grid.rows
         for i in range(grid.cols):
-            if self.track_lo <= i < self.track_hi:
-                continue
-            base = i * rows
-            for j in range(rows):
-                cells[base + j] = _HaloCell(self, base + j)
+            if not self.track_lo <= i < self.track_hi:
+                for cid in range(i * rows, (i + 1) * rows):
+                    grid.evict_cell(cid, _HaloCell(self, cid))
 
     # ------------------------------------------------------------------
     # Pull path
@@ -176,38 +183,26 @@ class PartitionShardEngine(CPMMonitor):
 
     def _materialize(self, cid: int):
         """Replace a sentinel with the real cell pulled from the store."""
-        cell = self._grid._cells[cid]
-        if type(cell) is not _HaloCell:
-            return cell
         pull = self._pull_fn
         if pull is None:
             raise RuntimeError(
                 f"shard {self.shard} touched untracked cell {cid} with no "
                 "pull transport bound"
             )
-        oids, xs, ys = pull(cid)
-        return self._install_cell(cid, oids, xs, ys)
-
-    def _install_cell(self, cid: int, oids, xs, ys):
-        """Install pulled/prefetched rows as a real cell — zero counters.
-
-        The single engine never performs this storage motion, so neither
-        inserts nor scans are charged; the object→cell map and the grid
-        occupancy tallies are fixed up so subsequent (counted) work is
-        indistinguishable from running over a fully-populated grid.
-        """
-        grid = self._grid
-        cell = grid.cell_factory()
-        object_cells = self._object_cells
-        for oid, x, y in zip(oids, xs, ys):
-            cell.insert(oid, x, y)
-            object_cells[oid] = cid
-        grid._cells[cid] = cell
-        if cell.oids:
-            grid._occupied += 1
-            grid._n_objects += len(cell.oids)
+        cell = self._install_cell(cid, *pull(cid))
         self._dyn_tracked.add(cid)
         return cell
+
+    def _install_cell(self, cid: int, oids, xs, ys):
+        """Install pulled/prefetched/restored rows as a real cell.
+
+        Zero counters (:meth:`Grid.install_cell`): the single engine
+        never performs this storage motion.  The object→cell map is
+        fixed up so subsequent (counted) work is indistinguishable from
+        running over a fully-populated grid.
+        """
+        self._object_cells.update(dict.fromkeys(oids, cid))
+        return self._grid.install_cell(cid, oids, xs, ys)
 
     def _evict_unmarked(self) -> list[int]:
         """Drop pulled cells no influence region marks; return their ids.
@@ -218,24 +213,14 @@ class PartitionShardEngine(CPMMonitor):
         fan-out stays bounded by the live influence surface.
         """
         grid = self._grid
-        cells = grid._cells
-        marks = grid._marks
         object_cells = self._object_cells
-        released: list[int] = []
-        for cid in sorted(self._dyn_tracked):
-            if marks[cid]:
-                continue
-            cell = cells[cid]
-            coids = cell.oids
-            for oid in coids:
-                del object_cells[oid]
-            if coids:
-                grid._occupied -= 1
-                grid._n_objects -= len(coids)
-            cells[cid] = _HaloCell(self, cid)
-            released.append(cid)
+        released = [
+            cid for cid in sorted(self._dyn_tracked) if not grid.marks_id(cid)
+        ]
         for cid in released:
-            self._dyn_tracked.discard(cid)
+            for oid in grid.evict_cell(cid, _HaloCell(self, cid)):
+                del object_cells[oid]
+        self._dyn_tracked.difference_update(released)
         return released
 
     # ------------------------------------------------------------------
@@ -300,154 +285,22 @@ class PartitionShardEngine(CPMMonitor):
             self._cycle_before = None
 
     # ------------------------------------------------------------------
-    # Row application: leave rows
-    # ------------------------------------------------------------------
-
-    def _apply_flat_rows(
-        self,
-        batch: FlatUpdateBatch,
-        scratch: dict[int, CycleScratch],
-        updated_qids: set[int],
-    ) -> list[int]:
-        """Splice **leave** rows (both masks set) into the base loop.
-
-        The coordinator encodes "this object moved out of your tracked
-        region" as a row with ``appear`` *and* ``disappear`` set and the
-        real new coordinates in ``new_xs``/``new_ys`` (the influence
-        probes need them).  The base loop never sees such rows — the
-        stream is split into plain segments around them, preserving row
-        order exactly.
-        """
-        appear = batch.appear
-        disappear = batch.disappear
-        leave_rows = [
-            i for i, (a, d) in enumerate(zip(appear, disappear)) if a and d
-        ]
-        if not leave_rows:
-            return super()._apply_flat_rows(batch, scratch, updated_qids)
-        appeared: list[int] = []
-        pos = 0
-        for i in leave_rows:
-            if i > pos:
-                appeared += super()._apply_flat_rows(
-                    _sub_batch(batch, pos, i), scratch, updated_qids
-                )
-            self._apply_leave(
-                batch.oids[i], batch.new_xs[i], batch.new_ys[i], scratch, updated_qids
-            )
-            pos = i + 1
-        if pos < len(batch.oids):
-            appeared += super()._apply_flat_rows(
-                _sub_batch(batch, pos, len(batch.oids)), scratch, updated_qids
-            )
-        return appeared
-
-    def _apply_leave(
-        self,
-        oid: int,
-        nx: float,
-        ny: float,
-        scratch: dict[int, CycleScratch],
-        updated_qids: set[int],
-    ) -> None:
-        """A cross-cell move whose destination this shard does not track.
-
-        Mirrors the delete phase of the base loop's cross-cell move
-        byte-for-byte — including the influence probes evaluated at the
-        *new* position — and then simply forgets the object instead of
-        inserting it.  Probe equivalence with the single engine holds
-        because a query marked on the old cell is hosted here (marked ⟹
-        tracked), and its mark on the *new* cell (if any) lies in a
-        tracked cell too — in which case the coordinator sent a plain
-        move row instead of a leave row.
-        """
-        grid = self._grid
-        cells_store = grid._cells
-        marks_store = grid._marks
-        probes = self._query_probes
-        scratch_get = scratch.get
-        old_cid = self._object_cells.pop(oid)
-        cell = cells_store[old_cid]
-        idx = None if cell is None else cell.slot.pop(oid, None)
-        if idx is None:
-            raise KeyError(
-                f"object {oid} not found in cell {grid.unpack(old_cid)}"
-            )
-        coids = cell.oids
-        last_oid = coids.pop()
-        lx = cell.xs.pop()
-        ly = cell.ys.pop()
-        if last_oid != oid:
-            coids[idx] = last_oid
-            cell.xs[idx] = lx
-            cell.ys[idx] = ly
-            cell.slot[last_oid] = idx
-        elif not coids:
-            grid._occupied -= 1
-        grid._n_objects -= 1
-        grid.stats.deletes += 1
-        ms = marks_store[old_cid]
-        if ms:
-            for qid in ms:
-                if qid in updated_qids:
-                    continue
-                state, nn, pqx, pqy, ispt = probes[qid]
-                sc = scratch_get(qid)
-                if oid in nn._dists:
-                    if sc is None:
-                        sc = scratch[qid] = self._acquire_scratch(state)
-                    if ispt:
-                        d = hypot(nx - pqx, ny - pqy)
-                        ok = True
-                    else:
-                        ok = state.strategy.accepts(nx, ny, oid)
-                        d = state.strategy.dist(nx, ny) if ok else 0.0
-                    if ok and d <= state.best_dist:
-                        nn.update_dist(oid, d)
-                        sc.note_reorder()
-                    else:
-                        nn.remove(oid)
-                        sc.note_outgoing()
-                elif sc is not None and oid in sc.in_list._dists:
-                    sc.in_list.remove(oid)
-
-    # ------------------------------------------------------------------
     # Live query migration
     # ------------------------------------------------------------------
 
     def migrate_out_query(self, qid: int) -> dict:
         """Extract a query's full bookkeeping for carriage to a peer.
 
-        The influence marks are removed *silently* (no ``mark_ops``, the
-        mark count fixed up directly): the marks are moving with the
-        query, a storage motion the single engine never performs.  The
-        counted unmark happens on the destination, inside its
-        ``_finish_cycle`` MOVE handling — exactly where the single
-        engine charges it.
+        The influence marks are detached *silently* (no ``mark_ops``):
+        they are moving with the query, a storage motion the single
+        engine never performs.  The counted unmark happens on the
+        destination, inside its ``_finish_cycle`` MOVE handling —
+        exactly where the single engine charges it.
         """
         state = self._queries.pop(qid)
         del self._query_probes[qid]
-        grid = self._grid
-        marks_store = grid._marks
-        removed = 0
-        for cid in state.visit_cids[: state.marked_upto]:
-            ms = marks_store[cid]
-            if ms and qid in ms:
-                ms.remove(qid)
-                removed += 1
-        grid._mark_count -= removed
-        return {
-            "qid": qid,
-            "k": state.k,
-            "strategy": state.strategy,
-            "entries": state.nn.entries(),
-            "best_dist": state.best_dist,
-            "visit_cids": list(state.visit_cids),
-            "visit_keys": list(state.visit_keys),
-            "marked_upto": state.marked_upto,
-            "heap": list(state.heap._heap),
-            "heap_seq": state.heap._seq,
-        }
+        state.detach_marks(self._grid)
+        return state.export()
 
     def migrate_in_query(self, carried: dict, prefetch: Sequence[tuple]) -> None:
         """Adopt a migrated query: prefetched cells + verbatim bookkeeping.
@@ -456,101 +309,58 @@ class PartitionShardEngine(CPMMonitor):
         region so the MOVE's re-search (Figure 3.9 → fresh Figure 3.4
         search, same as the single engine) runs on local data instead of
         pulling cell by cell.  The carried visit list, result list and
-        heap are installed verbatim; the influence marks are re-applied
+        heap are installed verbatim and the influence marks re-applied
         silently (the counted removal happens in this cycle's
         ``_finish_cycle``, matching the single engine's ``remove_query``
         accounting for a moved query).
         """
-        cells = self._grid._cells
+        if carried["qid"] in self._queries:
+            raise KeyError(f"query {carried['qid']} is already installed")
         for cid, oids, xs, ys in prefetch:
-            if type(cells[cid]) is _HaloCell:
+            if cid not in self._dyn_tracked:
                 self._install_cell(cid, oids, xs, ys)
-        qid = carried["qid"]
-        if qid in self._queries:
-            raise KeyError(f"query {qid} is already installed")
-        strategy = carried["strategy"]
+                self._dyn_tracked.add(cid)
+        self._adopt_query(carried)
+
+    def _adopt_query(self, record: dict) -> None:
+        """Install an exported query (:meth:`QueryState.export`) as is —
+        no search, no counter."""
+        strategy = record["strategy"]
         if isinstance(strategy, FilteredStrategy):
             strategy.bind_tags(self.tag_table)
-        state = QueryState(
-            qid, strategy, carried["k"], strategy.partition(self._grid)
-        )
-        state.nn.replace(carried["entries"])
-        state.best_dist = carried["best_dist"]
-        state.visit_cids = list(carried["visit_cids"])
-        state.visit_keys = list(carried["visit_keys"])
-        state.marked_upto = carried["marked_upto"]
-        state.heap._heap = list(carried["heap"])
-        state.heap._seq = carried["heap_seq"]
-        grid = self._grid
-        marks_store = grid._marks
-        added = 0
-        for cid in state.visit_cids[: state.marked_upto]:
-            ms = marks_store[cid]
-            if ms is None:
-                marks_store[cid] = {qid}
-                added += 1
-            elif qid not in ms:
-                ms.add(qid)
-                added += 1
-        grid._mark_count += added
-        self._queries[qid] = state
-        self._query_probes[qid] = (
-            state,
-            state.nn,
-            state.qx,
-            state.qy,
-            state.is_point,
-        )
+        self._register_query(QueryState.adopt(record, self._grid))
 
     # ------------------------------------------------------------------
     # Checkpoint contract (supervisor)
     # ------------------------------------------------------------------
 
     def capture_state(self) -> dict:
-        """Full-fidelity snapshot: cells, marks, queries *with* bookkeeping.
+        """Full-fidelity snapshot: cells and queries *with* bookkeeping.
 
         Unlike the base :class:`~repro.monitor.MonitorState` capture
         (which re-installs queries through fresh searches — searches
         that would pull cells nobody logged), this snapshot records the
         exact storage and bookkeeping and its restore performs **zero**
         searches and zero pulls.  Consequence: a checkpointed rebuild is
-        counter-exact, not just results-exact.
+        counter-exact, not just results-exact.  Influence marks are not
+        recorded: they are each query's marked visit-list prefix.
         """
         grid = self._grid
-        cells: dict[int, tuple] = {}
-        for cid, cell in enumerate(grid._cells):
-            if cell is None or type(cell) is _HaloCell:
-                continue
-            cells[cid] = (tuple(cell.oids), tuple(cell.xs), tuple(cell.ys))
-        marks = {
-            cid: sorted(ms)
-            for cid, ms in enumerate(grid._marks)
-            if ms
-        }
-        queries = []
-        for qid, state in self._queries.items():
-            queries.append(
-                {
-                    "qid": qid,
-                    "k": state.k,
-                    "strategy": state.strategy,
-                    "entries": state.nn.entries(),
-                    "best_dist": state.best_dist,
-                    "visit_cids": list(state.visit_cids),
-                    "visit_keys": list(state.visit_keys),
-                    "marked_upto": state.marked_upto,
-                    "heap": list(state.heap._heap),
-                    "heap_seq": state.heap._seq,
-                }
-            )
+        dyn = sorted(self._dyn_tracked)
+        # Every slot holding a real cell: the tracked block (empty cells
+        # need no record) and the pulls (an empty one is still a real
+        # cell, not a sentinel).
+        block = range(self.track_lo * grid.rows, self.track_hi * grid.rows)
+        cells = {cid: grid.cell_rows(cid) for cid in dyn}
+        cells.update(
+            (cid, rows) for cid in block if (rows := grid.cell_rows(cid))[0]
+        )
         payload = {
             "partition_capture": True,
             "cells": cells,
-            "dyn": sorted(self._dyn_tracked),
-            "marks": marks,
-            "mark_count": grid._mark_count,
+            "dyn": dyn,
             "tags": dict(self.tag_table),
-            "queries": queries,
+            "queries": [state.export() for state in self._queries.values()],
             "stats": self.stats.snapshot(),
         }
         # Round-trip so the snapshot shares no mutable state with the
@@ -566,61 +376,13 @@ class PartitionShardEngine(CPMMonitor):
             raise RuntimeError(
                 "restore_state requires an empty engine"
             )
-        grid = self._grid
-        cells_store = grid._cells
-        object_cells = self._object_cells
         for cid, (oids, xs, ys) in state["cells"].items():
-            cell = grid.cell_factory()
-            for oid, x, y in zip(oids, xs, ys):
-                cell.insert(oid, x, y)
-                object_cells[oid] = cid
-            cells_store[cid] = cell
-            if oids:
-                grid._occupied += 1
-                grid._n_objects += len(oids)
+            self._install_cell(cid, oids, xs, ys)
         self._dyn_tracked = set(state["dyn"])
-        marks_store = grid._marks
-        for cid, qids in state["marks"].items():
-            marks_store[cid] = set(qids)
-        grid._mark_count = state["mark_count"]
         self.tag_table.update(state["tags"])
-        for rec in state["queries"]:
-            strategy = rec["strategy"]
-            if isinstance(strategy, FilteredStrategy):
-                strategy.bind_tags(self.tag_table)
-            qstate = QueryState(
-                rec["qid"], strategy, rec["k"], strategy.partition(grid)
-            )
-            qstate.nn.replace(rec["entries"])
-            qstate.best_dist = rec["best_dist"]
-            qstate.visit_cids = list(rec["visit_cids"])
-            qstate.visit_keys = list(rec["visit_keys"])
-            qstate.marked_upto = rec["marked_upto"]
-            qstate.heap._heap = list(rec["heap"])
-            qstate.heap._seq = rec["heap_seq"]
-            self._queries[rec["qid"]] = qstate
-            self._query_probes[rec["qid"]] = (
-                qstate,
-                qstate.nn,
-                qstate.qx,
-                qstate.qy,
-                qstate.is_point,
-            )
+        for record in state["queries"]:
+            self._adopt_query(record)
         self.stats.restore(state["stats"])
-
-
-def _sub_batch(batch: FlatUpdateBatch, lo: int, hi: int) -> FlatUpdateBatch:
-    """Contiguous row slice of a flat batch (columns keep their types)."""
-    return FlatUpdateBatch(
-        batch.timestamp,
-        batch.oids[lo:hi],
-        batch.old_xs[lo:hi],
-        batch.old_ys[lo:hi],
-        batch.new_xs[lo:hi],
-        batch.new_ys[lo:hi],
-        batch.appear[lo:hi],
-        batch.disappear[lo:hi],
-    )
 
 
 class _ShardRows:
@@ -682,7 +444,6 @@ class PartitionedMonitor(ShardedMonitor):
         *,
         bounds: Rect | tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
         halo: int = 1,
-        backend: str | None = None,
         executor: ShardExecutor | None = None,
         metrics=None,
     ) -> None:
@@ -706,21 +467,13 @@ class PartitionedMonitor(ShardedMonitor):
                 col_mask[i] |= bit
         self._col_mask = col_mask
         self._dyn_mask: dict[int, int] = {}
-        self._store = Grid(cells_per_axis, bounds=rect, backend="list")
-        if (
-            not isinstance(self._store._cells, list)
-            or cols * self._store.rows > _DENSE_LIMIT
-        ):
-            raise ValueError(
-                f"partitioning requires a dense cell store (grid {cols}x"
-                f"{self._store.rows})"
-            )
+        self._store = _require_dense(Grid(cells_per_axis, bounds=rect))
         self._store_cell: dict[int, int] = {}
         self._executor = executor if executor is not None else SerialShardExecutor()
         bounds_t = (rect.x0, rect.y0, rect.x1, rect.y1)
         self._executor.start(
             [
-                PartitionShardFactory(cells_per_axis, bounds_t, s, lo, hi, backend)
+                PartitionShardFactory(cells_per_axis, bounds_t, s, lo, hi)
                 for s, (lo, hi) in enumerate(self._static_track)
             ]
         )
@@ -797,11 +550,9 @@ class PartitionedMonitor(ShardedMonitor):
         self._n_pulls += 1
         if self._m_pulls is not None:
             self._m_pulls.inc()
-        cell = self._store._cells[cid]
-        if cell is None:
-            return (), (), ()
-        self._n_pull_objects += len(cell.oids)
-        return tuple(cell.oids), tuple(cell.xs), tuple(cell.ys)
+        rows = self._store.cell_rows(cid)
+        self._n_pull_objects += len(rows[0])
+        return rows
 
     def _release_interest(self, shard: int, released: Sequence[int]) -> None:
         bit = 1 << shard
@@ -908,7 +659,6 @@ class PartitionedMonitor(ShardedMonitor):
         track_lo, track_hi = self._static_track[dst]
         bit = 1 << dst
         dyn = self._dyn_mask
-        cells = store._cells
         payload: list[tuple] = []
         for i in range(ilo, ihi + 1):
             if track_lo <= i < track_hi:
@@ -918,13 +668,7 @@ class PartitionedMonitor(ShardedMonitor):
                 cid = base + j
                 if dyn.get(cid, 0) & bit:
                     continue  # already materialized on dst via pull
-                cell = cells[cid]
-                if cell is None:
-                    payload.append((cid, (), (), ()))
-                else:
-                    payload.append(
-                        (cid, tuple(cell.oids), tuple(cell.xs), tuple(cell.ys))
-                    )
+                payload.append((cid, *store.cell_rows(cid)))
                 dyn[cid] = dyn.get(cid, 0) | bit
                 self._n_prefetch_cells += 1
         return payload
@@ -994,7 +738,7 @@ class PartitionedMonitor(ShardedMonitor):
         shards tracking the touched cells.  Cross-boundary moves send a
         plain move row to the new cell's trackers (shards that do not
         know the object take the appearance path off their object map)
-        and a **leave** row to trackers of only the old cell.
+        and a disappearance row to trackers of only the old cell.
 
         This is the tier's public boundary for object rows: a row whose
         ``appear`` flag disagrees with whether the store holds the object
@@ -1095,8 +839,8 @@ class PartitionedMonitor(ShardedMonitor):
                     positions[oid] = point
                     m_new = col_mask[new_cid // rows] | dyn_mask.get(new_cid, 0)
                     m_old = col_mask[old_cid // rows] | dyn_mask.get(old_cid, 0)
-                    m_leave = m_old & ~m_new
-                    copies = m_new.bit_count() + m_leave.bit_count()
+                    m_gone = m_old & ~m_new
+                    copies = m_new.bit_count() + m_gone.bit_count()
                     fanout += copies
                     sync_extra += copies - 1
                     m = m_new
@@ -1106,11 +850,11 @@ class PartitionedMonitor(ShardedMonitor):
                             oid, ox, oy, nx, ny, 0, 0
                         )
                         m ^= low
-                    m = m_leave
+                    m = m_gone
                     while m:
                         low = m & -m
                         builders[low.bit_length() - 1].append(
-                            oid, ox, oy, nx, ny, 1, 1
+                            oid, ox, oy, nx, ny, 0, 1
                         )
                         m ^= low
             pending += 1

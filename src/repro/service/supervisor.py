@@ -52,7 +52,7 @@ from enum import Enum
 from repro.grid.stats import GridStats
 from repro.monitor import ContinuousMonitor, MonitorState
 from repro.obs.metrics import MetricsRegistry
-from repro.service.shm import release_segment  # noqa: F401  (used below)
+from repro.service.shm import release_segment
 from repro.service.executor import (
     FaultHook,
     ProcessShardExecutor,

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
+import repro.grid.grid as grid_module
+import repro.ndim.grid as ndgrid_module
 from repro.grid.grid import Grid
+from repro.grid.kernels import Accelerators
 
 
 def scatter(n: int, seed: int = 0, bounds=(0.0, 0.0, 1.0, 1.0)) -> list[tuple[int, tuple[float, float]]]:
@@ -27,6 +32,22 @@ def brute_knn(objects: dict[int, tuple[float, float]], q, k: int):
         (math.hypot(x - q[0], y - q[1]), oid) for oid, (x, y) in objects.items()
     )
     return entries[:k]
+
+
+@contextmanager
+def scalar_kernels():
+    """Grids (and so monitors) constructed inside this block bind no numpy
+    accelerator: the scalar reference the vectorized kernels are held to.
+
+    Grids bind the accelerators once, at construction, so the block only
+    has to cover the constructor call.  This is the one place the scalar
+    path is *selected* — nothing under ``src/`` can ask for it.
+    """
+    with (
+        mock.patch.object(grid_module, "accelerators", Accelerators),
+        mock.patch.object(ndgrid_module, "accelerators", Accelerators),
+    ):
+        yield
 
 
 @pytest.fixture

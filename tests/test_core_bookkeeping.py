@@ -99,6 +99,48 @@ class TestReconcileMarks:
         assert grid.total_marks == 0
 
 
+class TestCarriage:
+    """``export`` / ``adopt`` / ``detach_marks``: how a query changes
+    engines (live migration, partition checkpoints)."""
+
+    def _searched(self):
+        grid, state = make_state(qid=5, k=2)
+        for idx, key in enumerate([0.0, 0.1, 0.2]):
+            state.append_visit(key, (idx, 0))
+            if idx < 2:
+                grid.add_mark((idx, 0), state.qid)
+        state.marked_upto = 2
+        state.nn.replace([(0.05, 11), (0.15, 12)])
+        state.best_dist = 0.15
+        state.heap.push_cell(0.3, 3, 0)
+        grid.stats.reset()
+        return grid, state
+
+    def test_adopt_rebuilds_the_exported_row_and_its_marks_uncounted(self):
+        grid, state = self._searched()
+        record = state.export()
+        other = Grid(8)
+        twin = QueryState.adopt(record, other)
+        assert twin.export() == record
+        assert twin.result_entries() == state.result_entries()
+        assert other.marked_cells(5) == grid.marked_cells(5) == [(0, 0), (1, 0)]
+        assert other.total_marks == 2
+        assert other.stats.mark_ops == 0
+        # the record is a copy: growing the twin leaves the original alone
+        twin.append_visit(0.4, (4, 0))
+        twin.heap.push_cell(0.5, 5, 0)
+        assert state.visit_length == 3 and len(state.heap) == 1
+
+    def test_detach_marks_takes_the_prefix_off_uncounted(self):
+        grid, state = self._searched()
+        state.detach_marks(grid)
+        assert grid.total_marks == 0
+        assert grid.marked_cells(5) == []
+        assert grid.stats.mark_ops == 0
+        # marked_upto stays: adopt() re-applies the same prefix elsewhere
+        assert state.marked_upto == 2
+
+
 class TestDropBookkeeping:
     def test_requires_unmarked_state(self):
         grid, state = make_state()

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro.baselines.brute import BruteForceMonitor
 from repro.core.cpm import CPMMonitor
 from repro.updates import ObjectUpdate, appear_update, disappear_update, move_update
 from tests.conftest import brute_knn, scatter
@@ -95,6 +96,25 @@ class TestSingleUpdates:
         assert [oid for _d, oid in result][-2] != first or True  # order checked below
         assert result == sorted(result)
         h.check_all()
+
+    def test_nn_landing_on_the_influence_circle_stays_monitored(self):
+        """The exact tie ``d == mindist == best_dist``: the NN crosses
+        into a cell that only *touches* the circle, which carries no
+        mark.  It must count as outgoing (re-computation re-finds it and
+        marks the cell); kept in place, its next move would never probe
+        the query and the result would go stale."""
+        cpm, brute = CPMMonitor(8), BruteForceMonitor()
+        for monitor in (cpm, brute):
+            monitor.load_objects([(1, (0.5625, 0.75))])
+            monitor.install_query(0, (0.5625, 0.5625), 1)
+        path = [(0.5625, 0.75), (0.75, 0.5625), (0.8125, 0.5625)]
+        for old, new in zip(path, path[1:]):
+            update = [move_update(1, old, new)]
+            assert cpm.process(update) == brute.process(update)
+            assert cpm.result(0) == brute.result(0)
+            # every NN of q lies in a cell marked for q
+            assert cpm.grid.cell_of(*new) in cpm.influence_cells(0)
+        assert cpm.result(0) == [(0.25, 1)]
 
     def test_nn_disappearance_treated_as_outgoing(self):
         h = Harness()

@@ -90,6 +90,23 @@ class TestCounting:
         assert len(heap) == 1
 
 
+    def test_export_adopt_rebuilds_an_identical_heap(self):
+        """Same pop order *and* the same future tie-breaks (the sequence
+        counter travels with the entries), sharing no list."""
+        heap = SearchHeap()
+        heap.push_cell(0.2, 1, 0)
+        heap.push_rect(0.2, UP, 0)
+        heap.push_cell(0.1, 0, 0)
+        heap.pop()
+        twin = SearchHeap()
+        twin.adopt(heap.export())
+        twin.push_cell(0.2, 2, 0)
+        assert len(heap) == 2
+        heap.push_cell(0.2, 2, 0)
+        assert twin.entries() == heap.entries()
+        assert [twin.pop() for _ in range(3)] == [heap.pop() for _ in range(3)]
+
+
 class TestMonotonicDeheap:
     def test_deheap_sequence_never_decreases(self):
         # The CPM search relies on ascending de-heap keys (visit-list order).

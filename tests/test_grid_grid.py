@@ -393,6 +393,23 @@ class TestPackedIdApi:
         grid.insert_at(cid, 2, (0.41, 0.41))
         assert grid.occupied_cells == 1
 
+    def test_install_and_evict_cell_are_uncounted_storage_motions(self):
+        """The partitioned shards' halo motions: rows arrive and leave
+        with the tallies right and no counter touched."""
+        grid = Grid(8)
+        cid = grid.pack(2, 3)
+        assert grid.cell_rows(cid) == ((), (), ())
+        grid.install_cell(cid, (7, 9), (0.26, 0.3), (0.4, 0.41))
+        assert grid.cell_rows(cid) == ((7, 9), (0.26, 0.3), (0.4, 0.41))
+        assert grid.peek(2, 3) == {7: (0.26, 0.4), 9: (0.3, 0.41)}
+        assert (len(grid), grid.occupied_cells) == (2, 1)
+        stand_in = object()
+        assert grid.evict_cell(cid, stand_in) == [7, 9]
+        assert grid._cells[cid] is stand_in
+        assert (len(grid), grid.occupied_cells) == (0, 0)
+        assert grid.evict_cell(grid.pack(0, 0)) == []  # never allocated
+        assert grid.stats.snapshot() == Grid(8).stats.snapshot()
+
     def test_sparse_fallback_semantics(self):
         """Grids beyond the dense limit behave identically via the sparse store."""
         from repro.grid import grid as grid_mod

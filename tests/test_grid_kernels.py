@@ -1,6 +1,8 @@
 """Unit tests for the columnar cell store and the pure scan kernels."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -61,7 +63,7 @@ class TestCellColumns:
         columns = cell.columns
         cell.insert(4, 0.5, 0.6)
         assert columns is cell.columns
-        assert columns == ([4], [0.5], [0.6])
+        assert [list(col) for col in columns] == [[4], [0.5], [0.6]]
 
 
 class TestKernels:
@@ -97,6 +99,42 @@ class TestKernels:
         pts = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)]
         hits = within_nd(oids, pts, (0.0, 0.0, 0.0), 0.5)
         assert hits == [(0.0, 1)]
+
+
+def _run_python(code: str) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNumpyIsOptional:
+    """numpy is probed on the first grid construction, never required."""
+
+    def test_importing_the_library_does_not_import_numpy(self):
+        _run_python(
+            "import sys, repro, repro.grid.grid, repro.core.cpm\n"
+            "assert 'numpy' not in sys.modules"
+        )
+
+    def test_grids_bind_no_accelerator_where_numpy_does_not_import(self):
+        """``sys.modules['numpy'] = None`` makes ``import numpy`` raise,
+        which is what an interpreter without the package does."""
+        out = _run_python(
+            "import sys; sys.modules['numpy'] = None\n"
+            "from repro.grid.grid import Grid\n"
+            "from repro.grid.kernels import accelerators\n"
+            "from repro.ndim.grid import NdGrid\n"
+            "g, nd = Grid(1), NdGrid(1, dimensions=2)\n"
+            "assert set(accelerators()) == {None}\n"
+            "assert g._vec_within is g._vec_cell_ids is nd._vec_within_nd is None\n"
+            "for oid in range(200): g.insert(oid, oid / 200, 0.5)\n"
+            "print(len(g.scan_within(0, 0.5, 0.5, 0.25)),"
+            " g.batch_cell_ids([0.1] * 200, [0.9] * 200) == [0] * 200)"
+        )
+        assert out.split() == ["101", "True"]
 
 
 class TestGridKernelAccounting:

@@ -1,16 +1,20 @@
-"""Numeric-backend byte-identity and the shared-memory batch transport.
+"""numpy-kernel byte-identity and the shared-memory batch transport.
 
-Every backend ``available_backends()`` reports must be observationally
-indistinguishable from the ``list`` reference: same scan results, same
-changed sets, same delta streams, same deterministic grid counters — a
-backend changes *how* a kernel runs, never what it returns.  The suite
-pins that contract three ways:
+There is one cell storage and one scalar implementation of every scan;
+where numpy imports, the grids additionally bind vectorized twins
+(``repro.grid.kernels.accelerators``) that engage from
+``VEC_MIN_OCCUPANCY`` objects per cell and ``VEC_MIN_BATCH`` rows per
+batch.  A twin changes *how* a kernel runs, never what it returns — the
+suite pins that three ways, each against a monitor constructed under
+``scalar_kernels()`` (the accelerators pinned off: the scalar reference):
 
-* hypothesis equivalence — random workload shapes replayed through the
-  columnar cycle on every installed backend, compared cycle by cycle
-  against the ``list`` reference (results, deltas, counters);
+* hypothesis equivalence — workloads dense enough to clear both
+  thresholds, replayed through the columnar cycle on CPM, YPK-CNN and
+  SEA-CNN, accelerated vs scalar (results, deltas, the five counters)
+  and vs ``BruteForceMonitor`` (results, deltas).  Skipped without numpy:
+  there the two constructions are the same code;
 * golden replay — the PR 3 pre-rewrite fixture stream must be reproduced
-  byte-identically by every backend, not just the default one;
+  byte-identically with and without the accelerators;
 * kernel-level properties — ``Grid.batch_cell_ids`` (vectorized batch
   addressing) against per-row ``Grid.cell_id``, including the skip mask,
   out-of-bounds clamping and sub-``VEC_MIN_BATCH`` fallback, plus
@@ -27,44 +31,38 @@ from __future__ import annotations
 
 import json
 from array import array
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.brute import BruteForceMonitor
 from repro.baselines.sea import SeaCnnMonitor
 from repro.baselines.ypk import YpkCnnMonitor
 from repro.core.cpm import CPMMonitor
 from repro.grid.grid import Grid
-from repro.grid.kernels import VEC_MIN_BATCH, available_backends
+from repro.grid.kernels import VEC_MIN_BATCH, VEC_MIN_OCCUPANCY, accelerators
 from repro.mobility.brinkhoff import BrinkhoffGenerator
+from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import WorkloadSpec
 from repro.service.executor import ProcessShardExecutor, SerialShardExecutor
 from repro.service.sharding import ShardedMonitor
 from repro.service.shm import pack_flat_batch, unpack_flat_batch
 from repro.updates import FlatUpdateBatch
+from tests.conftest import scalar_kernels
 
-BACKENDS = available_backends()
-ALT_BACKENDS = tuple(b for b in BACKENDS if b != "list")
+HAVE_NUMPY = accelerators().within_cell is not None
+
+#: how a test's grid or monitor is constructed: with whatever accelerators
+#: this interpreter offers, or with them pinned off.
+KERNELS = {"accelerated": nullcontext, "scalar": scalar_kernels}
 
 ENGINES = {
     "CPM": CPMMonitor,
     "YPK-CNN": YpkCnnMonitor,
     "SEA-CNN": SeaCnnMonitor,
 }
-
-
-def _workload(shape):
-    spec = WorkloadSpec(
-        n_objects=shape["n_objects"],
-        n_queries=shape["n_queries"],
-        k=shape["k"],
-        timestamps=shape["timestamps"],
-        seed=shape["seed"],
-        object_speed=shape["object_speed"],
-        query_agility=shape["query_agility"],
-    )
-    return BrinkhoffGenerator(spec).generate()
 
 
 def _install(monitor, workload):
@@ -84,59 +82,78 @@ def _counter_tuple(monitor):
     )
 
 
-workload_shapes = st.fixed_dictionaries(
+#: dense on purpose: >= 600 objects on at most 3x3 cells puts at least one
+#: cell past VEC_MIN_OCCUPANCY (pigeonhole: 600 / 9 > 64) with others
+#: around and below it, and the default 50% object agility puts every
+#: batch past VEC_MIN_BATCH rows.  Uniform positions (continuous, so no
+#: two objects tie on a distance) keep the comparison with the oracle
+#: exact: the Section 3.3 merge cannot see an unmoved object sitting at
+#: exactly ``best_dist``, so on tied distances CPM and brute force may
+#: pick different — equally correct — k-th neighbours.
+dense_shapes = st.fixed_dictionaries(
     {
-        "n_objects": st.integers(min_value=30, max_value=120),
-        "n_queries": st.integers(min_value=1, max_value=6),
-        "k": st.integers(min_value=1, max_value=6),
-        "timestamps": st.integers(min_value=1, max_value=5),
+        "n_objects": st.integers(min_value=600, max_value=800),
+        "n_queries": st.integers(min_value=1, max_value=5),
+        "k": st.integers(min_value=1, max_value=8),
+        "timestamps": st.integers(min_value=1, max_value=3),
         "seed": st.integers(min_value=0, max_value=2**20),
         "object_speed": st.sampled_from(["slow", "medium", "fast"]),
         "query_agility": st.sampled_from([0.0, 0.3]),
-        "cells": st.sampled_from([4, 8, 16]),
+        "cells": st.sampled_from([2, 3]),
     }
 )
 
 
 # ----------------------------------------------------------------------
-# Backend equivalence: replayed streams must match the list reference
+# Accelerated vs scalar vs brute force, past both thresholds
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy kernels not importable")
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-@given(shape=workload_shapes)
+@given(shape=dense_shapes)
 @settings(max_examples=10, deadline=None)
-def test_backend_replay_matches_list_reference(backend, engine, shape):
-    """Changed sets, full delta streams and deterministic counters of the
-    columnar cycle are byte-identical across backends."""
-    workload = _workload(shape)
-    cells = shape["cells"]
-    ref = ENGINES[engine](cells_per_axis=cells, backend="list")
-    alt = ENGINES[engine](cells_per_axis=cells, backend=backend)
-    _install(ref, workload)
-    _install(alt, workload)
-    assert alt.result_table() == ref.result_table()
+def test_accelerated_replay_matches_scalar_and_brute_force(engine, shape):
+    """With the vectorized cell scan and batch addressing engaged, results
+    and delta streams equal the scalar construction's and the oracle's,
+    and the deterministic counters equal the scalar construction's."""
+    cells = shape.pop("cells")
+    workload = UniformGenerator(WorkloadSpec(**shape)).generate()
+    fast = ENGINES[engine](cells_per_axis=cells)
+    with scalar_kernels():
+        ref = ENGINES[engine](cells_per_axis=cells)
+    brute = BruteForceMonitor()
+    for monitor in (fast, ref, brute):
+        _install(monitor, workload)
+    grid = fast.grid
+    assert VEC_MIN_OCCUPANCY <= max(
+        grid.cell_size(i, j) for i, j in grid.all_cells()
+    )
+    assert fast.result_table() == ref.result_table() == brute.result_table()
     for batch in workload.batches:
         flat = FlatUpdateBatch.from_batch(batch)
-        expect = ref.process_deltas_flat(flat)
-        got = alt.process_deltas_flat(flat)
-        assert got == expect, batch.timestamp
-        assert alt.result_table() == ref.result_table(), batch.timestamp
-    assert _counter_tuple(alt) == _counter_tuple(ref)
+        assert len(flat.oids) >= VEC_MIN_BATCH
+        got = fast.process_deltas_flat(flat)
+        assert got == ref.process_deltas_flat(flat), batch.timestamp
+        assert got == brute.process_deltas_flat(flat), batch.timestamp
+        assert (
+            fast.result_table() == ref.result_table() == brute.result_table()
+        ), batch.timestamp
+    assert _counter_tuple(fast) == _counter_tuple(ref)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_golden_fixture_replays_identically_on_every_backend(backend):
+@pytest.mark.parametrize("kernels", sorted(KERNELS))
+def test_golden_fixture_replays_identically(kernels):
     """The PR 3 golden stream — recorded with the dict-per-cell grid —
-    is reproduced byte-identically by every installed backend."""
+    is reproduced byte-identically with and without the accelerators."""
     from repro.experiments.common import make_workload, scaled_spec
     from tests.test_replay_golden import GOLDEN_PATH, GRID, SPEC_OVERRIDES
 
     golden = json.loads(GOLDEN_PATH.read_text())
     spec = scaled_spec(1.0, **SPEC_OVERRIDES)
     workload = make_workload(spec)
-    monitor = CPMMonitor(GRID, bounds=spec.bounds, backend=backend)
+    with KERNELS[kernels]():
+        monitor = CPMMonitor(GRID, bounds=spec.bounds)
     monitor.load_objects(sorted(workload.initial_objects.items()))
     initial = {
         str(qid): [
@@ -163,6 +180,51 @@ def test_golden_fixture_replays_identically_on_every_backend(backend):
 
 
 # ----------------------------------------------------------------------
+# Scan front-ends past the occupancy threshold
+# ----------------------------------------------------------------------
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy kernels not importable")
+@given(
+    pts=st.lists(
+        st.tuples(unit, unit), min_size=VEC_MIN_OCCUPANCY, max_size=100
+    ),
+    q=st.tuples(unit, unit),
+    pick=st.integers(min_value=0, max_value=VEC_MIN_OCCUPANCY - 1),
+    k=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=30, deadline=None)
+def test_scan_front_ends_match_scalar_in_a_crowded_cell(pts, q, pick, k):
+    """``Grid.scan_within`` / ``scan_best_k`` and ``NdGrid.scan_within``
+    over one cell holding at least ``VEC_MIN_OCCUPANCY`` objects: same
+    hits, same order and same counters as the scalar construction — at
+    an unbounded radius, at zero, and at a radius *equal* to one object's
+    distance (the closed bound the prefilter's slack must not lose)."""
+    from math import dist, inf
+
+    from repro.ndim.grid import NdGrid
+
+    fast, fast_nd = Grid(1), NdGrid(1, dimensions=2)
+    with scalar_kernels():
+        ref, ref_nd = Grid(1), NdGrid(1, dimensions=2)
+    for oid, (x, y) in enumerate(pts):
+        for grid in (fast, ref):
+            grid.insert(oid, x, y)
+        for grid in (fast_nd, ref_nd):
+            grid.insert(oid, (x, y))
+    for r in (inf, 0.0, dist(pts[pick], q)):
+        assert fast.scan_within(0, q[0], q[1], r) == ref.scan_within(0, q[0], q[1], r)
+        assert fast.scan_best_k(0, q[0], q[1], k, r) == ref.scan_best_k(
+            0, q[0], q[1], k, r
+        )
+        assert fast_nd.scan_within((0, 0), q, r) == ref_nd.scan_within((0, 0), q, r)
+    assert fast.stats.snapshot() == ref.stats.snapshot()
+    assert fast_nd.stats.snapshot() == ref_nd.stats.snapshot()
+
+
+# ----------------------------------------------------------------------
 # Batch addressing kernel
 # ----------------------------------------------------------------------
 
@@ -172,27 +234,29 @@ coords = st.one_of(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernels", sorted(KERNELS))
 @given(
     pts=st.lists(st.tuples(coords, coords), min_size=0, max_size=40),
     pad=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_batch_cell_ids_matches_per_row_cell_id(backend, pts, pad):
-    """``Grid.batch_cell_ids`` equals per-row ``Grid.cell_id`` on every
-    backend — including out-of-bounds coordinates (clamped to the border
-    cells) and huge magnitudes, above and below ``VEC_MIN_BATCH``."""
+def test_batch_cell_ids_matches_per_row_cell_id(kernels, pts, pad):
+    """``Grid.batch_cell_ids`` equals per-row ``Grid.cell_id`` with and
+    without the numpy kernel — including out-of-bounds coordinates
+    (clamped to the border cells) and huge magnitudes, above and below
+    ``VEC_MIN_BATCH``."""
     if pad:
         # Pad past the vectorization threshold so the numpy kernel engages.
         pts = pts + [(0.25, 0.75)] * VEC_MIN_BATCH
-    grid = Grid(16, backend=backend)
+    with KERNELS[kernels]():
+        grid = Grid(16)
     xs = array("d", (x for x, _ in pts))
     ys = array("d", (y for _, y in pts))
     expect = [grid.cell_id(x, y) for x, y in pts]
     assert grid.batch_cell_ids(xs, ys) == expect
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernels", sorted(KERNELS))
 @given(
     pts=st.lists(
         st.tuples(coords, coords, st.booleans()), min_size=0, max_size=40
@@ -200,11 +264,12 @@ def test_batch_cell_ids_matches_per_row_cell_id(backend, pts, pad):
     pad=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_batch_cell_ids_skip_mask_compresses_rows(backend, pts, pad):
+def test_batch_cell_ids_skip_mask_compresses_rows(kernels, pts, pad):
     """With a skip mask, exactly the unskipped rows come back, in order."""
     if pad:
         pts = pts + [(0.5, 0.5, i % 3 == 0) for i in range(VEC_MIN_BATCH)]
-    grid = Grid(16, backend=backend)
+    with KERNELS[kernels]():
+        grid = Grid(16)
     xs = array("d", (x for x, _, _ in pts))
     ys = array("d", (y for _, y, _ in pts))
     skip = bytearray(1 if s else 0 for _, _, s in pts)
@@ -212,12 +277,12 @@ def test_batch_cell_ids_skip_mask_compresses_rows(backend, pts, pad):
     assert grid.batch_cell_ids(xs, ys, skip) == expect
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_move_ids_matches_coordinate_addressed_move(backend):
-    """``Grid.move_ids`` is the id-addressed twin of ``Grid.move``: same
-    storage end state, same counters, for cross-cell and same-cell moves."""
-    a = Grid(8, backend=backend)
-    b = Grid(8, backend=backend)
+def test_move_ids_matches_coordinate_addressed_move():
+    """``Grid.move`` is the coordinate-addressed front of ``Grid.move_ids``:
+    same storage end state, same counters, for cross-cell and same-cell
+    moves."""
+    a = Grid(8)
+    b = Grid(8)
     pts = [(i, (i % 13) / 13.0, (i % 7) / 7.0) for i in range(40)]
     for oid, x, y in pts:
         a.insert(oid, x, y)
@@ -237,9 +302,8 @@ def test_move_ids_matches_coordinate_addressed_move(backend):
         assert oid in a.peek(i, j)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_move_ids_unknown_object_raises(backend):
-    grid = Grid(8, backend=backend)
+def test_move_ids_unknown_object_raises():
+    grid = Grid(8)
     grid.insert(1, 0.1, 0.1)
     with pytest.raises(KeyError):
         grid.move_ids(99, grid.cell_id(0.1, 0.1), grid.cell_id(0.9, 0.9), 0.9, 0.9)

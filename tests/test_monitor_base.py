@@ -93,6 +93,21 @@ class TestOneCycleLoop:
     def test_cycle_names_are_not_overridden(self, cls):
         assert not CYCLE_NAMES & set(vars(cls))
 
+    def test_no_cpm_subclass_replaces_a_piece_of_the_engine_cycle(self):
+        """Partitioning *adds* to the engine (halo sentinels, a cycle split
+        over three commands, migration, checkpoints); the row loop, the
+        cycle tail and the cycle itself stay ``CPMMonitor``'s."""
+        subclasses = [
+            cls
+            for cls in _monitor_classes()
+            if issubclass(cls, CPMMonitor) and cls is not CPMMonitor
+        ]
+        assert PartitionShardEngine in subclasses
+        for cls in subclasses:
+            assert not {"_apply_flat_rows", "_finish_cycle", "_cycle"} & set(
+                vars(cls)
+            ), cls
+
     @pytest.mark.parametrize("make", ALL + TIERS, ids=IDS)
     def test_rows_and_columns_run_the_same_cycle(self, make):
         spec = WorkloadSpec(n_objects=150, n_queries=6, k=3, timestamps=5, seed=31)

@@ -287,7 +287,7 @@ class TestSuiteAndRunner:
                 assert case.key == f"{family}/S={case.shards}"
                 assert case.workload == "network"
 
-    def test_high_density_is_one_arm_on_the_auto_backend(self):
+    def test_high_density_is_one_arm_with_or_without_numpy(self):
         """The case set must not depend on which packages are importable."""
         for suite in ("smoke", "full"):
             cases = build_suite(0.01, suite=suite)
@@ -295,7 +295,7 @@ class TestSuiteAndRunner:
             assert [c.key for c in dense] == ["high_density/default"]
             assert not dense[0].shards
             # The point of the family: occupancy well above the scalar
-            # grid, so the vector backend's fast path actually engages.
+            # grid, so the numpy cell-scan kernel actually engages.
             assert dense[0].grid < cases[0].grid
 
     def test_run_case_partitioned_counter_exact_with_traffic_metrics(self):

@@ -65,7 +65,7 @@ class TestShardPlanEdges:
 
 
 # ----------------------------------------------------------------------
-# Shard engine: sentinels, pulls, leave rows
+# Shard engine: sentinels, pulls
 # ----------------------------------------------------------------------
 
 
@@ -155,6 +155,23 @@ class TestPartitionedMonitor:
             m.install_query(1, (0.42, 0.33), 3)
         ups = [_move(0, (0.0, 0.3), (0.77, 0.4)), ObjectUpdate(9, None, (0.5, 0.5))]
         assert part.process(ups) == single.process(ups)
+        assert part.stats.snapshot() == single.stats.snapshot()
+
+    def test_nn_moving_to_an_untracked_cell_on_the_influence_circle(self):
+        """The tie of ``test_nn_landing_on_the_influence_circle_...``,
+        partitioned: the destination cell belongs to a shard that does
+        not host the query, so the hosting shard is told the NN
+        disappeared — and the single engine, which sees the real move,
+        must decide the same (outgoing) down to the counters."""
+        single = CPMMonitor(CELLS)
+        part = PartitionedMonitor(4, CELLS, halo=0)
+        for m in (single, part):
+            m.load_objects([(1, (0.5625, 0.75))])
+            m.install_query(0, (0.5625, 0.5625), 1)
+        assert part.query_shard(0) != part.plan.shard_of_point(0.75, 0.5625)
+        ups = [_move(1, (0.5625, 0.75), (0.75, 0.5625))]
+        assert part.process(ups) == single.process(ups)
+        assert part.result_table() == single.result_table()
         assert part.stats.snapshot() == single.stats.snapshot()
 
     def test_pulled_cells_evicted_when_unmarked(self):
