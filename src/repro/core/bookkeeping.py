@@ -272,50 +272,41 @@ class QueryState:
 
 
 class CycleScratch:
-    """Per-cycle counters of the update-handling module (Figure 3.8).
+    """Per-cycle record of the update-handling module (Figure 3.8).
 
-    The paper resets ``out_count`` and ``in_list`` for every query at the
-    start of each cycle; we allocate them lazily on first touch, which is
+    The paper resets ``out_count`` and the incomer list for every query at
+    the start of each cycle; we allocate them lazily on first touch, which is
     observationally equivalent and O(touched queries) instead of O(n).
     Instances are pooled by the monitor and recycled across cycles via
     :meth:`reset`, so steady-state update handling allocates no scratch
     objects at all.
+
+    Nothing here is ordered.  A scratch exists exactly while its query is
+    *touched*: from then until the engine's finalize the query's
+    ``nn._dists`` is live, ``nn._entries`` is the stale pre-cycle result
+    (of which :attr:`before` is the copy handed to change detection), and
+    the incomers wait in a plain dict — finalize ranks NNs and incomers
+    together, once (:meth:`NeighborList.merge`).
     """
 
-    __slots__ = ("before", "in_list", "out_count", "touched")
+    __slots__ = ("before", "incomers", "out_count")
 
-    def __init__(self, k: int) -> None:
+    def __init__(self) -> None:
+        #: NNs that left the result this cycle (moved out or went off-line).
         self.out_count = 0
-        # "we do not need more than the k best incomers in any case"
-        self.in_list = NeighborList(k)
-        self.touched = False
+        #: oid -> dist of every non-NN that moved within ``best_dist``, at
+        #: its latest position.  Unbounded where the paper keeps "the k
+        #: best incomers": ``out_count <= k``, so ``len(incomers) >=
+        #: out_count`` decides the same, and the k best of NNs ∪ incomers
+        #: are the k best of NNs ∪ k-best-incomers.
+        self.incomers: dict[int, float] = {}
         #: the query's result at the start of the cycle, captured at
         #: scratch acquisition (before the first NN-list mutation); the
         #: exact reference for change detection and delta reporting.
         self.before: list[ResultEntry] | None = None
 
-    def reset(self, k: int) -> None:
-        """Recycle this scratch for a (possibly different) query."""
+    def reset(self) -> None:
+        """Recycle this scratch for another query."""
         self.out_count = 0
-        self.touched = False
+        self.incomers.clear()
         self.before = None
-        self.in_list.reconfigure(k)
-
-    def note_incomer(self, dist: float, oid: int) -> None:
-        self.touched = True
-        if oid in self.in_list:
-            # The object issued several updates this cycle; keep the latest.
-            self.in_list.remove(oid)
-        self.in_list.add(dist, oid)
-
-    def drop_incomer(self, oid: int) -> None:
-        """Forget a pending incomer that moved again within the same cycle."""
-        self.in_list.discard(oid)
-
-    def note_outgoing(self) -> None:
-        self.touched = True
-        self.out_count += 1
-
-    def note_reorder(self) -> None:
-        """A NN moved within ``best_dist`` (its distance was re-keyed)."""
-        self.touched = True

@@ -12,12 +12,22 @@ processing pipeline:
   operations) and only then resuming the residual heap.
 * **Update handling** (Figure 3.8) — batch processing of a cycle's object
   updates.  Only queries whose influence region intersects an updated cell
-  are touched; if the k best incomers (``in_list``) outnumber the outgoing
-  NNs (``out_count``) the new result is assembled *without accessing the
-  grid*, otherwise re-computation runs.  One rule is added to the figure:
-  an NN that moves into a cell not marked for the query is outgoing even
-  at ``dist == best_dist`` (see :meth:`CPMMonitor._apply_flat_rows`), so
-  every NN lies in a marked cell.
+  are touched; if the incomers (the figure's in-list) outnumber the
+  outgoing NNs (``out_count``) the new result is assembled *without
+  accessing the grid*, otherwise re-computation runs.  One rule is added
+  to the figure: an NN that moves into a cell not marked for the query is
+  outgoing even at ``dist == best_dist`` (see
+  :meth:`CPMMonitor._apply_flat_rows`), so every NN lies in a marked cell.
+  The row loop orders nothing: it re-keys and evicts NNs in the query's
+  oid -> distance map and collects incomers in a plain dict, and each
+  touched query's list is sorted once, when it is finalized — the
+  ``k log k`` per-cycle re-ordering term of the Section 4.1 cost model.
+  **Touched-until-finalize invariant:** from a query's first touch in a
+  cycle (:meth:`CPMMonitor._acquire_scratch`) to its
+  :meth:`CPMMonitor._finalize_query`, ``nn._dists`` is live and
+  ``nn._entries`` is the intact pre-cycle result; the loop reads only
+  membership and ``state.best_dist`` (constant until finalize), and nothing
+  may read ``entries()`` / ``kth_dist`` of a touched query in between.
 * **NN monitoring** (Figure 3.9) — the per-cycle driver: object updates
   first (ignoring queries that received updates), then query terminations,
   movements (termination + re-insertion) and insertions.
@@ -99,7 +109,8 @@ class CPMMonitor(ContinuousMonitor):
         # record.  One dict hit + tuple unpack replaces an attribute
         # chase per probed query in the update loop (the fields are
         # immutable per installation; the NeighborList identity is stable
-        # - replace() swaps its internals, not the object).
+        # - merge() rebinds its internals, not the object, which is why
+        # the record holds the list and never its distance map).
         self._query_probes: dict[int, tuple] = {}
         # Recycled CycleScratch instances (see CycleScratch.reset): the
         # steady-state update loop allocates no per-cycle scratch objects.
@@ -165,6 +176,41 @@ class CPMMonitor(ContinuousMonitor):
     def influence_cells(self, qid: int) -> list[tuple[int, int]]:
         """Cells currently in the query's influence region (marked cells)."""
         return self._queries[qid].influence_cells()
+
+    def check_invariants(self) -> None:
+        """Test hook: raise ``AssertionError`` unless every query's result
+        is settled and consistent.  Valid between cycles only.
+
+        Per query: ``nn._entries`` is sorted and is the same oid ->
+        distance relation as ``nn._dists`` (the stale window of update
+        handling is closed), at most k entries, ``best_dist`` is the k-th
+        distance, and every NN lies in a cell marked for the query (the
+        tie rule of :meth:`_apply_flat_rows`).
+        """
+        marks_store = self._grid._marks
+        object_cells = self._object_cells
+        for qid, state in self._queries.items():
+            nn = state.nn
+            entries = nn._entries
+            if entries != sorted(zip(nn._dists.values(), nn._dists)):
+                raise AssertionError(
+                    f"query {qid}: entries {entries} are not the sorted "
+                    f"distance map {nn._dists}"
+                )
+            if len(entries) > state.k:
+                raise AssertionError(f"query {qid}: {len(entries)} NNs, k={state.k}")
+            if state.best_dist != nn.kth_dist:
+                raise AssertionError(
+                    f"query {qid}: best_dist {state.best_dist} is not the "
+                    f"k-th distance {nn.kth_dist}"
+                )
+            for _d, oid in entries:
+                ms = marks_store[object_cells[oid]]
+                if not ms or qid not in ms:
+                    raise AssertionError(
+                        f"query {qid}: NN {oid} lies in unmarked cell "
+                        f"{self._grid.unpack(object_cells[oid])}"
+                    )
 
     # ------------------------------------------------------------------
     # Object population
@@ -708,9 +754,9 @@ class CPMMonitor(ContinuousMonitor):
         pool = self._scratch_pool
         if pool:
             sc = pool.pop()
-            sc.reset(state.k)
+            sc.reset()
         else:
-            sc = CycleScratch(state.k)
+            sc = CycleScratch()
         before = state.nn.entries()
         sc.before = before
         log = self._delta_log
@@ -893,7 +939,7 @@ class CPMMonitor(ContinuousMonitor):
                                     sc = scratch[qid] = self._acquire_scratch(
                                         state
                                     )
-                                sc.note_incomer(d, oid)
+                                sc.incomers[oid] = d
                     continue
                 if old_cid == new_cid:
                     # Same-cell move (the common case at coarse grids): two
@@ -927,28 +973,28 @@ class CPMMonitor(ContinuousMonitor):
                             else:
                                 ok = state.strategy.accepts(nx, ny, oid)
                                 d = state.strategy.dist(nx, ny) if ok else 0.0
-                            if oid in nn._dists:
+                            dists = nn._dists
+                            if oid in dists:
                                 if sc is None:
                                     sc = scratch[qid] = self._acquire_scratch(
                                         state
                                     )
                                 if ok and d <= state.best_dist:
-                                    # p remains in the NN set; update order.
-                                    nn.update_dist(oid, d)
-                                    sc.note_reorder()
+                                    # p remains in the NN set; re-key it
+                                    # (finalize orders).
+                                    dists[oid] = d
                                 else:
-                                    nn.remove(oid)
-                                    sc.note_outgoing()
-                            else:
-                                if sc is not None and oid in sc.in_list._dists:
-                                    # Pending incomer moved again in-cycle.
-                                    sc.in_list.remove(oid)
-                                if ok and d <= state.best_dist:
-                                    if sc is None:
-                                        sc = scratch[qid] = (
-                                            self._acquire_scratch(state)
-                                        )
-                                    sc.note_incomer(d, oid)
+                                    del dists[oid]
+                                    sc.out_count += 1
+                            elif ok and d <= state.best_dist:
+                                if sc is None:
+                                    sc = scratch[qid] = self._acquire_scratch(
+                                        state
+                                    )
+                                sc.incomers[oid] = d
+                            elif sc is not None:
+                                # A pending incomer moved out again.
+                                sc.incomers.pop(oid, None)
                     continue
                 # Cross-cell move: delete phase on the old cell...
                 # (Inlined Grid.delete_at: delete-by-swap on the columns.)
@@ -978,7 +1024,8 @@ class CPMMonitor(ContinuousMonitor):
                             continue
                         state, nn, pqx, pqy, ispt = probes[qid]
                         sc = scratch_get(qid)
-                        if oid in nn._dists:
+                        dists = nn._dists
+                        if oid in dists:
                             if sc is None:
                                 sc = scratch[qid] = self._acquire_scratch(state)
                             if ispt:
@@ -996,15 +1043,16 @@ class CPMMonitor(ContinuousMonitor):
                                 # p remains in the NN set (within
                                 # best_dist *and* in a cell marked for q
                                 # — the tie rule of the docstring);
-                                # update the order.
-                                nn.update_dist(oid, d)
-                                sc.note_reorder()
+                                # re-key it (finalize orders).
+                                dists[oid] = d
                             else:
                                 # p is an outgoing NN.
-                                nn.remove(oid)
-                                sc.note_outgoing()
-                        elif sc is not None and oid in sc.in_list._dists:
-                            sc.in_list.remove(oid)
+                                del dists[oid]
+                                sc.out_count += 1
+                        elif sc is not None:
+                            # A pending incomer left its cell; the insert
+                            # phase re-records it if it is still one.
+                            sc.incomers.pop(oid, None)
                 # ... then insert phase on the new cell.
                 # (Inlined Grid.insert_at: append a row to the columns.)
                 cell = cells_store[new_cid]
@@ -1045,7 +1093,7 @@ class CPMMonitor(ContinuousMonitor):
                             sc = scratch_get(qid)
                             if sc is None:
                                 sc = scratch[qid] = self._acquire_scratch(state)
-                            sc.note_incomer(d, oid)
+                            sc.incomers[oid] = d
                 continue
             # Disappearance: off-line NNs are outgoing ones (Section
             # 4.2).  (Inlined Grid.delete_at, as in the move path.)
@@ -1079,10 +1127,10 @@ class CPMMonitor(ContinuousMonitor):
                     if oid in nn._dists:
                         if sc is None:
                             sc = scratch[qid] = self._acquire_scratch(state)
-                        nn.remove(oid)
-                        sc.note_outgoing()
-                    elif sc is not None and oid in sc.in_list._dists:
-                        sc.in_list.remove(oid)
+                        del nn._dists[oid]
+                        sc.out_count += 1
+                    elif sc is not None:
+                        sc.incomers.pop(oid, None)
 
         if n_del or n_ins:
             stats.deletes += n_del
@@ -1099,14 +1147,13 @@ class CPMMonitor(ContinuousMonitor):
         queries = self._queries
         changed: set[int] = set()
         for qid, sc in scratch.items():
-            if sc.touched:
-                state = queries[qid]
-                self._finalize_query(state, sc)
-                # Exact change detection against the pre-cycle result: a
-                # NN that leaves and returns (or re-keys back) to the same
-                # distance within one cycle is correctly a no-op.
-                if state.nn.entries() != sc.before:
-                    changed.add(qid)
+            state = queries[qid]
+            self._finalize_query(state, sc)
+            # Exact change detection against the pre-cycle result: a
+            # NN that leaves and returns (or re-keys back) to the same
+            # distance within one cycle is correctly a no-op.
+            if state.nn._entries != sc.before:
+                changed.add(qid)
         self._scratch_pool.extend(scratch.values())
 
         self._apply_query_updates(query_updates, changed)
@@ -1114,16 +1161,18 @@ class CPMMonitor(ContinuousMonitor):
 
     def _finalize_query(self, state: QueryState, sc: CycleScratch) -> None:
         """Lines 17-24 of Figure 3.8: merge when the incomers can replace
-        the outgoing NNs, otherwise re-compute."""
+        the outgoing NNs, otherwise re-compute.  Either arm ends the
+        query's stale window — the merge sorts its NN list, the one
+        ordering operation of update handling; re-computation rebuilds
+        the list from the grid."""
         if self.merge_optimization:
-            can_merge = len(sc.in_list) >= sc.out_count
+            can_merge = len(sc.incomers) >= sc.out_count
         else:
             # Ablation: Section 3.2 single-update semantics — any outgoing
             # NN forces a re-computation.
             can_merge = sc.out_count == 0
         if can_merge:
-            merged = state.nn.entries() + sc.in_list.entries()
-            state.nn.replace(merged)
+            state.nn.merge(sc.incomers)
             new_best = state.nn.kth_dist
             assert new_best <= state.best_dist or state.best_dist == float("inf")
             state.best_dist = new_best

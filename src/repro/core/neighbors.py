@@ -8,6 +8,19 @@ for the paper's k range (1..256).
 Ordering is total on ``(distance, object id)`` so that distance ties resolve
 deterministically — every monitor in this library uses the same order, which
 lets the equivalence tests compare results exactly.
+
+**Where ordering happens.**  A list is ordered in exactly two places: a
+*search* (NN computation / re-computation) inserts candidates in order
+through :meth:`NeighborList.add`, and update handling orders a touched
+query **once per cycle**, in :meth:`NeighborList.merge` — the paper's
+``k log k`` "re-ordering of ``best_NN``" term (Section 4.1).  In between,
+the update loop of Figure 3.8 edits only the oid -> distance map
+(``_dists``): a re-keyed NN is one dict store, an outgoing NN one ``del``.
+Hence the *touched-until-finalize* invariant of :mod:`repro.core.cpm`:
+from a query's first touch in a cycle until its finalize, ``_dists`` is
+live and ``_entries`` is still the intact pre-cycle result, so nothing may
+read ``entries()`` / ``kth_dist`` / ``len()`` of a touched query before
+then (membership, ``in`` / ``dist_of``, reads the live map and is fine).
 """
 
 from __future__ import annotations
@@ -24,9 +37,10 @@ class NeighborList:
     """Capacity-bounded sorted list of ``(dist, oid)`` pairs.
 
     Holds at most ``k`` entries; :meth:`add` keeps the k best seen.  During
-    CPM update handling entries are also removed (outgoing NNs) and re-keyed
-    (NNs that moved within ``best_dist``), temporarily leaving the list
-    under-full until the merge/re-computation step refills it.
+    CPM update handling the engine edits the distance map directly —
+    outgoing NNs are deleted, NNs that moved within ``best_dist`` re-keyed —
+    and :meth:`merge` then rebuilds the ordered entries once (see the
+    module docstring for the window in which the two views disagree).
     """
 
     __slots__ = ("k", "_dists", "_entries")
@@ -86,8 +100,7 @@ class NeighborList:
         """Offer a candidate; keep it if it is among the k best so far.
 
         Returns ``True`` when the candidate entered the list.  The candidate
-        must not already be a member (update handling re-keys members with
-        :meth:`update_dist` instead).
+        must not already be a member.
         """
         if oid in self._dists:
             raise KeyError(f"object {oid} already in the neighbor list")
@@ -104,31 +117,22 @@ class NeighborList:
             return True
         return False
 
-    def update_dist(self, oid: int, new_dist: float) -> None:
-        """Re-key a member after it moved ("update the order in best_NN").
+    def merge(self, incomers: dict[int, float]) -> None:
+        """Order the list for this cycle: the k best of the live distance
+        map plus ``incomers`` (oid -> dist; no oid may be a member).
 
-        An unchanged distance (the object slid along an iso-distance
-        circle) skips the remove/insort pair outright.
+        The one place update handling sorts.  The keys being disjoint,
+        no deduplication pass is needed (contrast :meth:`replace`).  Both
+        containers are rebound, never edited in place, so a pre-cycle
+        ``entries()`` snapshot stays valid.
         """
-        old = self._dists[oid]
-        if old == new_dist:
-            return
-        self._entries.remove((old, oid))
-        insort(self._entries, (new_dist, oid))
-        self._dists[oid] = new_dist
-
-    def remove(self, oid: int) -> float:
-        """Evict a member (an outgoing NN); returns its stored distance."""
-        old = self._dists.pop(oid)
-        self._entries.remove((old, oid))
-        return old
-
-    def discard(self, oid: int) -> bool:
-        """Remove ``oid`` if present; returns whether it was a member."""
-        if oid not in self._dists:
-            return False
-        self.remove(oid)
-        return True
+        dists = self._dists
+        ordered = sorted(
+            [*zip(dists.values(), dists), *zip(incomers.values(), incomers)]
+        )
+        del ordered[self.k :]
+        self._entries = ordered
+        self._dists = {oid: dist for dist, oid in ordered}
 
     def replace(self, entries: list[ResultEntry]) -> None:
         """Reset the list to the k best of ``entries`` (deduplicated ids)."""
@@ -144,13 +148,6 @@ class NeighborList:
     def clear(self) -> None:
         self._entries.clear()
         self._dists.clear()
-
-    def reconfigure(self, k: int) -> None:
-        """Clear and change capacity (scratch-buffer recycling)."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shown = ", ".join(f"{oid}@{dist:.4g}" for dist, oid in self._entries[:4])

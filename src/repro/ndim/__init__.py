@@ -20,8 +20,8 @@ Modules:
 * :mod:`repro.ndim.grid` — the d-dimensional regular grid;
 * :mod:`repro.ndim.partition` — the slab partition;
 * :mod:`repro.ndim.cpm` — a correctness-focused d-dimensional CPM monitor
-  (search, re-computation, batched update handling with the in_list /
-  out_count merge).
+  (search, re-computation, batched update handling with the
+  incomers / out_count merge).
 
 The 2D package remains the optimized implementation used by the paper's
 experiments; this one trades constant factors for dimensional generality

@@ -1,7 +1,7 @@
 """d-dimensional CPM monitor (correctness-focused port of Section 3).
 
 Implements the full pipeline — NN computation, book-keeping, NN
-re-computation and batched update handling with the in_list/out_count
+re-computation and batched update handling with the incomers/out_count
 merge — for point k-NN queries in any dimensionality, over
 :class:`repro.ndim.grid.NdGrid` and
 :class:`repro.ndim.partition.NdConceptualPartition`.
@@ -261,6 +261,10 @@ class NdCPMMonitor:
     # ------------------------------------------------------------------
 
     def process(self, object_updates: Sequence[ObjectUpdate]) -> set[int]:
+        """One cycle, under the 2-D engine's touched-until-finalize
+        protocol (:mod:`repro.core.cpm`): the loop edits each touched
+        query's oid -> distance map and collects incomers unordered; the
+        finalize below orders each touched list once."""
         grid = self._grid
         queries = self._queries
         scratch: dict[int, CycleScratch] = {}
@@ -274,20 +278,20 @@ class NdCPMMonitor:
                 for qid in grid.marks(old_cell):
                     state = queries[qid]
                     sc = scratch.get(qid)
-                    if oid in state.nn:
+                    dists = state.nn._dists
+                    if oid in dists:
                         if sc is None:
-                            sc = scratch[qid] = CycleScratch(state.k)
+                            sc = scratch[qid] = CycleScratch()
                             sc.before = state.nn.entries()
                         if new is not None:
                             d = math.dist(new, state.point)
                             if d <= state.best_dist:
-                                state.nn.update_dist(oid, d)
-                                sc.note_reorder()
+                                dists[oid] = d
                                 continue
-                        state.nn.remove(oid)
-                        sc.note_outgoing()
+                        del dists[oid]
+                        sc.out_count += 1
                     elif sc is not None:
-                        sc.drop_incomer(oid)
+                        sc.incomers.pop(oid, None)
             if new is not None:
                 new = tuple(new)
                 new_cell = grid.insert(oid, new)
@@ -300,19 +304,17 @@ class NdCPMMonitor:
                     if d <= state.best_dist:
                         sc = scratch.get(qid)
                         if sc is None:
-                            sc = scratch[qid] = CycleScratch(state.k)
+                            sc = scratch[qid] = CycleScratch()
                             sc.before = state.nn.entries()
-                        sc.note_incomer(d, oid)
+                        sc.incomers[oid] = d
             else:
                 self._positions.pop(oid, None)
 
         changed: set[int] = set()
         for qid, sc in scratch.items():
-            if not sc.touched:
-                continue
             state = queries[qid]
-            if len(sc.in_list) >= sc.out_count:
-                state.nn.replace(state.nn.entries() + sc.in_list.entries())
+            if len(sc.incomers) >= sc.out_count:
+                state.nn.merge(sc.incomers)
                 state.best_dist = state.nn.kth_dist
                 self._reconcile_marks(state, processed_upto=state.marked_upto)
             else:

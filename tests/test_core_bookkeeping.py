@@ -5,9 +5,12 @@ import math
 import pytest
 
 from repro.core.bookkeeping import CycleScratch, QueryState
+from repro.core.cpm import CPMMonitor
 from repro.core.partition import ConceptualPartition
 from repro.core.strategies import PointNNStrategy
 from repro.grid.grid import Grid
+from repro.updates import move_update
+from tests.conftest import brute_knn
 
 
 def make_state(qid=0, k=2, q=(0.5, 0.5), cells=8):
@@ -161,34 +164,88 @@ class TestDropBookkeeping:
 
 
 class TestCycleScratch:
-    def test_incomer_dedup_keeps_latest(self):
-        sc = CycleScratch(k=3)
-        sc.note_incomer(0.5, 7)
-        sc.note_incomer(0.2, 7)  # same object updated again
-        assert len(sc.in_list) == 1
-        assert sc.in_list.dist_of(7) == 0.2
+    """The scratch is a plain unordered record; what it means is decided
+    by the engine's finalize, so that is what these drive."""
 
-    def test_drop_incomer(self):
-        sc = CycleScratch(k=3)
-        sc.note_incomer(0.5, 7)
-        sc.drop_incomer(7)
-        assert len(sc.in_list) == 0
-        sc.drop_incomer(7)  # idempotent
+    Q = (0.55, 0.55)
+    OBJECTS = {
+        1: (0.55, 0.60),  # NN, d = 0.05
+        2: (0.55, 0.65),  # NN, d = 0.10 = best_dist
+        3: (0.05, 0.05),
+        4: (0.95, 0.05),
+        5: (0.05, 0.95),
+    }
 
-    def test_capacity_is_k(self):
-        sc = CycleScratch(k=2)
-        sc.note_incomer(0.3, 1)
-        sc.note_incomer(0.2, 2)
-        sc.note_incomer(0.1, 3)
-        assert len(sc.in_list) == 2
-        assert 1 not in sc.in_list  # worst incomer evicted
+    def monitor(self):
+        monitor = CPMMonitor(cells_per_axis=4)
+        monitor.load_objects(self.OBJECTS.items())
+        assert [oid for _d, oid in monitor.install_query(0, self.Q, 2)] == [1, 2]
+        return monitor
 
-    def test_flags(self):
-        sc = CycleScratch(k=2)
-        assert not sc.touched
-        sc.note_reorder()
-        assert sc.touched
+    def run(self, monitor, *moves):
+        """Apply ``(oid, new)`` moves as one cycle; returns (changed,
+        cell scans spent, brute-force expectation)."""
+        positions = dict(self.OBJECTS)
+        updates = []
+        for oid, new in moves:
+            updates.append(move_update(oid, positions[oid], new))
+            positions[oid] = new
+        scans = monitor.stats.cell_scans
+        changed = monitor.process(updates)
+        monitor.check_invariants()
+        return changed, monitor.stats.cell_scans - scans, brute_knn(positions, self.Q, 2)
+
+    def test_reset_recycles(self):
+        sc = CycleScratch()
+        sc.out_count = 2
+        sc.incomers[7] = 0.5
+        sc.before = [(0.1, 1)]
+        sc.reset()
         assert sc.out_count == 0
-        sc.note_outgoing()
-        sc.note_outgoing()
-        assert sc.out_count == 2
+        assert sc.incomers == {}
+        assert sc.before is None
+
+    def test_finalize_keeps_k_best_of_nns_and_incomers(self):
+        # One NN leaves and three objects (more than k) come within
+        # best_dist: the result is the k best of NNs ∪ incomers, found
+        # without a single cell access.
+        monitor = self.monitor()
+        changed, scans, expected = self.run(
+            monitor,
+            (2, (0.05, 0.50)),
+            (3, (0.55, 0.57)),
+            (4, (0.55, 0.58)),
+            (5, (0.55, 0.63)),
+        )
+        assert changed == {0}
+        assert scans == 0
+        assert [oid for _d, oid in expected] == [3, 4]
+        assert monitor.result(0) == expected
+
+    def test_incomer_moving_twice_keeps_latest(self):
+        monitor = self.monitor()
+        changed, scans, expected = self.run(
+            monitor, (3, (0.55, 0.57)), (3, (0.55, 0.62))
+        )
+        assert changed == {0}
+        assert scans == 0
+        assert [oid for _d, oid in expected] == [1, 3]
+        assert monitor.result(0) == expected
+
+    def test_incomer_that_leaves_again_is_forgotten(self):
+        monitor = self.monitor()
+        changed, scans, expected = self.run(
+            monitor, (3, (0.55, 0.57)), (3, (0.05, 0.05))
+        )
+        assert changed == set()
+        assert scans == 0
+        assert monitor.result(0) == expected
+
+    def test_more_outgoing_than_incoming_recomputes(self):
+        monitor = self.monitor()
+        changed, scans, expected = self.run(
+            monitor, (1, (0.95, 0.95)), (2, (0.05, 0.50)), (3, (0.55, 0.57))
+        )
+        assert changed == {0}
+        assert scans > 0
+        assert monitor.result(0) == expected

@@ -2,7 +2,7 @@
 
 Every scenario cross-checks against a brute-force recomputation, and the
 directed scenarios reproduce the paper's worked examples: outgoing NNs,
-incoming objects, the in_list/out_count merge that avoids touching the
+incoming objects, the incomers/out_count merge that avoids touching the
 grid, off-line NNs, and influence-region shrinking.
 """
 
@@ -40,6 +40,7 @@ class Harness:
         return changed
 
     def check_all(self):
+        self.monitor.check_invariants()
         for qid, (q, k) in self.queries.items():
             expected = brute_knn(self.positions, q, k)
             assert self.monitor.result(qid) == expected, qid

@@ -99,53 +99,70 @@ class TestMembership:
         assert nn.worst() == (0.9, 2)
 
 
-class TestUpdateDist:
-    def test_reorders(self):
-        nn = NeighborList(3)
-        nn.add(0.1, 1)
-        nn.add(0.2, 2)
-        nn.add(0.3, 3)
-        nn.update_dist(1, 0.25)
-        assert [oid for _d, oid in nn.entries()] == [2, 1, 3]
+class TestMerge:
+    """``merge`` is the once-per-cycle ordering step: the engine edits the
+    distance map (``_dists``) in the update loop and merge re-ranks."""
+
+    @staticmethod
+    def filled(k, *pairs):
+        nn = NeighborList(k)
+        for d, oid in pairs:
+            nn.add(d, oid)
+        return nn
+
+    def test_rekeyed_member_is_reordered(self):
+        nn = self.filled(3, (0.1, 1), (0.2, 2), (0.3, 3))
+        nn._dists[1] = 0.25
+        nn.merge({})
+        assert nn.entries() == [(0.2, 2), (0.25, 1), (0.3, 3)]
         assert nn.dist_of(1) == 0.25
 
-    def test_update_to_same_dist(self):
-        nn = NeighborList(2)
-        nn.add(0.5, 1)
-        nn.update_dist(1, 0.5)
-        assert nn.entries() == [(0.5, 1)]
+    def test_entries_stay_pre_cycle_until_merge(self):
+        nn = self.filled(2, (0.1, 1), (0.2, 2))
+        before = nn.entries()
+        nn._dists[1] = 0.9
+        del nn._dists[2]
+        # The stale window: membership is live, the ordered view is not.
+        assert 2 not in nn
+        assert nn.entries() == before
+        nn.merge({})
+        assert nn.entries() == [(0.9, 1)]
 
-    def test_update_missing_raises(self):
-        nn = NeighborList(2)
-        with pytest.raises(KeyError):
-            nn.update_dist(1, 0.3)
+    def test_incomers_replace_evicted_members(self):
+        nn = self.filled(2, (0.1, 1), (0.5, 2))
+        del nn._dists[2]
+        nn.merge({7: 0.3})
+        assert nn.entries() == [(0.1, 1), (0.3, 7)]
+        assert 2 not in nn
+        assert 7 in nn
 
+    def test_keeps_k_best_of_members_and_incomers(self):
+        nn = self.filled(2, (0.2, 1), (0.4, 2))
+        nn.merge({7: 0.1, 8: 0.3, 9: 0.5})
+        assert nn.entries() == [(0.1, 7), (0.2, 1)]
+        assert nn.kth_dist == 0.2
+        assert 2 not in nn
+        assert 8 not in nn
 
-class TestRemove:
-    def test_remove_returns_distance(self):
-        nn = NeighborList(2)
-        nn.add(0.4, 9)
-        assert nn.remove(9) == 0.4
-        assert 9 not in nn
-        assert len(nn) == 0
+    def test_ties_broken_by_oid(self):
+        nn = self.filled(2, (0.5, 10))
+        nn.merge({3: 0.5, 20: 0.5})
+        assert nn.entries() == [(0.5, 3), (0.5, 10)]
 
-    def test_remove_missing_raises(self):
-        nn = NeighborList(2)
-        with pytest.raises(KeyError):
-            nn.remove(1)
-
-    def test_discard(self):
-        nn = NeighborList(2)
-        nn.add(0.4, 9)
-        assert nn.discard(9)
-        assert not nn.discard(9)
-
-    def test_underfull_after_removal_reports_inf(self):
-        nn = NeighborList(2)
-        nn.add(0.1, 1)
-        nn.add(0.2, 2)
-        nn.remove(2)
+    def test_underfull_after_eviction_reports_inf(self):
+        nn = self.filled(2, (0.1, 1), (0.2, 2))
+        del nn._dists[2]
+        nn.merge({})
+        assert len(nn) == 1
         assert math.isinf(nn.kth_dist)
+
+    def test_does_not_edit_a_snapshot_in_place(self):
+        nn = self.filled(2, (0.1, 1), (0.2, 2))
+        stale = nn._entries
+        nn._dists[1] = 0.3
+        nn.merge({})
+        assert stale == [(0.1, 1), (0.2, 2)]
+        assert nn._entries is not stale
 
 
 class TestReplace:

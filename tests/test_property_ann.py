@@ -100,6 +100,7 @@ def test_ann_monitoring_under_any_stream(script, query_points, k, fn):
             else:
                 updates.append(ObjectUpdate(oid, positions.pop(oid), None))
         monitor.process(updates)
+        monitor.check_invariants()
         assert close(
             [d for d, _ in monitor.result(0)],
             brute_adists(positions, query_points, k, fn),

@@ -93,6 +93,7 @@ def test_cpm_equals_brute_force_under_any_stream(script, q, k, cells):
             else:
                 updates.append(ObjectUpdate(oid, positions.pop(oid), None))
         monitor.process(updates)
+        monitor.check_invariants()
         assert close(
             result_dists(monitor.result(0)), brute_dists(positions, q, k)
         )
@@ -127,6 +128,7 @@ def test_ablation_variants_agree_with_full_cpm(script, q, k):
                 updates.append(ObjectUpdate(oid, positions.pop(oid), None))
         for m in monitors:
             m.process(updates)
+            m.check_invariants()
         ref = result_dists(full.result(0))
         assert close(result_dists(no_merge.result(0)), ref)
         assert close(result_dists(no_book.result(0)), ref)
@@ -190,6 +192,7 @@ def test_marked_prefix_invariant_holds_throughout(script, q, k):
             else:
                 updates.append(ObjectUpdate(oid, positions.pop(oid), None))
         monitor.process(updates)
+        monitor.check_invariants()
         state = monitor.query_state(0)
         marked = set(monitor.grid.marked_cells(0))
         assert marked == set(state.visit_cells[: state.marked_upto])

@@ -34,28 +34,36 @@ def test_entries_always_sorted_and_capped(dists, k):
 @given(
     st.lists(dist, min_size=3, max_size=30),
     st.integers(min_value=1, max_value=6),
+    st.lists(dist, max_size=12),
     st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_update_and_remove_preserve_consistency(dists, k, data):
+def test_merge_ranks_live_map_plus_incomers(dists, k, incoming, data):
+    """The update loop's protocol: re-key and evict members through the
+    distance map, collect incomers unordered, then merge once — the
+    result is the k best of whatever survived plus the incomers, and the
+    two internal views agree again."""
     nn = NeighborList(k)
     for oid, d in enumerate(dists):
         nn.add(d, oid)
     members = [oid for _d, oid in nn.entries()]
-    # Re-key a member.
-    victim = data.draw(st.sampled_from(members))
-    new_dist = data.draw(dist)
-    nn.update_dist(victim, new_dist)
-    assert nn.dist_of(victim) == new_dist
-    entries = nn.entries()
-    assert entries == sorted(entries)
-    # Remove a member.
-    nn.remove(victim)
-    assert victim not in nn
-    entries = nn.entries()
-    assert entries == sorted(entries)
-    # The internal dict always mirrors the sorted list.
-    assert {oid for _d, oid in entries} == {oid for _d, oid in nn}
+    survivors = {}
+    for oid in members:
+        fate = data.draw(st.sampled_from(["keep", "rekey", "evict"]))
+        if fate == "rekey":
+            nn._dists[oid] = data.draw(dist)
+        elif fate == "evict":
+            del nn._dists[oid]
+            continue
+        survivors[oid] = nn._dists[oid]
+    incomers = {1000 + i: d for i, d in enumerate(incoming)}
+    nn.merge(incomers)
+    pool = {**survivors, **incomers}
+    expected = sorted((d, oid) for oid, d in pool.items())[:k]
+    assert nn.entries() == expected
+    assert {oid: d for d, oid in expected} == nn._dists
+    for d, oid in expected:
+        assert nn.dist_of(oid) == d
 
 
 @given(

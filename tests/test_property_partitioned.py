@@ -83,6 +83,8 @@ def test_partitioned_is_byte_identical_to_single_engine(shape):
         assert part.result_table() == single.result_table(), batch.timestamp
         assert sorted(part.query_ids()) == sorted(single.query_ids())
         assert part.object_count == single.object_count
+        single.check_invariants()
+        part._call_all("check_invariants", [()] * part.n_shards)
         # The partitioned contract is counter-exact — not S-fold.
         assert part.stats.snapshot() == single.stats.snapshot(), batch.timestamp
 
@@ -111,6 +113,8 @@ def test_partitioned_matches_replicated_and_single_changed_sets(shape):
         )
         assert part.result_table() == single.result_table()
         assert part.result_table() == sharded.result_table()
+        for tier in (sharded, part):
+            tier._call_all("check_invariants", [()] * tier.n_shards)
 
 
 @given(shape=workload_shapes)
@@ -138,6 +142,7 @@ def test_partitioned_process_executor_is_byte_identical(shape):
             )
             got = part.process_deltas(batch.object_updates, batch.query_updates)
             assert got == expect, batch.timestamp
+            part._call_all("check_invariants", [()] * part.n_shards)
             assert part.stats.snapshot() == single.stats.snapshot()
         assert part.result_table() == single.result_table()
     finally:

@@ -74,6 +74,7 @@ def test_sharded_service_is_byte_identical_to_single_engine(shape):
         assert sharded.result_table() == single.result_table(), batch.timestamp
         assert sorted(sharded.query_ids()) == sorted(single.query_ids())
         assert sharded.object_count == single.object_count
+        sharded._call_all("check_invariants", [()] * sharded.n_shards)
 
 
 @given(shape=workload_shapes)
