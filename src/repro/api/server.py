@@ -13,12 +13,15 @@ directly (e.g. a server-side feed) must hold the same lock, or use
 Delta delivery rides the hub's per-query routing: a ``subscribe`` frame
 registers a per-qid subscription whose callback *enqueues* the delta on
 the connection's bounded outbox (:class:`repro.service.subscriptions.
-FanoutQueue`); a per-connection writer thread encodes and sends.  The
-hub's publish loop therefore never blocks on a socket — a stalled
-client costs O(1) per delta until its outbox fills, at which point the
-server's :class:`SlowConsumerPolicy` fires (disconnect the laggard, or
-drop its queued deltas and send a ``lagged`` marker) instead of
-extending ``publish_sec`` for everyone else.
+FanoutQueue`); a per-connection writer thread encodes and sends one
+**drain** at a time — every frame queued when it woke, joined into
+``sendall`` calls of at most :data:`FLUSH_BYTES` — so a cycle's deltas
+cost a handful of syscalls, not one each.  The hub's publish loop
+therefore never blocks on a socket — a stalled client costs O(1) per
+delta until its outbox fills (frames queued plus frames of the drain in
+flight), at which point the server's :class:`SlowConsumerPolicy` fires
+(disconnect the laggard, or drop its queued deltas and send a ``lagged``
+marker) instead of extending ``publish_sec`` for everyone else.
 
 Every outbound frame of one connection flows through the same FIFO
 outbox, so the v1 ordering contract survives the async tier: the deltas
@@ -51,6 +54,13 @@ from repro.updates import QueryUpdateKind
 
 #: rows per ``sync_objects`` chunk of the cold-start stream.
 SYNC_CHUNK = 512
+
+#: most bytes of joined frame lines one ``sendall`` carries.  A drain
+#: larger than this goes out in several writes: the bound caps the
+#: transient join buffer (unbounded joining costs measurable peak RSS
+#: on a cycle's worth of deltas for nothing the syscall count still
+#: needs).  A single line larger than the bound is written alone.
+FLUSH_BYTES = 64 * 1024
 
 #: metrics-pump wakeup resolution (seconds): the granularity at which
 #: per-connection ``watch_metrics`` intervals are honored.
@@ -91,7 +101,15 @@ class ServerStats:
 
 
 class _Connection:
-    """Server-side state of one client connection."""
+    """Server-side state of one client connection.
+
+    Outbound traffic is written a **drain** at a time: the outbox's
+    writer thread hands :meth:`_write_batch` every frame that was queued
+    when it woke, and the batch is encoded and sent in ``sendall`` calls
+    of at most :data:`FLUSH_BYTES` of joined lines.  Frames of the drain
+    in flight count toward ``outbound_limit`` until the batch is on the
+    socket, so the connection never buffers more than that many frames.
+    """
 
     def __init__(
         self,
@@ -122,7 +140,7 @@ class _Connection:
         #: the writer thread, keeping the hub's enqueue O(1) regardless
         #: of result width.
         self.outbox = FanoutQueue(
-            self._write_item,
+            self._write_batch,
             limit=server.outbound_limit,
             policy=server.slow_consumer,
             lag_factory=lambda dropped: wire.Lagged(dropped=dropped),
@@ -133,29 +151,54 @@ class _Connection:
 
     # -- writing -------------------------------------------------------
 
-    def _write_item(self, item) -> None:
-        """Writer-thread sink: encode (late, for deltas) and send."""
+    def _write_batch(self, items: list) -> None:
+        """Writer-thread sink: encode one drain (late, for deltas) and
+        send it, one ``sendall`` per :data:`FLUSH_BYTES` of lines.
+
+        The fault hook is still asked once per frame, in order; when it
+        fires at frame N the frames of this drain before N are flushed,
+        then the transport is cut."""
         hook = self.server.fault_hook
-        if hook is not None and hook(self.index, self.frames_sent):
-            # Injected network drop: cut the transport abruptly — no
-            # ``bye`` — so the peer sees exactly what a mid-stream
-            # failure looks like.  The sendall below then raises, which
-            # marks the outbox broken, and the reader thread's EOF tears
-            # the connection down through the normal path.
-            try:
-                self.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-        self.frames_sent += 1
-        if type(item) is tuple:
-            line = wire.encode_delta(item[0], item[1])
-        else:
-            line = wire.encode_frame(item)
-        self.sock.sendall((line + "\n").encode("utf-8"))
+        encode_delta = wire.encode_delta
+        encode_frame = wire.encode_frame
+        lines: list[str] = []
+        size = 0
+        for item in items:
+            if hook is not None and hook(self.index, self.frames_sent):
+                if lines:
+                    self._send_lines(lines)
+                self._cut()
+                # Marks the outbox broken; the reader thread's EOF tears
+                # the connection down through the normal path.
+                raise ConnectionAbortedError("injected connection fault")
+            self.frames_sent += 1
+            if type(item) is tuple:
+                line = encode_delta(item[0], item[1])
+            else:
+                line = encode_frame(item)
+            # Lines are ASCII (the encoder escapes the rest): len == bytes.
+            size += len(line) + 1
+            if size > FLUSH_BYTES and lines:
+                self._send_lines(lines)
+                lines = []
+                size = len(line) + 1
+            lines.append(line)
+        self._send_lines(lines)
+
+    def _send_lines(self, lines: list[str]) -> None:
+        self.sock.sendall(("\n".join(lines) + "\n").encode("utf-8"))
+
+    def _cut(self) -> None:
+        """Drop the transport abruptly — no ``bye`` — so the peer sees
+        exactly what a mid-stream network failure looks like."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self.sock.close()
+        except OSError:
+            pass
 
     def _lag_followups(self):
         """Fresh ``sync_query`` snapshots pushed right after a resolved
@@ -207,14 +250,7 @@ class _Connection:
         self.subscriptions.clear()
         if flush:
             self.outbox.join(timeout=2.0)
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self._cut()
         # The shutdown above errors out a writer blocked in sendall.
         self.outbox.close(flush=False, timeout=1.0)
         self.server._retire(self)
@@ -241,8 +277,9 @@ class MonitorSocketServer:
         host/port: bind address; port 0 picks a free port (see
             :attr:`address` after :meth:`start`).
         name: server string echoed in the ``welcome`` frame.
-        outbound_limit: per-connection outbox bound (frames) before the
-            slow-consumer policy fires.
+        outbound_limit: per-connection outbox bound (frames, queued plus
+            those of the drain in flight) before the slow-consumer
+            policy fires.
         slow_consumer: what happens to a connection that cannot drain
             its outbox (see :class:`SlowConsumerPolicy`).
         sndbuf: ``SO_SNDBUF`` applied to accepted sockets; small values
@@ -251,7 +288,8 @@ class MonitorSocketServer:
             bool``, called on the writer thread before every outbound
             frame with the connection's accept ordinal and per-connection
             frame ordinal; returning ``True`` cuts that connection's
-            transport abruptly (no ``bye``), simulating a network drop
+            transport abruptly (no ``bye``) after flushing the frames of
+            the same drain that precede it, simulating a network drop
             (see :meth:`repro.testing.faults.FaultPlan.connection_hook`).
         registry: optional :class:`repro.obs.metrics.MetricsRegistry`.
             Enables the wire telemetry surface: ``watch_metrics`` frames

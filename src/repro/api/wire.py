@@ -56,7 +56,11 @@ frame                 direction  meaning
 Encoding is canonical: explicit key order, compact separators, floats
 serialized by ``repr`` (via ``json``) — so ``encode(decode(line)) ==
 line`` for every frame this module produced, which is what lets the
-tests (and paranoid clients) compare delta streams byte for byte.
+tests (and paranoid clients) compare delta streams byte for byte.  One
+module-level encoder and one module-level decoder do all of it; the
+decoder refuses ``NaN`` / ``Infinity`` / ``-Infinity`` (not JSON, and
+poison as distances or coordinates), and :func:`decode_frame` raises
+:class:`WireError` — only ever that — for any line it cannot accept.
 
 Points are ``[x, y]``; result entries are ``[dist, oid]``; object
 update rows are ``[oid, old, new]`` with ``null`` for the
@@ -324,11 +328,7 @@ def _number(raw) -> int | float:
 
 
 def _entries(raw) -> tuple[ResultEntry, ...]:
-    return tuple((float(d), int(oid)) for d, oid in raw)
-
-
-def _entries_out(entries) -> list[list]:
-    return [[d, oid] for d, oid in entries]
+    return tuple([(float(d), int(oid)) for d, oid in raw])
 
 
 def _update_row(upd: ObjectUpdate) -> list:
@@ -358,17 +358,6 @@ def _query_op_in(obj: dict) -> QueryUpdate:
     )
 
 
-def _delta_out(delta: ResultDelta) -> dict:
-    return {
-        "qid": delta.qid,
-        "in": _entries_out(delta.incoming),
-        "out": _entries_out(delta.outgoing),
-        "reordered": delta.reordered,
-        "result": _entries_out(delta.result),
-        "terminated": delta.terminated,
-    }
-
-
 def _delta_in(obj: dict) -> ResultDelta:
     return ResultDelta(
         qid=int(obj["qid"]),
@@ -386,8 +375,6 @@ def _delta_in(obj: dict) -> ResultDelta:
 
 
 def _body(frame: Frame) -> tuple[str, dict]:
-    if type(frame) is Delta:
-        return "delta", {"ts": frame.timestamp, **_delta_out(frame.delta)}
     if type(frame) is Updates:
         return "updates", {"rows": [_update_row(u) for u in frame.updates]}
     if type(frame) is Tick:
@@ -403,10 +390,7 @@ def _body(frame: Frame) -> tuple[str, dict]:
             "watch": frame.watch,
         }
     if type(frame) is Registered:
-        return "registered", {
-            "qid": frame.qid,
-            "result": _entries_out(frame.result),
-        }
+        return "registered", {"qid": frame.qid, "result": frame.result}
     if type(frame) is Move:
         return "move", {"qid": frame.qid, "point": [frame.point[0], frame.point[1]]}
     if type(frame) is Terminate:
@@ -414,7 +398,7 @@ def _body(frame: Frame) -> tuple[str, dict]:
     if type(frame) is GetSnapshot:
         return "get_snapshot", {"qid": frame.qid}
     if type(frame) is Snapshot:
-        return "snapshot", {"qid": frame.qid, "result": _entries_out(frame.result)}
+        return "snapshot", {"qid": frame.qid, "result": frame.result}
     if type(frame) is Subscribe:
         return "subscribe", {
             "qid": frame.qid,
@@ -439,7 +423,7 @@ def _body(frame: Frame) -> tuple[str, dict]:
         return "sync_query", {
             "qid": frame.qid,
             "spec": spec_to_wire(frame.spec),
-            "result": _entries_out(frame.result),
+            "result": frame.result,
         }
     if type(frame) is SyncDone:
         return "sync_done", {"queries": frame.queries, "objects": frame.objects}
@@ -477,12 +461,41 @@ def _body(frame: Frame) -> tuple[str, dict]:
     raise TypeError(f"not a wire frame: {frame!r}")
 
 
+#: the one compact encoder every encoded line goes through, built once
+#: per process rather than once per line.  Tuples serialize as arrays,
+#: so result entries need no per-entry list copies.  Every object it is
+#: handed is built from frozen frames a few lines above the call, so the
+#: per-container cycle check has nothing to find.
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def encode_frame(frame: Frame) -> str:
     """One canonical ndjson line (no trailing newline)."""
+    if type(frame) is Delta:
+        return encode_delta(frame.timestamp, frame.delta)
     kind, body = _body(frame)
     obj = {"v": WIRE_VERSION, "t": kind}
     obj.update(body)
-    return json.dumps(obj, separators=(",", ":"))
+    return _encode(obj)
+
+
+def encode_delta(timestamp: int | None, delta: ResultDelta) -> str:
+    """The :class:`Delta` frame line, serialized straight from the
+    :class:`ResultDelta` (the publishers' hot path: no frame object, no
+    copies of the entry tuples)."""
+    return _encode(
+        {
+            "v": WIRE_VERSION,
+            "t": "delta",
+            "ts": timestamp,
+            "qid": delta.qid,
+            "in": delta.incoming,
+            "out": delta.outgoing,
+            "reordered": delta.reordered,
+            "result": delta.result,
+            "terminated": delta.terminated,
+        }
+    )
 
 
 def encode_updates_flat(batch: FlatUpdateBatch) -> str:
@@ -508,10 +521,7 @@ def encode_updates_flat(batch: FlatUpdateBatch) -> str:
         batch.disappear,
     ):
         append([oid, None if ap else [ox, oy], None if dis else [nx, ny]])
-    return json.dumps(
-        {"v": WIRE_VERSION, "t": "updates", "rows": rows},
-        separators=(",", ":"),
-    )
+    return _encode({"v": WIRE_VERSION, "t": "updates", "rows": rows})
 
 
 # ----------------------------------------------------------------------
@@ -519,15 +529,31 @@ def encode_updates_flat(batch: FlatUpdateBatch) -> str:
 # ----------------------------------------------------------------------
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+#: the one decoder every inbound line goes through.  ``NaN`` /
+#: ``Infinity`` / ``-Infinity`` are not JSON; left to the stdlib default
+#: they would decode into ``float('nan')`` distances and coordinates.
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 def decode_frame(line: str | bytes) -> Frame:
-    """Parse one frame line; raises :class:`WireError` on anything off.
+    """Parse one frame line; raises :class:`WireError` on anything off
+    (never another exception type, whatever the line holds).
 
     Unknown versions are rejected *before* the type is inspected — a v2
     peer talking to a v1 endpoint fails loudly at the first frame.
     """
     try:
-        obj = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        if not isinstance(line, str):
+            line = str(line, "utf-8")
+        obj = _decode(line)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad json, bad utf-8, a non-finite constant, an
+        # integer literal past the interpreter's digit limit;
+        # RecursionError: nesting deeper than the parser's stack.
         raise WireError(f"malformed frame: {exc}") from exc
     if not isinstance(obj, dict):
         raise WireError(f"frame is not an object: {obj!r}")
@@ -555,7 +581,7 @@ def decode_frame(line: str | bytes) -> Frame:
             ts = obj["ts"]
             return Ticked(
                 timestamp=None if ts is None else int(ts),
-                changed=tuple(int(q) for q in obj["changed"]),
+                changed=tuple([int(q) for q in obj["changed"]]),
             )
         if kind == "query":
             return QueryOp(update=_query_op_in(obj))
@@ -586,8 +612,10 @@ def decode_frame(line: str | bytes) -> Frame:
         if kind == "tags":
             return Tags(
                 rows=tuple(
-                    (int(oid), tuple(str(t) for t in tags))
-                    for oid, tags in obj["rows"]
+                    [
+                        (int(oid), tuple([str(t) for t in tags]))
+                        for oid, tags in obj["rows"]
+                    ]
                 )
             )
         if kind == "sync":
@@ -598,12 +626,14 @@ def decode_frame(line: str | bytes) -> Frame:
         if kind == "sync_objects":
             return SyncObjects(
                 rows=tuple(
-                    (
-                        int(oid),
-                        _point(pt),
-                        None if tags is None else tuple(str(t) for t in tags),
-                    )
-                    for oid, pt, tags in obj["rows"]
+                    [
+                        (
+                            int(oid),
+                            _point(pt),
+                            None if tags is None else tuple([str(t) for t in tags]),
+                        )
+                        for oid, pt, tags in obj["rows"]
+                    ]
                 )
             )
         if kind == "sync_query":
@@ -627,7 +657,7 @@ def decode_frame(line: str | bytes) -> Frame:
             return Metrics(
                 timestamp=_number(obj["ts"]),
                 rows=tuple(
-                    (str(name), _number(value)) for name, value in obj["rows"]
+                    [(str(name), _number(value)) for name, value in obj["rows"]]
                 ),
             )
         if kind == "alert":
@@ -644,7 +674,7 @@ def decode_frame(line: str | bytes) -> Frame:
         if kind == "welcome":
             return Welcome(
                 server=str(obj.get("server", "")),
-                versions=tuple(int(v) for v in obj.get("versions", ())),
+                versions=tuple([int(v) for v in obj.get("versions", ())]),
             )
         if kind == "ok":
             qid = obj.get("qid")
@@ -655,11 +685,8 @@ def decode_frame(line: str | bytes) -> Frame:
             return Bye()
     except WireError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        # AttributeError: a nested object (a spec) that is not one;
+        # OverflowError: int() of a literal like 1e999.
         raise WireError(f"bad {kind!r} frame: {exc}") from exc
     raise WireError(f"unknown frame type {kind!r}")
-
-
-def encode_delta(timestamp: int | None, delta: ResultDelta) -> str:
-    """Shorthand used by publishers: the :class:`Delta` frame line."""
-    return encode_frame(Delta(timestamp=timestamp, delta=delta))

@@ -24,12 +24,15 @@ bounded per-consumer outbound queue drained by its own writer thread,
 with an explicit :class:`SlowConsumerPolicy` deciding what happens when
 a consumer cannot keep up.  The publish loop above only ever *enqueues*
 (O(1) per delivery, never blocks on a socket), so one stalled consumer
-cannot extend the cycle's ``publish_sec`` for everyone else.
+cannot extend the cycle's ``publish_sec`` for everyone else.  The unit
+of outbound work is a **drain** — everything queued when the writer
+wakes, handed to the sink as one FIFO batch — not a single item.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from collections.abc import Callable, Iterable
 from enum import Enum
@@ -69,27 +72,38 @@ class FanoutQueue:
     """A bounded outbound queue drained by a dedicated writer thread.
 
     ``put`` never blocks: the producer (the monitoring cycle's publish
-    loop) enqueues and moves on, while the writer thread feeds
-    ``deliver(item)`` — typically encode-and-send on a socket — at
-    whatever pace the consumer sustains.  When the queue is full the
-    ``policy`` is applied *at the producer*, so backpressure from one
-    slow consumer is converted into an explicit local decision instead
-    of a global stall.
+    loop) enqueues and moves on, while the writer thread hands the sink
+    one **drain** at a time — ``deliver(items)`` with everything that
+    was queued when the writer woke, in FIFO order, taken under a single
+    lock acquisition — at whatever pace the consumer sustains.  The sink
+    (typically encode-and-send on a socket) thereby pays its per-call
+    costs once per drain instead of once per item.  When the queue is
+    full the ``policy`` is applied *at the producer*, so backpressure
+    from one slow consumer is converted into an explicit local decision
+    instead of a global stall.
+
+    The drain in flight (handed to the sink, ``deliver`` not yet
+    returned) still counts toward ``limit``, :attr:`depth` and
+    :meth:`join`: a consumer buffers at most ``limit`` items, queued and
+    in flight together.  Items already in flight cannot be shed.
 
     Args:
-        deliver: called on the writer thread for every item.  An
-            exception marks the queue broken (the consumer is gone).
-        limit: queue bound (items) before the policy triggers.
+        deliver: ``deliver(items)``, called on the writer thread with a
+            non-empty list.  An exception marks the queue broken (the
+            consumer is gone).
+        limit: bound on queued plus in-flight items before the policy
+            triggers.
         policy: the :class:`SlowConsumerPolicy` applied on overflow.
         lag_factory: ``lag_factory(dropped) -> item`` building the lag
             marker item delivered in place of ``dropped`` discarded
             items.  Required for ``DROP_AND_SNAPSHOT``.
         lag_followup: ``lag_followup() -> iterable of items`` delivered
-            on the writer thread immediately after a resolved lag
-            marker — the transport's chance to push fresh snapshots so
-            a drained consumer converges without asking.  Both hooks
-            run *outside* the queue lock and may therefore take
-            application locks and read live state.
+            immediately after a resolved lag marker — the transport's
+            chance to push fresh snapshots so a drained consumer
+            converges without asking.  Both hooks run on the writer
+            thread *outside* the queue lock, after the items queued
+            ahead of the marker were handed to the sink, and may
+            therefore take application locks and read live state.
         on_overflow: called once (on the producer thread) when
             ``DISCONNECT`` fires — the transport's close hook.
         name: diagnostics label.
@@ -97,7 +111,7 @@ class FanoutQueue:
 
     def __init__(
         self,
-        deliver: Callable[[object], None],
+        deliver: Callable[[list], None],
         *,
         limit: int = 1024,
         policy: SlowConsumerPolicy = SlowConsumerPolicy.DISCONNECT,
@@ -129,7 +143,8 @@ class FanoutQueue:
         #: times the overflow policy fired.
         self.overflows = 0
         self._pending_lag = 0
-        self._inflight = False
+        #: items of the drain handed to ``deliver`` and not yet returned.
+        self._inflight = 0
         self._writer = threading.Thread(
             target=self._drain, name=f"{name}-writer", daemon=True
         )
@@ -145,7 +160,7 @@ class FanoutQueue:
         with self._lock:
             if self._closed or self.broken:
                 return False
-            if len(self._items) >= self.limit:
+            if len(self._items) + self._inflight >= self.limit:
                 self.overflows += 1
                 if self.policy is SlowConsumerPolicy.DISCONNECT:
                     self.broken = True
@@ -192,45 +207,59 @@ class FanoutQueue:
                     self._wakeup.wait()
                 if self.broken or (self._closed and not self._items):
                     return
-                item, _ = self._items.popleft()
-                lagged = None
-                if item is _LAG:
-                    lagged, self._pending_lag = self._pending_lag, 0
-                self._inflight = True
+                batch = [item for item, _droppable in self._items]
+                self._items.clear()
+                # At most one marker is ever queued, and exactly when
+                # the pending count is non-zero (see ``put``).
+                lagged, self._pending_lag = self._pending_lag, 0
+                self._inflight = len(batch)
             delivered = 0
             try:
-                if lagged is not None:
-                    # Resolve the coalesced marker outside the lock so
-                    # the factory/follow-up hooks may take application
-                    # locks and snapshot live state.
-                    item = self._lag_factory(lagged)
-                self._deliver(item)
-                delivered += 1
-                if lagged is not None and self._lag_followup is not None:
-                    for extra in self._lag_followup():
-                        self._deliver(extra)
-                        delivered += 1
+                if lagged:
+                    at = batch.index(_LAG)
+                    if at:
+                        self._deliver(batch[:at])
+                        delivered = at
+                    # Resolve the coalesced marker outside the lock, and
+                    # only now that the frames ahead of it are with the
+                    # sink: the hooks may take application locks and
+                    # snapshot live state.
+                    tail = [self._lag_factory(lagged)]
+                    if self._lag_followup is not None:
+                        tail.extend(self._lag_followup())
+                    tail.extend(batch[at + 1:])
+                    batch = tail
+                self._deliver(batch)
+                delivered += len(batch)
             except Exception:
                 with self._lock:
                     self.broken = True
-                    self._inflight = False
+                    self._inflight = 0
                     self._items.clear()
                     self._wakeup.notify_all()
                 return
             with self._lock:
                 self.delivered += delivered
-                self._inflight = False
+                self._inflight = 0
                 if not self._items:
                     self._wakeup.notify_all()
 
     def join(self, timeout: float | None = None) -> bool:
-        """Wait until everything queued is delivered; True when drained."""
+        """Wait until everything queued is delivered; True when drained.
+
+        The condition is also notified by every ``put``, so the wait
+        loops to a monotonic deadline rather than trusting one wake-up.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            if timeout is None:
-                while (self._items or self._inflight) and not self.broken:
+            while (self._items or self._inflight) and not self.broken:
+                if deadline is None:
                     self._wakeup.wait()
-            elif (self._items or self._inflight) and not self.broken:
-                self._wakeup.wait(timeout)
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._wakeup.wait(remaining)
             return not self._items and not self._inflight and not self.broken
 
     def close(self, *, flush: bool = True, timeout: float = 5.0) -> None:
@@ -247,9 +276,9 @@ class FanoutQueue:
 
     @property
     def depth(self) -> int:
-        """Items currently queued (diagnostics)."""
+        """Items currently queued or in flight (diagnostics)."""
         with self._lock:
-            return len(self._items)
+            return len(self._items) + self._inflight
 
     def stats(self) -> dict[str, int | bool]:
         """One consistent counter snapshot (all fields under one lock).
@@ -261,7 +290,7 @@ class FanoutQueue:
         """
         with self._lock:
             return {
-                "depth": len(self._items),
+                "depth": len(self._items) + self._inflight,
                 "delivered": self.delivered,
                 "dropped": self.dropped,
                 "overflows": self.overflows,

@@ -1,10 +1,12 @@
 """Unit tests for the async fan-out tier (:class:`FanoutQueue`).
 
 The contract under test: ``put`` never blocks the producer, the writer
-thread delivers in FIFO order, and a stalled consumer triggers an
-explicit slow-consumer policy — DISCONNECT (break the queue, fire the
-close hook once) or DROP_AND_SNAPSHOT (shed droppable items, deliver a
-single coalesced lag marker, keep control frames intact and ordered).
+thread hands the sink one *drain* at a time (everything queued at
+wake-up, as one FIFO batch; the batch in flight counts toward the
+limit), and a stalled consumer triggers an explicit slow-consumer
+policy — DISCONNECT (break the queue, fire the close hook once) or
+DROP_AND_SNAPSHOT (shed droppable items, deliver a single coalesced lag
+marker, keep control frames intact and ordered).
 """
 
 import threading
@@ -16,18 +18,22 @@ from repro.service.subscriptions import FanoutQueue, SlowConsumerPolicy
 
 
 class Gate:
-    """A deliver callable that can be blocked and records everything."""
+    """A batch sink that can be blocked and records everything: the
+    flattened item stream in ``items``, one list per drain in
+    ``batches``."""
 
     def __init__(self):
         self.items = []
+        self.batches = []
         self._open = threading.Event()
         self._open.set()
         self.entered = threading.Event()
 
-    def __call__(self, item):
+    def __call__(self, items):
         self.entered.set()
         self._open.wait(timeout=10.0)
-        self.items.append(item)
+        self.batches.append(list(items))
+        self.items.extend(items)
 
     def block(self):
         self._open.clear()
@@ -74,18 +80,18 @@ class TestBasics:
 
     def test_limit_validation(self):
         with pytest.raises(ValueError, match="limit"):
-            FanoutQueue(lambda item: None, limit=0)
+            FanoutQueue(lambda items: None, limit=0)
 
     def test_drop_policy_requires_lag_factory(self):
         with pytest.raises(ValueError, match="lag_factory"):
             FanoutQueue(
-                lambda item: None,
+                lambda items: None,
                 policy=SlowConsumerPolicy.DROP_AND_SNAPSHOT,
             )
 
-    def test_join_waits_for_the_inflight_item(self):
-        """join must not report drained while an item sits inside
-        deliver (popped from the queue but not yet on the wire)."""
+    def test_join_waits_for_the_inflight_drain(self):
+        """join must not report drained while a batch sits inside
+        deliver (taken from the queue but not yet on the wire)."""
         gate = Gate()
         q = FanoutQueue(gate, limit=8)
         gate.block()
@@ -101,6 +107,118 @@ class TestBasics:
         assert gate.items == ["slow"]
         q.close()
 
+    def test_join_with_timeout_survives_concurrent_puts(self):
+        """Regression: every ``put`` notifies the condition ``join``
+        waits on, so a single timed wait returned False at the first
+        concurrent publish — and ``close(flush=True)`` cut the frames
+        still queued.  join must keep waiting until its deadline."""
+        gate = Gate()
+        q = FanoutQueue(gate, limit=256)
+        gate.block()
+        q.put("head")
+        assert gate.entered.wait(timeout=5.0)
+        publishing = threading.Event()
+
+        def publish():
+            for i in range(40):
+                q.put(i)
+                publishing.set()
+                time.sleep(0.005)
+            gate.unblock()
+
+        publisher = threading.Thread(target=publish, daemon=True)
+        publisher.start()
+        assert publishing.wait(timeout=5.0)
+        assert q.join(timeout=10.0)
+        publisher.join(timeout=5.0)
+        assert not publisher.is_alive()
+        assert q.join(timeout=5.0)
+        assert gate.items == ["head", *range(40)]
+        q.close()
+
+    def test_join_times_out_on_a_stalled_sink(self):
+        gate = Gate()
+        q = FanoutQueue(gate, limit=8)
+        gate.block()
+        q.put("stuck")
+        assert gate.entered.wait(timeout=5.0)
+        start = time.monotonic()
+        assert q.join(timeout=0.1) is False
+        assert 0.09 <= time.monotonic() - start < 2.0
+        gate.unblock()
+        q.close()
+
+
+class TestDrain:
+    def test_a_backlog_reaches_the_sink_as_one_fifo_batch(self):
+        gate = Gate()
+        gate.block()
+        q = FanoutQueue(gate, limit=64)
+        q.put("head")
+        assert gate.entered.wait(timeout=5.0)
+        for i in range(20):
+            q.put(i)
+        gate.unblock()
+        assert q.join(timeout=5.0)
+        q.close()
+        assert gate.batches == [["head"], list(range(20))]
+        assert q.delivered == 21
+
+    def test_inflight_batch_counts_toward_depth_and_limit(self):
+        gate = Gate()
+        gate.block()
+        hooks = []
+        q = FanoutQueue(gate, limit=4, on_overflow=lambda: hooks.append(1))
+        for i in range(3):
+            q.put(i)
+        assert gate.entered.wait(timeout=5.0)
+        assert wait_for(lambda: q.stats()["depth"] == 3)
+        # Whatever split the writer took, queued + in flight is 3: one
+        # more fits, the next overflows.
+        assert q.put(3)
+        assert q.depth == 4
+        assert q.put(4) is False
+        assert q.broken and hooks == [1]
+        gate.unblock()
+        q.close(flush=False)
+
+    def test_lag_hooks_run_after_the_frames_ahead_were_handed_over(self):
+        """A marker mid-batch splits the drain: the items queued ahead of
+        it reach the sink first, then the hooks run (outside the queue
+        lock), then marker + follow-ups + the rest go out together."""
+        gate = Gate()
+        gate.block()
+        seen_at_followup = []
+
+        def followup():
+            seen_at_followup.append(list(gate.items))
+            assert q.depth >= 0  # takes the queue lock: must not deadlock
+            return ["snap0", "snap1"]
+
+        q = FanoutQueue(
+            gate,
+            limit=3,
+            policy=SlowConsumerPolicy.DROP_AND_SNAPSHOT,
+            lag_factory=lambda dropped: ("lagged", dropped),
+            lag_followup=followup,
+        )
+        q.put("head")
+        assert gate.entered.wait(timeout=5.0)
+        q.put("ctrl0")
+        q.put(("delta", 0), droppable=True)
+        q.put(("delta", 1), droppable=True)  # overflow: sheds both deltas
+        q.put("ctrl1")
+        gate.unblock()
+        assert q.join(timeout=5.0)
+        q.close()
+        assert gate.batches == [
+            ["head"],
+            ["ctrl0"],
+            [("lagged", 2), "snap0", "snap1", "ctrl1"],
+        ]
+        assert seen_at_followup == [["head", "ctrl0"]]
+        assert q.delivered == 6 and q.dropped == 2
+
 
 class TestDisconnectPolicy:
     def test_overflow_breaks_queue_and_fires_hook_once(self):
@@ -113,12 +231,12 @@ class TestDisconnectPolicy:
             policy=SlowConsumerPolicy.DISCONNECT,
             on_overflow=lambda: hooks.append(1),
         )
-        # One item enters deliver and blocks; the limit then applies to
-        # what queues up behind it.
+        # One item enters deliver and blocks; it keeps counting toward
+        # the limit together with what queues up behind it.
         q.put("head")
         assert gate.entered.wait(timeout=5.0)
         accepted = sum(1 for i in range(10) if q.put(i))
-        assert accepted < 10
+        assert accepted == 3
         assert q.broken
         assert hooks == [1]
         assert q.overflows == 1
@@ -209,13 +327,35 @@ class TestDropAndSnapshotPolicy:
         assert sum(n for _, n in lag_frames) == q.dropped
 
 
+@pytest.mark.chaos
 class TestBrokenConsumer:
     def test_deliver_exception_marks_broken(self):
-        def explode(item):
+        def explode(items):
             raise ConnectionError("peer gone")
 
         q = FanoutQueue(explode, limit=8)
         q.put("x")
         assert wait_for(lambda: q.broken)
         assert q.put("y") is False
+        q.close(flush=False)
+
+    def test_sink_failing_mid_drain_breaks_the_queue_and_unblocks_join(self):
+        gate = Gate()
+        gate.block()
+
+        def sink(items):
+            gate(items)
+            raise ConnectionError("peer gone part-way through the batch")
+
+        q = FanoutQueue(sink, limit=16)
+        for i in range(5):
+            q.put(i)
+        assert gate.entered.wait(timeout=5.0)
+        q.put("queued behind the failing drain")
+        gate.unblock()
+        assert q.join(timeout=5.0) is False
+        assert q.broken
+        stats = q.stats()
+        assert stats["depth"] == 0 and stats["delivered"] == 0
+        assert q.put("late") is False
         q.close(flush=False)
