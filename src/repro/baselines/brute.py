@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from repro.core.strategies import PointNNStrategy, QueryStrategy
 from repro.geometry.points import Point
 from repro.grid.stats import GridStats
-from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
+from repro.monitor import ContinuousMonitor, CycleChanges, QueryRecord, ResultEntry
 from repro.updates import FlatUpdateBatch, QueryUpdate
 
 
@@ -99,8 +99,11 @@ class BruteForceMonitor(ContinuousMonitor):
     # ------------------------------------------------------------------
 
     def _cycle(
-        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
-    ) -> set[int]:
+        self,
+        batch: FlatUpdateBatch,
+        query_updates: Sequence[QueryUpdate],
+        keep_before: bool,
+    ) -> CycleChanges:
         for upd in batch.to_object_updates():
             if upd.old is not None and upd.oid not in self._positions:
                 raise KeyError(f"object {upd.oid} is not on-line")
@@ -110,20 +113,17 @@ class BruteForceMonitor(ContinuousMonitor):
                 self._positions[upd.oid] = upd.new
             else:
                 self._positions.pop(upd.oid, None)
-        changed: set[int] = set()
-        self._apply_query_updates(query_updates, changed)
-        refreshed = set(changed)
-        log = self._delta_log
+        changes: CycleChanges = ({}, {})
+        self._apply_query_updates(query_updates, changes, keep_before)
+        before, after = changes
         for qid, query in self._queries.items():
-            if qid in refreshed:
+            if qid in after:
                 continue
             entries = self._evaluate(query)
             if entries != query.entries:
-                if log is not None and qid not in log:
-                    log[qid] = list(query.entries)
-                query.entries = entries
-                changed.add(qid)
-        return changed
+                before[qid] = query.entries
+                after[qid] = query.entries = entries
+        return changes
 
     def _evaluate(self, query: _BruteQuery) -> list[ResultEntry]:
         strategy = query.strategy

@@ -36,7 +36,7 @@ from repro.geometry.rects import Rect
 from repro.grid.cell import CellCoord
 from repro.grid.grid import Grid
 from repro.grid.stats import GridStats
-from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
+from repro.monitor import ContinuousMonitor, CycleChanges, QueryRecord, ResultEntry
 from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
 
 
@@ -149,8 +149,11 @@ class SeaCnnMonitor(ContinuousMonitor):
     # ------------------------------------------------------------------
 
     def _cycle(
-        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
-    ) -> set[int]:
+        self,
+        batch: FlatUpdateBatch,
+        query_updates: Sequence[QueryUpdate],
+        keep_before: bool,
+    ) -> CycleChanges:
         """One SEA-CNN cycle over the batch's columns.
 
         Movements relocate through :meth:`Grid.move_ids` (same-cell fast
@@ -235,7 +238,7 @@ class SeaCnnMonitor(ContinuousMonitor):
                             sc = scratch[qid] = _SeaScratch()
                         sc.within = True
         return self._finish_cycle(
-            scratch, updated_qids, len(batch.oids) > 0, query_updates
+            scratch, updated_qids, len(batch.oids) > 0, query_updates, keep_before
         )
 
     def _finish_cycle(
@@ -244,7 +247,8 @@ class SeaCnnMonitor(ContinuousMonitor):
         updated_qids: set[int],
         had_updates: bool,
         query_updates: Sequence[QueryUpdate],
-    ) -> set[int]:
+        keep_before: bool,
+    ) -> CycleChanges:
         """Re-evaluation of the affected queries, then the query-update
         phase."""
         queries = self._queries
@@ -255,13 +259,11 @@ class SeaCnnMonitor(ContinuousMonitor):
                     sc = scratch[qid] = _SeaScratch()
                     sc.offline = True  # force a fresh search
 
-        changed: set[int] = set()
-        log = self._delta_log
+        changes: CycleChanges = ({}, {})
+        before, after = changes
         for qid, sc in scratch.items():
             query = queries[qid]
             old_entries = query.entries
-            if log is not None and qid not in log:
-                log[qid] = list(old_entries)
             if sc.offline:
                 entries = two_step_nn_search(self._grid, (query.x, query.y), query.k)
             else:
@@ -269,10 +271,11 @@ class SeaCnnMonitor(ContinuousMonitor):
                 entries = self._range_evaluate(query, (query.x, query.y), radius)
             self._set_result(qid, query, entries)
             if entries != old_entries:
-                changed.add(qid)
+                before[qid] = old_entries
+                after[qid] = entries
 
-        self._apply_query_updates(query_updates, changed)
-        return changed
+        self._apply_query_updates(query_updates, changes, keep_before)
+        return changes
 
     def apply_query_update(self, update: QueryUpdate) -> None:
         """A moving query is case (iii) of Figure 2.2b, not a re-install."""

@@ -30,7 +30,7 @@ from repro.geometry.points import Point
 from repro.geometry.rects import Rect
 from repro.grid.grid import Grid
 from repro.grid.stats import GridStats
-from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
+from repro.monitor import ContinuousMonitor, CycleChanges, QueryRecord, ResultEntry
 from repro.updates import FlatUpdateBatch, QueryUpdate
 
 
@@ -122,8 +122,11 @@ class YpkCnnMonitor(ContinuousMonitor):
     # ------------------------------------------------------------------
 
     def _cycle(
-        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
-    ) -> set[int]:
+        self,
+        batch: FlatUpdateBatch,
+        query_updates: Sequence[QueryUpdate],
+        keep_before: bool,
+    ) -> CycleChanges:
         """One YPK-CNN cycle over the batch's columns.
 
         "YPK-CNN does not process updates as they arrive, but directly
@@ -165,29 +168,26 @@ class YpkCnnMonitor(ContinuousMonitor):
             else:
                 move_ids(oid, ocid, ncid, nx, ny)
                 positions[oid] = (nx, ny)
-        return self._finish_cycle(query_updates)
+        return self._finish_cycle(query_updates, keep_before)
 
     def _finish_cycle(
-        self, query_updates: Sequence[QueryUpdate]
-    ) -> set[int]:
+        self, query_updates: Sequence[QueryUpdate], keep_before: bool
+    ) -> CycleChanges:
         """The query-update phase ("when a query q changes location, it is
         handled as a new one"), then the periodic re-evaluation sweep."""
-        changed: set[int] = set()
-        self._apply_query_updates(query_updates, changed)
-        fresh = set(changed)
+        changes: CycleChanges = ({}, {})
+        self._apply_query_updates(query_updates, changes, keep_before)
 
         # Periodic re-evaluation of every other installed query.
-        log = self._delta_log
+        before, after = changes
         for qid, query in self._queries.items():
-            if qid in fresh:
+            if qid in after:
                 continue
             new_entries = self._re_evaluate(query)
             if new_entries != query.entries:
-                if log is not None and qid not in log:
-                    log[qid] = list(query.entries)
-                query.entries = new_entries
-                changed.add(qid)
-        return changed
+                before[qid] = query.entries
+                after[qid] = query.entries = new_entries
+        return changes
 
     def _re_evaluate(self, query: _YpkQuery) -> list[ResultEntry]:
         """Figure 2.1b: bound the search by the furthest previous neighbor."""

@@ -284,7 +284,7 @@ class CycleScratch:
     Nothing here is ordered.  A scratch exists exactly while its query is
     *touched*: from then until the engine's finalize the query's
     ``nn._dists`` is live, ``nn._entries`` is the stale pre-cycle result
-    (of which :attr:`before` is the copy handed to change detection), and
+    (which :attr:`before` keeps once finalize has rebound it), and
     the incomers wait in a plain dict — finalize ranks NNs and incomers
     together, once (:meth:`NeighborList.merge`).
     """
@@ -300,9 +300,10 @@ class CycleScratch:
         #: out_count`` decides the same, and the k best of NNs ∪ incomers
         #: are the k best of NNs ∪ k-best-incomers.
         self.incomers: dict[int, float] = {}
-        #: the query's result at the start of the cycle, captured at
+        #: the query's result list at the start of the cycle, taken at
         #: scratch acquisition (before the first NN-list mutation); the
-        #: exact reference for change detection and delta reporting.
+        #: exact reference for change detection and the ``before`` of
+        #: the query's change.
         self.before: list[ResultEntry] | None = None
 
     def reset(self) -> None:

@@ -73,7 +73,7 @@ from repro.grid.kernels import (
     CellColumns,
 )
 from repro.grid.stats import GridStats
-from repro.monitor import ContinuousMonitor, QueryRecord, ResultEntry
+from repro.monitor import ContinuousMonitor, CycleChanges, QueryRecord, ResultEntry
 from repro.updates import FlatUpdateBatch, QueryUpdate
 
 
@@ -185,10 +185,28 @@ class CPMMonitor(ContinuousMonitor):
         distance relation as ``nn._dists`` (the stale window of update
         handling is closed), at most k entries, ``best_dist`` is the k-th
         distance, and every NN lies in a cell marked for the query (the
-        tie rule of :meth:`_apply_flat_rows`).
+        tie rule of :meth:`_apply_flat_rows`).  Per object: the cell the
+        object->cell map names holds the object in its slot table, and
+        those cells hold no other objects (their slot counts sum to the
+        size of the map).
         """
-        marks_store = self._grid._marks
+        grid = self._grid
+        cells_store = grid._cells
+        marks_store = grid._marks
         object_cells = self._object_cells
+        for oid, cid in object_cells.items():
+            cell = cells_store[cid]
+            if cell is None or oid not in cell.slot:
+                raise AssertionError(
+                    f"object {oid} maps to cell {grid.unpack(cid)}, which "
+                    "does not hold it"
+                )
+        held = sum(len(cells_store[cid].slot) for cid in set(object_cells.values()))
+        if held != len(object_cells):
+            raise AssertionError(
+                f"the mapped cells hold {held} objects, the object->cell map "
+                f"{len(object_cells)}"
+            )
         for qid, state in self._queries.items():
             nn = state.nn
             entries = nn._entries
@@ -209,7 +227,7 @@ class CPMMonitor(ContinuousMonitor):
                 if not ms or qid not in ms:
                     raise AssertionError(
                         f"query {qid}: NN {oid} lies in unmarked cell "
-                        f"{self._grid.unpack(object_cells[oid])}"
+                        f"{grid.unpack(object_cells[oid])}"
                     )
 
     # ------------------------------------------------------------------
@@ -292,6 +310,10 @@ class CPMMonitor(ContinuousMonitor):
 
     def result(self, qid: int) -> list[ResultEntry]:
         return self._queries[qid].result_entries()
+
+    def _live_result(self, qid: int) -> list[ResultEntry] | None:
+        state = self._queries.get(qid)
+        return None if state is None else state.nn._entries
 
     # ------------------------------------------------------------------
     # Search internals
@@ -748,8 +770,10 @@ class CPMMonitor(ContinuousMonitor):
 
         Scratch acquisition is the first touch of a query within a cycle
         and always precedes the first mutation of its NN list, so this is
-        where the pre-cycle result is captured — the exact reference for
-        change detection (``CycleScratch.before``) and delta reporting.
+        where the pre-cycle result is taken: ``CycleScratch.before`` holds
+        the list itself, not a copy (finalize rebinds ``nn._entries``, it
+        never edits it), and :meth:`_finish_cycle` returns it as the
+        ``before`` of the query's change.
         """
         pool = self._scratch_pool
         if pool:
@@ -757,16 +781,15 @@ class CPMMonitor(ContinuousMonitor):
             sc.reset()
         else:
             sc = CycleScratch()
-        before = state.nn.entries()
-        sc.before = before
-        log = self._delta_log
-        if log is not None and state.qid not in log:
-            log[state.qid] = before
+        sc.before = state.nn._entries
         return sc
 
     def _cycle(
-        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
-    ) -> set[int]:
+        self,
+        batch: FlatUpdateBatch,
+        query_updates: Sequence[QueryUpdate],
+        keep_before: bool,
+    ) -> CycleChanges:
         """One CPM cycle: update handling (Figure 3.8) over the batch's
         columns, then the query-update phase (Figure 3.9).
 
@@ -791,7 +814,7 @@ class CPMMonitor(ContinuousMonitor):
                 f"moved {sorted(set(appeared) - set(flagged))}, on-line "
                 f"objects appeared {sorted(set(flagged) - set(appeared))}"
             )
-        return self._finish_cycle(scratch, query_updates)
+        return self._finish_cycle(scratch, query_updates, keep_before)
 
     def _apply_flat_rows(
         self,
@@ -1141,23 +1164,28 @@ class CPMMonitor(ContinuousMonitor):
         self,
         scratch: dict[int, CycleScratch],
         query_updates: Sequence[QueryUpdate],
-    ) -> set[int]:
+        keep_before: bool,
+    ) -> CycleChanges:
         """The cycle tail: finalize the touched queries (Figure 3.8 lines
-        17-24), then run the query-update phase of Figure 3.9."""
+        17-24), then run the query-update phase of Figure 3.9; returns
+        the cycle's changes (:meth:`ContinuousMonitor._cycle`)."""
         queries = self._queries
-        changed: set[int] = set()
+        changes: CycleChanges = ({}, {})
+        before, after = changes
         for qid, sc in scratch.items():
             state = queries[qid]
             self._finalize_query(state, sc)
             # Exact change detection against the pre-cycle result: a
             # NN that leaves and returns (or re-keys back) to the same
             # distance within one cycle is correctly a no-op.
-            if state.nn._entries != sc.before:
-                changed.add(qid)
+            entries = state.nn._entries
+            if entries != sc.before:
+                before[qid] = sc.before
+                after[qid] = entries
         self._scratch_pool.extend(scratch.values())
 
-        self._apply_query_updates(query_updates, changed)
-        return changed
+        self._apply_query_updates(query_updates, changes, keep_before)
+        return changes
 
     def _finalize_query(self, state: QueryState, sc: CycleScratch) -> None:
         """Lines 17-24 of Figure 3.8: merge when the incomers can replace

@@ -123,8 +123,8 @@ class NeighborList:
 
         The one place update handling sorts.  The keys being disjoint,
         no deduplication pass is needed (contrast :meth:`replace`).  Both
-        containers are rebound, never edited in place, so a pre-cycle
-        ``entries()`` snapshot stays valid.
+        containers are rebound, never edited in place, so the pre-cycle
+        ``_entries`` list stays valid as the query's ``before``.
         """
         dists = self._dists
         ordered = sorted(
@@ -146,8 +146,10 @@ class NeighborList:
         self._dists = {oid: dist for dist, oid in self._entries}
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._dists.clear()
+        """Empty the list by rebinding (re-computation starts here), so a
+        result list already handed out is never edited."""
+        self._entries = []
+        self._dists = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shown = ", ".join(f"{oid}@{dist:.4g}" for dist, oid in self._entries[:4])

@@ -9,8 +9,10 @@ An engine implements exactly one cycle: the :meth:`ContinuousMonitor._cycle`
 hook over a columnar :class:`repro.updates.FlatUpdateBatch`.  The public
 cycle names — ``process``, ``process_batch``, ``process_flat``,
 ``process_deltas``, ``process_deltas_flat`` — are adapters defined once
-here: the row names columnarize with ``FlatUpdateBatch.from_updates``, the
-delta names wrap the hook in targeted result capture.
+here: the row names columnarize with ``FlatUpdateBatch.from_updates``.
+The hook returns what the cycle changed as before/after result maps,
+which the plain names reduce to a changed-id set and the delta names
+diff — capture is the cycle's return value, not a side channel.
 
 Results are lists of ``(distance, object_id)`` pairs sorted ascending by
 ``(distance, object_id)``; ties on distance are broken by object id in every
@@ -36,6 +38,13 @@ from repro.updates import (
 )
 
 ResultEntry = tuple[float, int]
+
+#: what one cycle changed, ``(before, after)`` (see
+#: :meth:`ContinuousMonitor._cycle`): two ``qid -> result`` maps rather
+#: than a pair per query, so the plain cycle keeps no object per change.
+CycleChanges = tuple[
+    dict[int, list[ResultEntry]], dict[int, list[ResultEntry] | None]
+]
 
 
 @dataclass(slots=True)
@@ -244,76 +253,30 @@ class ContinuousMonitor(ABC):
     # Stream processing: one columnar cycle per engine, adapters here
     # ------------------------------------------------------------------
 
-    #: while a delta-reporting cycle runs, engines record here, once per
-    #: query, the query's *pre-cycle* result at the moment the query is
-    #: first touched (see :meth:`_open_capture`).  ``None`` disables
-    #: capture.
-    _delta_log: dict[int, list[ResultEntry]] | None = None
-
     @abstractmethod
     def _cycle(
-        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
-    ) -> set[int]:
+        self,
+        batch: FlatUpdateBatch,
+        query_updates: Sequence[QueryUpdate],
+        keep_before: bool,
+    ) -> CycleChanges:
         """Process one cycle — the only engine-specific cycle code.
 
         Applies the batch's object rows (update handling, Figure 3.8),
         then ``query_updates`` (Figure 3.9, through
         :meth:`_apply_query_updates`); the batch's own ``query_updates``
-        field is not read.  Returns the ids of the queries whose result
-        changed, including inserted and moved ones.  While
-        :attr:`_delta_log` is a dict the engine stores each query's
-        pre-cycle result under its qid before first mutating it.
+        field is not read.  Returns the cycle's ``CycleChanges``:
+        ``after`` maps every query whose result changed, was inserted or
+        was moved to its post-cycle result and a terminated one to
+        ``None``; ``before`` maps the changed queries to their pre-cycle
+        result.  Capture is this return value: each engine fills both
+        maps where it already compares a query's old result with its new
+        one.  A query that receives query updates enters ``before`` only
+        with ``keep_before`` (the delta adapters), since holding every
+        moved query's old result until the cycle ends is not free.  The
+        lists may be the engine's own — an engine never edits a result
+        list in place once it has handed it out.
         """
-
-    def _cycle_deltas(
-        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
-    ) -> dict[int, ResultDelta]:
-        """:meth:`_cycle` with targeted capture: one :class:`ResultDelta`
-        per changed query plus a ``terminated`` delta per removed one.
-        Only the touched queries pay.  Composite tiers override this twin
-        to merge their shards' deltas instead."""
-        before = self._open_capture(query_updates)
-        try:
-            changed = self._cycle(batch, query_updates)
-        finally:
-            self._delta_log = None
-        return self._close_capture(before, changed, query_updates)
-
-    def _open_capture(
-        self, query_updates: Sequence[QueryUpdate]
-    ) -> dict[int, list[ResultEntry]]:
-        """Arm :attr:`_delta_log`, pre-capturing the queries that receive
-        query updates (their results change through remove/install, not
-        through object handling).  The caller runs the cycle, resets
-        :attr:`_delta_log` to ``None`` and hands the returned log to
-        :meth:`_close_capture`."""
-        if self._delta_log is not None:
-            raise RuntimeError("process_deltas is not re-entrant")
-        before: dict[int, list[ResultEntry]] = {}
-        installed = set(self.query_ids())
-        for qu in query_updates:
-            if qu.qid in installed and qu.qid not in before:
-                before[qu.qid] = self.result(qu.qid)
-        self._delta_log = before
-        return before
-
-    def _close_capture(
-        self,
-        before: dict[int, list[ResultEntry]],
-        changed: set[int],
-        query_updates: Sequence[QueryUpdate],
-    ) -> dict[int, ResultDelta]:
-        """Diff the captured pre-cycle results against the live ones."""
-        deltas: dict[int, ResultDelta] = {}
-        for qid in changed:
-            deltas[qid] = diff_results(qid, before.get(qid, []), self.result(qid))
-        live = set(self.query_ids())
-        for qu in query_updates:
-            if qu.kind is QueryUpdateKind.TERMINATE and qu.qid not in live:
-                deltas[qu.qid] = diff_results(
-                    qu.qid, before.get(qu.qid, []), [], terminated=True
-                )
-        return deltas
 
     def process(
         self,
@@ -322,7 +285,11 @@ class ContinuousMonitor(ABC):
     ) -> set[int]:
         """Process one cycle of updates; returns ids of queries whose result
         changed (including newly inserted and moved queries)."""
-        return self._cycle(FlatUpdateBatch.from_updates(object_updates), query_updates)
+        return _changed_qids(
+            self._cycle(
+                FlatUpdateBatch.from_updates(object_updates), query_updates, False
+            )
+        )
 
     def process_batch(self, batch: UpdateBatch) -> set[int]:
         """Process a packaged :class:`repro.updates.UpdateBatch`."""
@@ -340,7 +307,7 @@ class ContinuousMonitor(ABC):
         """
         if query_updates is None:
             query_updates = batch.query_updates
-        return self._cycle(batch, query_updates)
+        return _changed_qids(self._cycle(batch, query_updates, False))
 
     def process_deltas(
         self,
@@ -353,8 +320,10 @@ class ContinuousMonitor(ABC):
         whose result changed (the keys match :meth:`process`'s return set)
         plus a ``terminated`` delta for every query removed this cycle.
         """
-        return self._cycle_deltas(
-            FlatUpdateBatch.from_updates(object_updates), query_updates
+        return _diff_changes(
+            self._cycle(
+                FlatUpdateBatch.from_updates(object_updates), query_updates, True
+            )
         )
 
     def process_deltas_flat(
@@ -365,7 +334,7 @@ class ContinuousMonitor(ABC):
         """Delta-reporting twin of :meth:`process_flat`."""
         if query_updates is None:
             query_updates = batch.query_updates
-        return self._cycle_deltas(batch, query_updates)
+        return _diff_changes(self._cycle(batch, query_updates, True))
 
     # ------------------------------------------------------------------
     # Metrics
@@ -401,15 +370,50 @@ class ContinuousMonitor(ABC):
         assert update.point is not None
         self.install_query(update.qid, update.point, k or 1)
 
+    def _live_result(self, qid: int) -> list[ResultEntry] | None:
+        """The engine's own result list of an installed query (not a
+        copy: read it, never edit it), ``None`` when ``qid`` is not
+        installed.  Reads the ``_queries`` table of the baselines, whose
+        query records keep their result as ``entries``."""
+        query = self._queries.get(qid)
+        return None if query is None else query.entries
+
     def _apply_query_updates(
-        self, query_updates: Sequence[QueryUpdate], changed: set[int]
+        self,
+        query_updates: Sequence[QueryUpdate],
+        changes: CycleChanges,
+        keep_before: bool,
     ) -> None:
         """The query-update phase of a cycle (Figure 3.9 lines 5-9), in
-        stream order; folds the outcome into ``changed`` (a terminated
-        query is not a change, an inserted or moved one always is)."""
+        stream order.  Every updated query enters ``after`` with the
+        outcome of its last update; with ``keep_before``, one that was
+        installed at its first update of the cycle enters ``before`` with
+        the result it held then (a query object handling changed is
+        already there)."""
+        before, after = changes
+        live_result = self._live_result
+        terminate = QueryUpdateKind.TERMINATE
         for qu in query_updates:
+            qid = qu.qid
+            if keep_before and qid not in after:
+                held = live_result(qid)
+                if held is not None:
+                    before[qid] = held
             self.apply_query_update(qu)
-            if qu.kind is QueryUpdateKind.TERMINATE:
-                changed.discard(qu.qid)
-            else:
-                changed.add(qu.qid)
+            after[qid] = None if qu.kind is terminate else live_result(qid)
+
+
+def _changed_qids(changes: CycleChanges) -> set[int]:
+    """The ``process`` view of a cycle: every query with a result after it."""
+    return {qid for qid, result in changes[1].items() if result is not None}
+
+
+def _diff_changes(changes: CycleChanges) -> dict[int, ResultDelta]:
+    """The ``process_deltas`` view of a cycle: one diff per change."""
+    before, after = changes
+    return {
+        qid: diff_results(
+            qid, before.get(qid, []), result or [], terminated=result is None
+        )
+        for qid, result in after.items()
+    }

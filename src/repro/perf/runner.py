@@ -133,30 +133,31 @@ def _run_ingest_case(
     return _row(case, workload, algorithm, metrics, ingest=True)
 
 
-def _run_subscribed_case(
+def _replay_subscribed(
     case: SuiteCase,
     workload: Workload,
-    algorithm: str,
+    monitor: ContinuousMonitor,
     registry: MetricsRegistry | None,
-) -> BenchCase:
-    """Replay one case through the delta-streaming service path.
+) -> tuple[dict, dict]:
+    """Replay one case through the delta-streaming service path; returns
+    its counters and the row's extra params.
 
-    The default shape (``subscription_routing``): a quarter of the
-    queries (at least one) get per-query topic subscriptions and one
-    firehose listens to everything — a small ``repro.api`` deployment.
-    With ``case.subscribers > 0`` (``subscription_scale``): every query
-    gets that many topic subscriptions and no firehose — tens of
-    thousands of concurrent subscriptions at full scale.  Either way the
-    grid counters are byte-identical to the plain replay (delta capture
-    reads result lists, never the grid), and the delivered-delta count
-    is deterministic for a fixed workload.
+    The default shape (``subscription_routing`` and the shard tiers): a
+    quarter of the queries (at least one) get per-query topic
+    subscriptions and one firehose listens to everything — a small
+    ``repro.api`` deployment.  With ``case.subscribers > 0``
+    (``subscription_scale``): every query gets that many topic
+    subscriptions and no firehose — tens of thousands of concurrent
+    subscriptions at full scale.  Either way the grid counters are
+    byte-identical to the plain replay (delta capture reads result lists,
+    never the grid), and the delivered-delta count is deterministic for a
+    fixed workload.
     """
     qids = sorted(workload.initial_queries)
     if case.subscribers > 0:
         watched = [qid for qid in qids for _ in range(case.subscribers)]
     else:
         watched = qids[: max(1, len(qids) // 4)]
-    monitor = build_monitor(algorithm, case.grid, bounds=workload.spec.bounds)
     service = MonitoringService(monitor, metrics=registry)
     subscriptions = [
         service.hub.subscribe_query(qid, lambda ts, delta: None) for qid in watched
@@ -165,15 +166,12 @@ def _run_subscribed_case(
         subscriptions.append(service.subscribe(lambda ts, delta: None))
     metrics = _report_counters(Session(service).replay(workload))
     metrics["deltas_delivered"] = sum(s.delivered for s in subscriptions)
-    return _row(
-        case,
-        workload,
-        algorithm,
-        metrics,
-        subscribed=True,
-        subscribers=case.subscribers,
-        watched_queries=len(watched),
-    )
+    params = {
+        "subscribed": True,
+        "subscribers": case.subscribers,
+        "watched_queries": len(watched),
+    }
+    return metrics, params
 
 
 def run_case(
@@ -191,20 +189,22 @@ def run_case(
     """
     if case.ingest:
         return _run_ingest_case(case, workload, algorithm, registry)
-    if case.subscribed:
-        return _run_subscribed_case(case, workload, algorithm, registry)
     monitor = _case_monitor(case, algorithm, workload.spec.bounds)
     try:
-        metrics = _report_counters(replay_workload(monitor, workload))
+        if case.subscribed:
+            metrics, params = _replay_subscribed(case, workload, monitor, registry)
+        else:
+            metrics = _report_counters(replay_workload(monitor, workload))
+            params = {}
         if case.partitioned:
             partition = monitor.partition_stats()
             for key in PARTITION_COUNTERS:
                 metrics[f"partition_{key}"] = partition[key]
+            params["partitioned"] = True
     finally:
         close = getattr(monitor, "close", None)
         if close is not None:
             close()
-    params = {"partitioned": True} if case.partitioned else {}
     return _row(case, workload, algorithm, metrics, **params)
 
 

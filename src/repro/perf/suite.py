@@ -21,7 +21,9 @@ Table 6.1 sizes):
   byte-identity contract of ``repro.grid.kernels``);
 * ``shard_scaling`` — the Figure 6.2 defaults workload replayed into a
   ``repro.service`` sharded CPM monitor at S ∈ {1, 2, 4, 8} shards
-  (serial executor; S=1 is the pure adapter);
+  (serial executor; S=1 is the pure adapter), through the same
+  delta-streaming service as ``subscription_routing``, so
+  ``deltas_delivered`` pins the merge of the shards' changes;
 * ``partition_scaling`` — the same sweep on the *partitioned* service
   tier (``repro.service.partition``): each shard owns a column block
   plus a halo instead of replicating the object table.  The tier is
@@ -90,7 +92,8 @@ class SuiteCase:
 
     ``shards > 0`` marks a service-layer case: the workload is replayed
     into a :class:`repro.service.sharding.ShardedMonitor` with that many
-    shards (CPM engines, serial executor) instead of a bare algorithm.
+    shards (CPM engines, serial executor) instead of a bare algorithm;
+    ``subscribed`` composes with it.
     ``ingest`` routes the replay through the ``repro.ingest`` pipeline
     (mark-honoring, columnar fast path) instead of the direct loop.
     ``subscribed`` replays through a delta-streaming service;
@@ -250,6 +253,8 @@ def build_suite(
     # Service-layer shard scaling over the defaults workload, replicated
     # then partitioned (owned column blocks + halo sync; counter-exact
     # against the single engine, plus the partition traffic counters).
+    # Both stream deltas, so ``deltas_delivered`` gates the tiers' merge
+    # of their shards' changes.
     # The shard count is clamped to the grid's column count (tiny smoke
     # grids).
     shard_counts = SHARD_SCALING if suite == "full" else SHARD_SCALING_SMOKE
@@ -264,6 +269,7 @@ def build_suite(
                     spec=default,
                     grid=grid,
                     shards=n_shards,
+                    subscribed=True,
                     partitioned=partitioned,
                 )
             )

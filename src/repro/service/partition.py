@@ -64,7 +64,7 @@ from repro.geometry.points import Point
 from repro.geometry.rects import Rect
 from repro.grid.grid import Grid
 from repro.grid.stats import GridStats
-from repro.monitor import ResultEntry
+from repro.monitor import CycleChanges
 from repro.service.executor import SerialShardExecutor, ShardExecutor
 from repro.service.sharding import ShardedMonitor, ShardPlan, row_error
 from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
@@ -142,7 +142,10 @@ class PartitionShardEngine(CPMMonitor):
     and never routes a row here unless this shard tracks the touched
     cell — so the apply phase never pulls, and pulls are confined to
     the finish phase where the parent process is guaranteed to be
-    listening on the command pipe.
+    listening on the command pipe.  ``partition_finish`` hands back the
+    cycle's before/after result maps, exactly what the single engine's
+    ``_cycle`` returns: delta capture is that return value, so the
+    protocol has no second finish path.
 
     Nothing of the engine's cycle is overridden: the row loop, the cycle
     tail and the searches are :class:`CPMMonitor`'s, run over a grid some
@@ -230,22 +233,15 @@ class PartitionShardEngine(CPMMonitor):
     _cycle_scratch: dict[int, CycleScratch] | None = None
     _cycle_qus: tuple[QueryUpdate, ...] = ()
     _cycle_updated: set[int] = frozenset()  # type: ignore[assignment]
-    _cycle_before: dict[int, list[ResultEntry]] | None = None
 
-    def partition_begin(
-        self, query_updates: tuple[QueryUpdate, ...], want_deltas: bool
-    ) -> None:
-        """Open one cycle: scratch + (optionally) targeted delta capture
-        (the open half of the single engine's ``_cycle_deltas``, so the
-        shard-local capture is byte-identical to it)."""
+    def partition_begin(self, query_updates: tuple[QueryUpdate, ...]) -> None:
+        """Open one cycle: the scratch table and the queries object
+        handling skips (the head of the single engine's ``_cycle``)."""
         if self._cycle_scratch is not None:
             raise RuntimeError("partitioned cycle already open")
         self._cycle_qus = query_updates
         self._cycle_updated = {qu.qid for qu in query_updates}
         self._cycle_scratch = {}
-        self._cycle_before = (
-            self._open_capture(query_updates) if want_deltas else None
-        )
 
     def partition_apply(self, chunk: FlatUpdateBatch) -> None:
         """Apply one translated row chunk inside the open cycle."""
@@ -254,35 +250,26 @@ class PartitionShardEngine(CPMMonitor):
             raise RuntimeError("partition_apply outside a partitioned cycle")
         self._apply_flat_rows(chunk, scratch, self._cycle_updated)
 
-    def partition_finish(self):
-        """Close the cycle: finalize, query updates, deltas, eviction.
+    def partition_finish(
+        self, keep_before: bool
+    ) -> tuple[CycleChanges, list[int]]:
+        """Close the cycle: finalize, query updates, eviction.
 
-        Returns ``(payload, released)`` where ``payload`` is the changed
-        set (or the delta dict when the cycle opened with
-        ``want_deltas``) and ``released`` lists the dynamically-tracked
-        cell ids evicted — the coordinator drops their fan-out interest.
+        Returns ``(changes, released)``: ``changes`` is the cycle's
+        ``(before, after)`` maps, the single engine's ``_cycle`` return
+        value from the same ``_finish_cycle``, and ``released`` lists the dynamically-tracked cell ids evicted — the
+        coordinator drops their fan-out interest.
         """
         scratch = self._cycle_scratch
         if scratch is None:
             raise RuntimeError("partition_finish outside a partitioned cycle")
-        query_updates = self._cycle_qus
-        before = self._cycle_before
         try:
-            try:
-                changed = self._finish_cycle(scratch, query_updates)
-            finally:
-                self._delta_log = None
-            if before is None:
-                payload = changed
-            else:
-                payload = self._close_capture(before, changed, query_updates)
-            released = self._evict_unmarked()
-            return payload, released
+            changes = self._finish_cycle(scratch, self._cycle_qus, keep_before)
+            return changes, self._evict_unmarked()
         finally:
             self._cycle_scratch = None
             self._cycle_qus = ()
             self._cycle_updated = frozenset()  # type: ignore[assignment]
-            self._cycle_before = None
 
     # ------------------------------------------------------------------
     # Live query migration
@@ -687,48 +674,37 @@ class PartitionedMonitor(ShardedMonitor):
     # The partitioned cycle
     # ------------------------------------------------------------------
 
-    def _fan_out(
+    def _cycle(
         self,
         batch: FlatUpdateBatch,
         query_updates: Sequence[QueryUpdate],
-        want_deltas: bool,
-    ):
+        keep_before: bool,
+    ) -> CycleChanges:
         """One partitioned cycle (replaces the replicated fan-out): live
         migrations, ``partition_begin``, the translated row streams,
-        ``partition_finish``, then the inherited merge."""
-        query_updates = tuple(query_updates)
-        origin_shard = (
-            dict(self._query_shard) if want_deltas and query_updates else {}
-        )
+        ``partition_finish``, then the inherited merge.  A migrated query
+        reports only from its destination, whose MOVE finds the carried
+        result — its true pre-cycle one."""
         self._migrate(self._plan_migrations(query_updates))
         per_shard_qu = self._split_query_updates(query_updates)
-        n = self.n_shards
         executor = self._executor
         executor.submit_all(
-            "partition_begin",
-            [(tuple(qus), want_deltas) for qus in per_shard_qu],
+            "partition_begin", [(tuple(qus),) for qus in per_shard_qu]
         )
         self._translate_and_stream(batch)
         self._fold_store_stats()
-        executor.submit_all("partition_finish", [()] * n)
+        executor.submit_all("partition_finish", [(keep_before,)] * self.n_shards)
         groups = executor.collect_all()
         for group in groups:
             for _payload, stats in group:
                 self._absorb(stats)
         self._n_cycles += 1
-        finish = groups[-1]
-        payloads = []
-        for shard, (payload, _stats) in enumerate(finish):
-            result, released = payload
+        shard_changes = []
+        for shard, ((changes, released), _stats) in enumerate(groups[-1]):
             if released:
                 self._release_interest(shard, released)
-            payloads.append(result)
-        if want_deltas:
-            return self._merge_shard_deltas(origin_shard, payloads)
-        changed: set[int] = set()
-        for result in payloads:
-            changed |= result
-        return changed
+            shard_changes.append(changes)
+        return self._merge_changes(shard_changes)
 
     def _translate_and_stream(self, batch: FlatUpdateBatch) -> None:
         """Translate the authoritative batch into per-shard row streams.

@@ -5,7 +5,7 @@ A :class:`MonitoringService` couples one monitor — single-engine or
 :class:`repro.service.subscriptions.SubscriptionHub`.  Callers feed it
 update batches in either encoding (:meth:`tick`, :meth:`tick_flat`); the
 service normalises to columns once, decides per cycle whether the plain
-cycle (``process_flat``) suffices or the delta twin
+cycle (``process_flat``) suffices or the delta adapter
 (``process_deltas_flat``) must run to feed subscribers, and publishes the
 resulting stream through the hub's per-query routing.
 
@@ -50,7 +50,7 @@ class TickReport:
     query_updates: int = 0
     #: wall-clock spent producing the cycle's outcome: the monitor's
     #: update handling *plus*, when :attr:`streamed` is set, the
-    #: per-query delta diffing of the delta twin.  On the
+    #: per-query delta diffing of the delta adapter.  On the
     #: no-subscriber cheap path this is exactly the monitor's cycle
     #: time; either way it excludes subscriber fan-out, which is
     #: reported separately as :attr:`publish_sec`.
@@ -205,7 +205,7 @@ class MonitoringService:
         self, batch: FlatUpdateBatch, timestamp: int | None
     ) -> TickReport:
         """The one cycle every tick flavor runs: the monitor's plain cycle
-        with no subscribers, its delta twin plus hub fan-out with."""
+        with no subscribers, its delta adapter plus hub fan-out with."""
         self.last_timestamp = timestamp
         streamed = self.hub.has_subscribers
         publish_sec = 0.0

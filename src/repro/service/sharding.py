@@ -44,8 +44,7 @@ from repro.geometry.points import Point
 from repro.geometry.rects import Rect
 from repro.grid.cell import cell_index
 from repro.grid.stats import GridStats
-from repro.monitor import ContinuousMonitor, ResultEntry
-from repro.service.deltas import ResultDelta, diff_results
+from repro.monitor import ContinuousMonitor, CycleChanges, ResultEntry
 from repro.service.executor import (
     SerialShardExecutor,
     ShardExecutor,
@@ -164,7 +163,7 @@ class ShardEngineFactory:
 
 def row_error(oid: int, appearing: int) -> KeyError:
     """The rejection of an object row that disagrees with the object table
-    (raised at the tiers' public boundary, see ``_fan_out``)."""
+    (raised at the tiers' public boundary, see ``ShardedMonitor._cycle``)."""
     return KeyError(
         f"object {oid} " + ("appeared twice" if appearing else "is not on-line")
     )
@@ -434,38 +433,22 @@ class ShardedMonitor(ContinuousMonitor):
         return per_shard
 
     def _cycle(
-        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
-    ) -> set[int]:
-        return self._fan_out(batch, query_updates, False)
-
-    def _cycle_deltas(
-        self, batch: FlatUpdateBatch, query_updates: Sequence[QueryUpdate]
-    ) -> dict[int, ResultDelta]:
-        return self._fan_out(batch, query_updates, True)
-
-    def _fan_out(
         self,
         batch: FlatUpdateBatch,
         query_updates: Sequence[QueryUpdate],
-        want_deltas: bool,
-    ):
+        keep_before: bool,
+    ) -> CycleChanges:
         """One cycle across the fleet: object maintenance replicated to
         every shard (the replication contract above — one flat batch fans
         out as-is, no per-shard re-packing; a process-backed executor
         ships it as one shared-memory block), query updates split by
-        owning shard.  Each shard engine runs its own columnar cycle;
-        with ``want_deltas`` the per-shard delta maps are merged into the
-        single-engine view, otherwise the changed sets are united.
+        owning shard.  Each shard engine runs its own ``_cycle`` and the
+        per-shard changes merge into the single-engine view.
 
         This is the tier's public boundary for object rows: a row whose
         ``appear`` flag disagrees with whether the object is on-line
         raises ``KeyError`` before any shard sees the batch.
         """
-        # Snapshot the routing before it mutates: the delta merge needs to
-        # know which shard held each query at the *start* of the cycle.
-        origin_shard = (
-            dict(self._query_shard) if want_deltas and query_updates else {}
-        )
         per_shard_qu = self._split_query_updates(query_updates)
         positions = self._positions
         for oid, nx, ny, ap, dis in zip(
@@ -478,44 +461,28 @@ class ShardedMonitor(ContinuousMonitor):
                 del positions[oid]
             else:
                 positions[oid] = (nx, ny)
-        payloads = self._call_all(
-            "process_deltas_flat" if want_deltas else "process_flat",
-            [(batch, tuple(qus)) for qus in per_shard_qu],
+        return self._merge_changes(
+            self._call_all(
+                "_cycle",
+                [(batch, tuple(qus), keep_before) for qus in per_shard_qu],
+            )
         )
-        if want_deltas:
-            return self._merge_shard_deltas(origin_shard, payloads)
-        return set().union(*payloads)
 
-    def _merge_shard_deltas(
-        self,
-        origin_shard: dict[int, int],
-        shard_deltas: Sequence[dict[int, ResultDelta]],
-    ) -> dict[int, ResultDelta]:
-        """Merge per-shard delta maps into the single-engine view."""
-        merged: dict[int, ResultDelta] = {}
-        reported: dict[int, list[tuple[int, ResultDelta]]] = {}
-        for shard, deltas in enumerate(shard_deltas):
-            for qid, delta in deltas.items():
-                reported.setdefault(qid, []).append((shard, delta))
-        for qid, entries in reported.items():
-            if len(entries) == 1:
-                merged[qid] = entries[0][1]
-                continue
-            # The query crossed shards this cycle.  Only the origin shard
-            # knows the true pre-cycle result: transit shards saw the
-            # query appear out of nowhere (empty "old" result).
-            origin = origin_shard.get(qid)
-            origin_delta = next((d for s, d in entries if s == origin), None)
-            if origin_delta is not None and not origin_delta.terminated:
-                # The query ended the cycle back on its origin shard,
-                # whose delta already diffs against the true old result;
-                # the other shards only saw transient installs.
-                merged[qid] = origin_delta
-                continue
-            old = list(origin_delta.outgoing) if origin_delta is not None else []
-            fresh = next((d for _s, d in entries if not d.terminated), None)
-            if fresh is not None:
-                merged[qid] = diff_results(qid, old, list(fresh.result))
-            else:
-                merged[qid] = diff_results(qid, old, [], terminated=True)
-        return merged
+    @staticmethod
+    def _merge_changes(shard_changes: Sequence[CycleChanges]) -> CycleChanges:
+        """Merge per-shard changes into the single-engine view.
+
+        A query reported by several shards crossed shards this cycle.
+        Only the shard that held it at the start of the cycle reports a
+        ``before`` (the others saw it appear out of nowhere), and only
+        the shard it ended on an ``after`` other than ``None`` (the
+        others terminated it).
+        """
+        before: dict[int, list[ResultEntry]] = {}
+        after: dict[int, list[ResultEntry] | None] = {}
+        for shard_before, shard_after in shard_changes:
+            before.update(shard_before)
+            for qid, result in shard_after.items():
+                if result is not None or qid not in after:
+                    after[qid] = result
+        return before, after

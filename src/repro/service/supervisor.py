@@ -99,6 +99,7 @@ _READ_ONLY = frozenset(
         "influence_cells",
         "iter_objects",
         "capture_state",
+        "check_invariants",
     }
 )
 

@@ -351,3 +351,34 @@ class TestInlineCellAddressing:
         for idx, target in enumerate(self.COORDS):
             h.apply([h.move(idx % 10, target)])
             h.check_all()
+
+
+class TestObjectMapInvariant:
+    """``check_invariants``' object clause: the oid -> cell map and the
+    cells' slot tables name the same objects."""
+
+    def test_holds_after_churn(self):
+        h = Harness(n_objects=60)
+        h.install(0, (0.5, 0.5), 3)
+        h.apply(
+            [
+                h.move(1, (0.9, 0.1)),
+                disappear_update(2, h.positions[2]),
+                appear_update(99, (0.3, 0.3)),
+            ]
+        )
+        h.monitor.check_invariants()
+
+    def test_map_naming_a_cell_without_the_object(self):
+        monitor = CPMMonitor(cells_per_axis=8)
+        monitor.load_objects([(1, (0.1, 0.1)), (2, (0.9, 0.9))])
+        monitor._object_cells[1] = monitor._object_cells[2]
+        with pytest.raises(AssertionError, match="does not hold it"):
+            monitor.check_invariants()
+
+    def test_cell_holding_an_unmapped_object(self):
+        monitor = CPMMonitor(cells_per_axis=8)
+        monitor.load_objects([(1, (0.1, 0.1)), (2, (0.11, 0.11))])
+        del monitor._object_cells[2]
+        with pytest.raises(AssertionError, match="hold 2 objects"):
+            monitor.check_invariants()

@@ -187,6 +187,19 @@ class TestSupervisedRecovery:
         assert log == ref_log
         assert report.total_cell_scans == ref_report.total_cell_scans
 
+    def test_invariant_probe_is_not_logged(self):
+        """``check_invariants`` reads engine state only, so it stays out
+        of the replay log a RESTART re-runs."""
+        executor = SupervisedShardExecutor()
+        monitor = ShardedMonitor(2, cells_per_axis=CELLS, executor=executor)
+        try:
+            replay(monitor, small_workload(timestamps=3))
+            lengths = [executor.log_length(s) for s in range(2)]
+            monitor._call_all("check_invariants", [()] * 2)
+            assert [executor.log_length(s) for s in range(2)] == lengths
+        finally:
+            monitor.close()
+
 
 # ----------------------------------------------------------------------
 # Partitioned state: RESTART must replay halo/pull/migration commands

@@ -69,16 +69,6 @@ class TestCpmFlatDeltas:
                 )
         assert any(d for d in row_stream), "workload produced no deltas"
 
-    def test_flat_deltas_not_reentrant(self, workload):
-        monitor = loaded(CPMMonitor(cells_per_axis=CELLS), workload)
-        batch = FlatUpdateBatch.from_batch(workload.batches[0])
-        monitor._delta_log = {}
-        try:
-            with pytest.raises(RuntimeError, match="re-entrant"):
-                monitor.process_deltas_flat(batch)
-        finally:
-            monitor._delta_log = None
-
 
 class TestShardedFlatDeltas:
     def test_sharded_flat_deltas_match_single_engine(self, workload):

@@ -45,6 +45,9 @@ CYCLE_NAMES = {
     "process_flat",
     "process_deltas",
     "process_deltas_flat",
+    # the query-update phase, which folds each update into the cycle's
+    # before/after pairs
+    "_apply_query_updates",
 }
 
 

@@ -286,6 +286,7 @@ class TestSuiteAndRunner:
                 family = "partition_scaling" if case.partitioned else "shard_scaling"
                 assert case.key == f"{family}/S={case.shards}"
                 assert case.workload == "network"
+                assert case.subscribed
 
     def test_high_density_is_one_arm_with_or_without_numpy(self):
         """The case set must not depend on which packages are importable."""
@@ -357,6 +358,17 @@ class TestSuiteAndRunner:
         for metric in ("cell_scans", "cell_accesses_per_query_per_ts",
                        "objects_scanned", "results_changed"):
             assert row.metrics[metric] == ref.metrics[metric], metric
+
+    def test_shard_tiers_deliver_the_single_engine_deltas(self):
+        """The shard cases stream deltas, so ``deltas_delivered`` gates
+        the tiers' merge of their shards' changes."""
+        cases = {c.key: c for c in build_suite(0.002, suite="smoke")}
+        routing = cases["subscription_routing/default"]
+        workload = routing.materialize()
+        expected = run_case(routing, workload, "CPM").metrics["deltas_delivered"]
+        for key in ("shard_scaling/S=4", "partition_scaling/S=4"):
+            row = run_case(cases[key], workload, "CPM")
+            assert row.metrics["deltas_delivered"] == expected, key
 
     def test_subscription_routing_in_both_suites(self):
         for suite in ("smoke", "full"):

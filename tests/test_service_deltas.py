@@ -3,8 +3,10 @@
 Every monitor's ``process_deltas`` must report exactly the difference
 between its result tables before and after the cycle — verified here by
 replaying workloads and cross-checking each delta against a snapshot
-diff (the base-class fallback implementation is the reference).
+diff of the whole result table.
 """
+
+import random
 
 import pytest
 
@@ -13,9 +15,18 @@ from repro.baselines.sea import SeaCnnMonitor
 from repro.baselines.ypk import YpkCnnMonitor
 from repro.core.cpm import CPMMonitor
 from repro.mobility.brinkhoff import BrinkhoffGenerator
-from repro.mobility.workload import WorkloadSpec
+from repro.mobility.workload import Workload, WorkloadSpec
 from repro.service.deltas import ResultDelta, diff_results
-from repro.updates import QueryUpdate, QueryUpdateKind, appear_update, move_update
+from repro.service.partition import PartitionedMonitor
+from repro.service.sharding import ShardedMonitor
+from repro.updates import (
+    QueryUpdate,
+    QueryUpdateKind,
+    UpdateBatch,
+    appear_update,
+    move_update,
+)
+from tests.conftest import scatter
 
 
 class TestDiffResults:
@@ -77,24 +88,84 @@ MONITOR_FACTORIES = [
     pytest.param(lambda: YpkCnnMonitor(cells_per_axis=16), id="YPK-CNN"),
     pytest.param(lambda: SeaCnnMonitor(cells_per_axis=16), id="SEA-CNN"),
     pytest.param(BruteForceMonitor, id="BruteForce"),
+    pytest.param(lambda: ShardedMonitor(2, cells_per_axis=16), id="Sharded-2"),
+    pytest.param(
+        lambda: PartitionedMonitor(2, cells_per_axis=16, halo=1), id="Partitioned-2"
+    ),
 ]
+
+
+def scripted_workload() -> Workload:
+    """Batches that update one qid several times, on a grid whose
+    two-shard split is ``x = 0.5``: every way a query can cross shards
+    inside one cycle, with object moves in the same batches."""
+    initial = dict(scatter(80, seed=5))
+    queries = {1: (0.2, 0.2), 2: (0.3, 0.7), 3: (0.7, 0.3), 4: (0.6, 0.8)}
+    kind = QueryUpdateKind
+    scripts = [
+        # insert + terminate in one batch
+        [QueryUpdate(10, kind.INSERT, (0.3, 0.3), 2), QueryUpdate(10, kind.TERMINATE)],
+        # terminate, then re-insert (on the other shard, with a new k)
+        [QueryUpdate(1, kind.TERMINATE), QueryUpdate(1, kind.INSERT, (0.7, 0.6), 4)],
+        # two moves, the second crossing shards
+        [QueryUpdate(2, kind.MOVE, (0.35, 0.65), 3), QueryUpdate(2, kind.MOVE, (0.8, 0.6), 3)],
+        # out of the origin shard and back to it
+        [QueryUpdate(3, kind.MOVE, (0.2, 0.4), 3), QueryUpdate(3, kind.MOVE, (0.72, 0.32), 3)],
+        # a k-less cross-shard move (the partitioned tier migrates it)
+        [QueryUpdate(4, kind.MOVE, (0.25, 0.75))],
+        # all of it at once: k-less moves out and back, insert-and-cross
+        [
+            QueryUpdate(1, kind.MOVE, (0.1, 0.9)),
+            QueryUpdate(1, kind.MOVE, (0.9, 0.1)),
+            QueryUpdate(11, kind.INSERT, (0.4, 0.4), 3),
+            QueryUpdate(11, kind.MOVE, (0.6, 0.4)),
+            QueryUpdate(2, kind.TERMINATE),
+        ],
+    ]
+    rng = random.Random(5)
+    positions = dict(initial)
+    batches = []
+    for t, query_updates in enumerate(scripts):
+        moves = []
+        for oid in rng.sample(sorted(positions), 10):
+            new = (rng.random(), rng.random())
+            moves.append(move_update(oid, positions[oid], new))
+            positions[oid] = new
+        batches.append(UpdateBatch(t, tuple(moves), tuple(query_updates)))
+    spec = WorkloadSpec(n_objects=80, n_queries=4, k=3, timestamps=len(batches), seed=5)
+    return Workload(spec, initial, queries, batches)
 
 
 @pytest.mark.parametrize("factory", MONITOR_FACTORIES)
 class TestCaptureMatchesSnapshots:
-    """Replay-level theorem: targeted capture == snapshot diff."""
+    """Replay-level theorem: the cycle's before/after pairs == snapshot diff."""
 
     def replay_and_check(self, factory, workload, k):
-        monitor = factory()
-        monitor.load_objects(workload.initial_objects.items())
-        for qid, point in workload.initial_queries.items():
-            monitor.install_query(qid, point, k)
+        """Replay ``process_deltas`` into one engine and ``process`` into
+        a twin; check each delta against the snapshot diff and the twin's
+        changed set against the non-terminated deltas."""
+        monitor, twin = factory(), factory()
+        try:
+            for engine in (monitor, twin):
+                engine.load_objects(workload.initial_objects.items())
+                for qid, point in workload.initial_queries.items():
+                    engine.install_query(qid, point, k)
+            self.check_batches(monitor, twin, workload)
+        finally:
+            for engine in (monitor, twin):
+                getattr(engine, "close", lambda: None)()
+
+    def check_batches(self, monitor, twin, workload):
         previous = monitor.result_table()
         saw_delta = False
         for batch in workload.batches:
             deltas = monitor.process_deltas(
                 batch.object_updates, batch.query_updates
             )
+            changed = twin.process(batch.object_updates, batch.query_updates)
+            assert changed == {
+                qid for qid, delta in deltas.items() if not delta.terminated
+            }, batch.timestamp
             current = monitor.result_table()
             changed_qids = {
                 qid
@@ -104,16 +175,17 @@ class TestCaptureMatchesSnapshots:
             new_qids = set(current) - set(previous)
             gone_qids = set(previous) - set(current)
             # Every result change is covered by a delta...
-            for qid in changed_qids | new_qids:
+            for qid in changed_qids | new_qids | gone_qids:
                 assert qid in deltas, (batch.timestamp, qid)
-            # ... and every delta matches the snapshot diff exactly.
+            # ... and every delta matches the snapshot diff exactly (a
+            # query inserted and terminated in one batch drains nothing).
             for qid, delta in deltas.items():
                 assert isinstance(delta, ResultDelta)
                 if delta.terminated:
-                    assert qid in gone_qids
+                    assert qid not in current
                     assert delta == diff_results(
-                        qid, previous[qid], [], terminated=True
-                    )
+                        qid, previous.get(qid, []), [], terminated=True
+                    ), (batch.timestamp, qid)
                 else:
                     reference = diff_results(
                         qid, previous.get(qid, []), current[qid]
@@ -144,6 +216,10 @@ class TestCaptureMatchesSnapshots:
             u.new is None for b in workload.batches for u in b.object_updates
         )
         self.replay_and_check(factory, workload, spec.k)
+
+    def test_same_qid_multi_update_batches(self, factory):
+        workload = scripted_workload()
+        self.replay_and_check(factory, workload, workload.spec.k)
 
 
 class TestExplicitQueryEvents:
@@ -221,9 +297,3 @@ class TestExplicitQueryEvents:
         cpm.install_query(9, (0.5, 0.5), 2)
         batch = [move_update(1, (0.4, 0.5), (0.42, 0.5))]
         assert cpm.process(batch) == {9}
-
-    def test_not_reentrant(self):
-        monitor = CPMMonitor(cells_per_axis=8)
-        monitor._delta_log = {}
-        with pytest.raises(RuntimeError):
-            monitor.process_deltas([])
