@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Remote dashboard: two processes, one ndjson wire protocol.
+"""Remote dashboard: two processes, one wire protocol.
 
 The **server process** hosts a CPM monitor behind a
 :class:`repro.api.server.MonitorSocketServer` on a localhost socket.
@@ -15,7 +15,7 @@ Two properties are verified (exit code != 0 on failure):
   query: the server's per-query topic routing, observed from outside.
 * **fidelity** — an in-process :class:`repro.api.session.Session`
   replays the identical workload; both delta streams are re-encoded as
-  wire frames and must match **byte for byte**.
+  wire frames (binary delta records) and must match **byte for byte**.
 
 Both processes derive the same deterministic workload from the same
 seed, so nothing but queries, updates and deltas crosses the socket.
@@ -99,7 +99,7 @@ def main() -> None:
         silent = client.register(
             KnnSpec(point=silent_point, k=SPEC.k), qid=silent_qid, watch=False
         )
-        remote_lines: list[str] = []
+        remote_lines: list[bytes] = []
         watched.subscribe(
             lambda ts, d: remote_lines.append(wire.encode_delta(ts, d))
         )
@@ -136,7 +136,7 @@ def main() -> None:
         KnnSpec(point=watched_point, k=SPEC.k), qid=watched_qid
     )
     local.register(KnnSpec(point=silent_point, k=SPEC.k), qid=silent_qid)
-    local_lines: list[str] = []
+    local_lines: list[bytes] = []
     local_watched.subscribe(
         lambda ts, d: local_lines.append(wire.encode_delta(ts, d))
     )
@@ -149,7 +149,11 @@ def main() -> None:
         f"delta frames — byte-identical: {matches}"
     )
     if remote_lines and matches:
-        print(f"sample frame: {remote_lines[-1]}")
+        sample = remote_lines[-1]
+        print(
+            f"sample frame: {len(sample)}-byte delta record "
+            f"{wire.decode_frame(sample)}"
+        )
     if leaked or not matches:
         raise SystemExit(1)
 

@@ -8,8 +8,8 @@ delta network transport and the wire-format ingestion source, unified):
 * :mod:`repro.api.session` — the in-process client surface
   (:class:`Session` + :class:`QueryHandle` with per-query delta
   subscriptions);
-* :mod:`repro.api.wire` — the versioned ndjson wire protocol (updates
-  in, deltas out);
+* :mod:`repro.api.wire` — the versioned wire protocol (ndjson updates
+  in, binary delta records out);
 * :mod:`repro.api.server` — the socket server publishing subscribed
   deltas and accepting update/query frames;
 * :mod:`repro.api.client` — the remote client mirroring the Session

@@ -7,8 +7,11 @@ and exposes the same vocabulary as the in-process
 ``send_updates`` / ``tick`` for driving cycles — every call translated
 to wire frames (:mod:`repro.api.wire`).
 
-One background reader thread owns the socket's receive side.  It
-dispatches ``delta`` frames to the subscribed handles' callbacks
+One background reader thread owns the socket's receive side, through
+one binary buffered reader that :func:`repro.api.wire.read_frame` takes
+a frame at a time — a binary ``delta`` record or an ndjson line, told
+apart by the first byte — for the welcome, the pump and the re-sync
+alike.  It dispatches ``delta`` frames to the subscribed handles' callbacks
 (callbacks therefore run on the reader thread — keep them fast, hand
 off to a queue for heavy work) and routes reply frames to the one
 in-flight request (requests are serialized by an internal lock).
@@ -198,7 +201,7 @@ class Client:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self._sock = sock
-        self._reader = sock.makefile("r", encoding="utf-8", newline="\n")
+        self._reader = sock.makefile("rb")
         self._write_lock = threading.Lock()
         self._request_lock = threading.Lock()
         self._replies: queue.Queue = queue.Queue()
@@ -267,11 +270,6 @@ class Client:
         self.metrics = metrics
         #: the server's ``welcome`` frame (name + supported versions).
         self.welcome: wire.Welcome = self._read_welcome()
-        if wire.WIRE_VERSION not in self.welcome.versions:
-            raise RemoteError(
-                f"server speaks versions {list(self.welcome.versions)}, "
-                f"client needs {wire.WIRE_VERSION}"
-            )
         self._reader_thread = threading.Thread(
             target=self._read_loop, name="monitor-client-reader", daemon=True
         )
@@ -328,12 +326,21 @@ class Client:
             self._sock.sendall(data)
 
     def _read_welcome(self) -> wire.Welcome:
-        line = self._reader.readline()
-        if not line:
+        try:
+            frame = wire.read_frame(self._reader)
+        except wire.WireError as exc:
+            # An older server's welcome: refused here, not at its first
+            # delta record.
+            raise RemoteError(f"server welcome refused: {exc}") from exc
+        if frame is None:
             raise RemoteError("connection closed before welcome")
-        frame = wire.decode_frame(line)
         if type(frame) is not wire.Welcome:
             raise RemoteError(f"expected welcome, got {frame!r}")
+        if wire.WIRE_VERSION not in frame.versions:
+            raise RemoteError(
+                f"server speaks versions {list(frame.versions)}, "
+                f"client needs {wire.WIRE_VERSION}"
+            )
         return frame
 
     def _read_loop(self) -> None:
@@ -379,12 +386,10 @@ class Client:
         for a silent peer close, or the exception for a transport/decode
         failure.
         """
+        read_frame = wire.read_frame
+        reader = self._reader
         try:
-            for line in self._reader:
-                line = line.strip()
-                if not line:
-                    continue
-                frame = wire.decode_frame(line)
+            while (frame := read_frame(reader)) is not None:
                 kind = type(frame)
                 if kind is wire.Delta:
                     self._dispatch_delta(frame)
@@ -421,7 +426,7 @@ class Client:
                 sock = self._dial(self._address, policy.connect_timeout)
             except OSError:
                 continue
-            reader = sock.makefile("r", encoding="utf-8", newline="\n")
+            reader = sock.makefile("rb")
             old_sock = self._sock
             with self._write_lock:
                 # Writers (requests are still parked on _connected, but a
@@ -469,13 +474,7 @@ class Client:
         for queries that vanished while the link was down.  Deltas the
         server publishes concurrently are dispatched as usual.
         """
-        welcome = self._read_welcome()
-        if wire.WIRE_VERSION not in welcome.versions:
-            raise RemoteError(
-                f"server speaks versions {list(welcome.versions)}, "
-                f"client needs {wire.WIRE_VERSION}"
-            )
-        self.welcome = welcome
+        self.welcome = self._read_welcome()
         if self._client_name:
             self._send(wire.Hello(client=self._client_name))
         self._send(
@@ -484,13 +483,9 @@ class Client:
         results: dict[int, list[ResultEntry]] = {}
         synced_objects = 0
         while True:
-            line = self._reader.readline()
-            if not line:
+            frame = wire.read_frame(self._reader)
+            if frame is None:
                 raise ConnectionResetError("connection lost during re-sync")
-            line = line.strip()
-            if not line:
-                continue
-            frame = wire.decode_frame(line)
             kind = type(frame)
             if kind is wire.Delta:
                 self._dispatch_delta(frame)

@@ -1,12 +1,14 @@
 """Socket transport: publish subscribed deltas, accept update frames.
 
 A :class:`MonitorSocketServer` exposes one
-:class:`repro.api.session.Session` over TCP speaking the ndjson wire
-protocol (:mod:`repro.api.wire`).  Each connection gets a reader thread;
-frames on one connection are processed strictly in arrival order, and
-every engine-touching operation takes the server-wide :attr:`lock` — the
-monitoring cycle itself stays single-threaded, the transport only
-serializes *around* it.  A host program that also drives the session
+:class:`repro.api.session.Session` over TCP speaking wire v4
+(:mod:`repro.api.wire`): ndjson lines in, and out every frame as an
+ndjson line except result deltas, which leave as binary records.  Each
+connection gets a reader thread; frames on one connection are
+processed strictly in arrival order, and every engine-touching
+operation takes the server-wide :attr:`lock` — the monitoring cycle
+itself stays single-threaded, the transport only serializes *around*
+it.  A host program that also drives the session
 directly (e.g. a server-side feed) must hold the same lock, or use
 :meth:`tick`.
 
@@ -14,9 +16,11 @@ Delta delivery rides the hub's per-query routing: a ``subscribe`` frame
 registers a per-qid subscription whose callback *enqueues* the delta on
 the connection's bounded outbox (:class:`repro.service.subscriptions.
 FanoutQueue`); a per-connection writer thread encodes and sends one
-**drain** at a time — every frame queued when it woke, joined into
-``sendall`` calls of at most :data:`FLUSH_BYTES` — so a cycle's deltas
-cost a handful of syscalls, not one each.  The hub's publish loop
+**drain** at a time — every frame queued when it woke, encoded to its
+wire bytes (:func:`repro.api.wire.encode_delta`'s record for a delta,
+the line plus ``\\n`` for anything else) and joined into ``sendall``
+calls of at most :data:`FLUSH_BYTES` — so a cycle's deltas cost a
+handful of syscalls, not one each.  The hub's publish loop
 therefore never blocks on a socket — a stalled client costs O(1) per
 delta until its outbox fills (frames queued plus frames of the drain in
 flight), at which point the server's :class:`SlowConsumerPolicy` fires
@@ -55,11 +59,11 @@ from repro.updates import QueryUpdateKind
 #: rows per ``sync_objects`` chunk of the cold-start stream.
 SYNC_CHUNK = 512
 
-#: most bytes of joined frame lines one ``sendall`` carries.  A drain
+#: most bytes of joined frames one ``sendall`` carries.  A drain
 #: larger than this goes out in several writes: the bound caps the
 #: transient join buffer (unbounded joining costs measurable peak RSS
 #: on a cycle's worth of deltas for nothing the syscall count still
-#: needs).  A single line larger than the bound is written alone.
+#: needs).  A single frame larger than the bound is written alone.
 FLUSH_BYTES = 64 * 1024
 
 #: metrics-pump wakeup resolution (seconds): the granularity at which
@@ -106,7 +110,7 @@ class _Connection:
     Outbound traffic is written a **drain** at a time: the outbox's
     writer thread hands :meth:`_write_batch` every frame that was queued
     when it woke, and the batch is encoded and sent in ``sendall`` calls
-    of at most :data:`FLUSH_BYTES` of joined lines.  Frames of the drain
+    of at most :data:`FLUSH_BYTES` of joined frames.  Frames of the drain
     in flight count toward ``outbound_limit`` until the batch is on the
     socket, so the connection never buffers more than that many frames.
     """
@@ -153,40 +157,46 @@ class _Connection:
 
     def _write_batch(self, items: list) -> None:
         """Writer-thread sink: encode one drain (late, for deltas) and
-        send it, one ``sendall`` per :data:`FLUSH_BYTES` of lines.
+        send it, one ``sendall`` per :data:`FLUSH_BYTES` of frames —
+        binary delta records and ``\\n``-terminated lines, joined.
 
         The fault hook is still asked once per frame, in order; when it
-        fires at frame N the frames of this drain before N are flushed,
-        then the transport is cut."""
+        fires at frame N — or frame N cannot be encoded — the frames of
+        this drain before N are flushed, then the transport is cut."""
         hook = self.server.fault_hook
         encode_delta = wire.encode_delta
         encode_frame = wire.encode_frame
-        lines: list[str] = []
+        chunks: list[bytes] = []
         size = 0
         for item in items:
             if hook is not None and hook(self.index, self.frames_sent):
-                if lines:
-                    self._send_lines(lines)
-                self._cut()
+                self._abort(chunks)
                 # Marks the outbox broken; the reader thread's EOF tears
                 # the connection down through the normal path.
                 raise ConnectionAbortedError("injected connection fault")
-            self.frames_sent += 1
             if type(item) is tuple:
-                line = encode_delta(item[0], item[1])
+                try:
+                    data = encode_delta(item[0], item[1])
+                except wire.WireError:
+                    self._abort(chunks)
+                    raise
             else:
-                line = encode_frame(item)
-            # Lines are ASCII (the encoder escapes the rest): len == bytes.
-            size += len(line) + 1
-            if size > FLUSH_BYTES and lines:
-                self._send_lines(lines)
-                lines = []
-                size = len(line) + 1
-            lines.append(line)
-        self._send_lines(lines)
+                # Lines are ASCII (the encoder escapes the rest).
+                data = (encode_frame(item) + "\n").encode("ascii")
+            self.frames_sent += 1
+            size += len(data)
+            if size > FLUSH_BYTES and chunks:
+                self.sock.sendall(b"".join(chunks))
+                chunks = []
+                size = len(data)
+            chunks.append(data)
+        self.sock.sendall(b"".join(chunks))
 
-    def _send_lines(self, lines: list[str]) -> None:
-        self.sock.sendall(("\n".join(lines) + "\n").encode("utf-8"))
+    def _abort(self, chunks: list[bytes]) -> None:
+        """Flush the frames already encoded, then cut the transport."""
+        if chunks:
+            self.sock.sendall(b"".join(chunks))
+        self._cut()
 
     def _cut(self) -> None:
         """Drop the transport abruptly — no ``bye`` — so the peer sees

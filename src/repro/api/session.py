@@ -17,7 +17,7 @@ a bare engine) and exposes the client vocabulary:
   monitoring cycle exactly like the service does.
 
 The same surface exists remotely: :class:`repro.api.client.Client`
-mirrors it over the ndjson wire protocol.  Workload replay lives here
+mirrors it over the wire protocol.  Workload replay lives here
 too — :meth:`Session.replay`, or the one-shot :func:`replay_workload`.
 """
 

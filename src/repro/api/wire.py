@@ -1,21 +1,40 @@
-"""The versioned ndjson wire protocol: updates in, deltas out.
+"""The versioned wire protocol: updates in, deltas out.
 
-One frame = one JSON object = one ``\\n``-terminated line.  Every frame
-carries the protocol version under ``"v"`` and its type under ``"t"``;
-decoding rejects unknown versions and unknown types up front, so a
-future version can change any frame shape without silently corrupting
-older peers (the versioning policy is documented in the README's
-client-API section).
+**Framing.**  A frame's first byte says how it is framed.  Every frame
+but one is an ndjson line: one JSON object, ``\\n``-terminated, that
+carries the protocol version under ``"v"`` and its type under ``"t"``.
+The one exception is :class:`Delta`, by far the most frequent frame: it
+is a length-prefixed binary record whose first byte is
+:data:`BINARY_MARK` (``0xFF``, which never occurs in UTF-8, so no line
+can start with it)::
 
-**v2** added the pub/sub vocabulary — attribute tags, filtered
-subscriptions, the cold-start sync handshake and the slow-consumer lag
-marker — and **v3** adds the telemetry vocabulary — the
-``watch_metrics`` request plus server-pushed ``metrics`` snapshots and
-``alert`` events.  Both bumps are additive (new frame types only, no
-reshapes), so v1 and v2 lines still decode
-(:data:`SUPPORTED_VERSIONS`); everything this module *encodes* is
-stamped v3, which a strict older peer rejects loudly at the first
-frame.
+    offset  size  field
+    0       1     0xFF marker
+    1       4     u32 length of everything after this field
+    5       1     u8  version (4)
+    6       1     u8  tag (1 = delta)
+    7       1     u8  flags: 1 ts present, 2 reordered, 4 terminated
+    8       8     i64 ts (0 when the flag is clear)
+    16      8     i64 qid
+    24      4     u32 |in|
+    28      4     u32 |out|
+    32      4     u32 |result|
+    36      8n    f64 distances of in, out, result (n = the three counts)
+    36+8n   8n    i64 oids, same order
+
+All integers and floats are little-endian on every host.  A record
+therefore costs ``36 + 16n`` bytes and no text formatting; ``length``
+must equal ``31 + 16n`` and the bytes that follow it, exactly.
+
+Decoding rejects unknown versions, types and tags up front, and
+:func:`decode_frame` raises :class:`WireError` — only ever that — for
+anything it cannot accept.  **Versions.**  v2 added the pub/sub
+vocabulary (tags, filtered subscriptions, cold-start sync, the lag
+marker) and v3 the telemetry vocabulary (``watch_metrics``, ``metrics``,
+``alert``), both additively.  **v4** reshapes the delta frame into the
+binary record above, which no v1–v3 peer can read, so a v4 endpoint
+speaks v4 only (:data:`SUPPORTED_VERSIONS`): a v1–v3 peer is refused at
+the ``welcome`` (or its first frame) instead of at its first delta.
 
 The frame vocabulary mirrors the in-process client surface
 (:mod:`repro.api.session`) plus the ingestion vocabulary
@@ -38,7 +57,7 @@ frame                 direction  meaning
 :class:`Snapshot`     s -> c     the ordered result table of one query
 :class:`Subscribe`    c -> s     route this query's deltas to me
 :class:`Unsubscribe`  c -> s     stop routing them
-:class:`Delta`        s -> c     one per-query result delta
+:class:`Delta`        s -> c     one per-query result delta (binary)
 :class:`Tags`         c -> s     merge object attribute tags (v2)
 :class:`Sync`         c -> s     cold-start: stream current state (v2)
 :class:`SyncObjects`  s -> c     one chunk of the object table (v2)
@@ -54,13 +73,14 @@ frame                 direction  meaning
 ====================  =========  ==========================================
 
 Encoding is canonical: explicit key order, compact separators, floats
-serialized by ``repr`` (via ``json``) — so ``encode(decode(line)) ==
-line`` for every frame this module produced, which is what lets the
-tests (and paranoid clients) compare delta streams byte for byte.  One
-module-level encoder and one module-level decoder do all of it; the
-decoder refuses ``NaN`` / ``Infinity`` / ``-Infinity`` (not JSON, and
-poison as distances or coordinates), and :func:`decode_frame` raises
-:class:`WireError` — only ever that — for any line it cannot accept.
+serialized by ``repr`` (via ``json``), and one fixed layout for the
+binary record — so ``encode_frame(decode_frame(b)) == b`` for every
+frame this module produced, which is what lets the tests (and paranoid
+clients) compare delta streams byte for byte.  One module-level encoder
+and one module-level decoder do all the JSON; the decoders refuse
+``NaN`` / ``Infinity`` / ``-Infinity`` (not JSON, and poison as
+distances or coordinates) and any qid or oid outside signed 64-bit
+(it could not ride a binary delta).
 
 Points are ``[x, y]``; result entries are ``[dist, oid]``; object
 update rows are ``[oid, old, new]`` with ``null`` for the
@@ -70,7 +90,10 @@ appearance/disappearance side, exactly the Section 3 tuple.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isfinite
 from typing import Union
 
 from repro.api.queries import QuerySpec, spec_from_wire, spec_to_wire
@@ -79,12 +102,46 @@ from repro.service.deltas import ResultDelta
 from repro.updates import FlatUpdateBatch, ObjectUpdate, QueryUpdate, QueryUpdateKind
 
 #: the protocol version this module speaks (stamps every encoded frame).
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
-#: versions :func:`decode_frame` accepts.  v2 (pub/sub) and v3
-#: (telemetry) are additive over v1 (new frame types only, no
-#: reshapes), so older lines still parse.
-SUPPORTED_VERSIONS = (1, 2, 3)
+#: versions :func:`decode_frame` accepts.  v4's binary delta record is
+#: unreadable to a v1–v3 peer, so there is no older version to accept.
+SUPPORTED_VERSIONS = (4,)
+
+#: first byte of a binary record (never a byte of UTF-8 text).
+BINARY_MARK = 0xFF
+_MARK = bytes([BINARY_MARK])
+
+#: the binary record's type tag for :class:`Delta` (its only type).
+DELTA_TAG = 1
+
+#: delta record flag bits.
+_HAS_TS = 1
+_REORDERED = 2
+_TERMINATED = 4
+
+#: marker, length, version, tag, flags, ts, qid, |in|, |out|, |result|.
+_HEADER = struct.Struct("<BIBBBqqIII")
+#: bytes of a record the length field does not count (marker + length).
+_PREFIX = 5
+#: the length field of a record with no entries; each adds 16.
+_EMPTY_LENGTH = _HEADER.size - _PREFIX
+
+#: the largest binary record :func:`read_frame` reads (bytes after the
+#: prefix): a million result entries.  A length beyond it is refused
+#: before anything is allocated for it.
+MAX_RECORD_BYTES = 1 << 24
+
+
+@lru_cache(maxsize=256)
+def _record(n: int) -> struct.Struct:
+    """The whole delta record's layout for ``n`` entries (compiled once
+    per entry count; the header fields come first)."""
+    return struct.Struct(f"{_HEADER.format}{n}d{n}q")
+
+
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
 
 ResultEntry = tuple[float, int]
 
@@ -327,6 +384,14 @@ def _number(raw) -> int | float:
     raise TypeError(f"not a number: {raw!r}")
 
 
+def _id(raw) -> int:
+    """A qid or oid: an int that fits the binary delta's ``i64``."""
+    value = int(raw)
+    if _I64_MIN <= value <= _I64_MAX:
+        return value
+    raise ValueError(f"id {value} does not fit a signed 64-bit field")
+
+
 def _entries(raw) -> tuple[ResultEntry, ...]:
     return tuple([(float(d), int(oid)) for d, oid in raw])
 
@@ -351,21 +416,10 @@ def _query_op_out(qu: QueryUpdate) -> dict:
 def _query_op_in(obj: dict) -> QueryUpdate:
     k = obj.get("k")
     return QueryUpdate(
-        int(obj["qid"]),
+        _id(obj["qid"]),
         QueryUpdateKind(obj["op"]),
         _opt_point(obj.get("point")),
         None if k is None else int(k),
-    )
-
-
-def _delta_in(obj: dict) -> ResultDelta:
-    return ResultDelta(
-        qid=int(obj["qid"]),
-        incoming=_entries(obj["in"]),
-        outgoing=_entries(obj["out"]),
-        reordered=bool(obj["reordered"]),
-        result=_entries(obj["result"]),
-        terminated=bool(obj["terminated"]),
     )
 
 
@@ -469,8 +523,10 @@ def _body(frame: Frame) -> tuple[str, dict]:
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
-def encode_frame(frame: Frame) -> str:
-    """One canonical ndjson line (no trailing newline)."""
+def encode_frame(frame: Frame) -> str | bytes:
+    """One canonical frame: the ndjson line (``str``, no trailing
+    newline), or for :class:`Delta` the whole binary record (``bytes``,
+    already framed)."""
     if type(frame) is Delta:
         return encode_delta(frame.timestamp, frame.delta)
     kind, body = _body(frame)
@@ -479,23 +535,47 @@ def encode_frame(frame: Frame) -> str:
     return _encode(obj)
 
 
-def encode_delta(timestamp: int | None, delta: ResultDelta) -> str:
-    """The :class:`Delta` frame line, serialized straight from the
-    :class:`ResultDelta` (the publishers' hot path: no frame object, no
-    copies of the entry tuples)."""
-    return _encode(
-        {
-            "v": WIRE_VERSION,
-            "t": "delta",
-            "ts": timestamp,
-            "qid": delta.qid,
-            "in": delta.incoming,
-            "out": delta.outgoing,
-            "reordered": delta.reordered,
-            "result": delta.result,
-            "terminated": delta.terminated,
-        }
+def encode_delta(timestamp: int | None, delta: ResultDelta) -> bytes:
+    """The :class:`Delta` binary record, packed straight from the
+    :class:`ResultDelta` (the publishers' hot path: no frame object).
+
+    Raises :class:`WireError` naming the id when ``timestamp``, the qid
+    or an oid does not fit a signed 64-bit field."""
+    incoming = delta.incoming
+    outgoing = delta.outgoing
+    result = delta.result
+    entries = incoming + outgoing + result
+    n = len(entries)
+    flags = (_REORDERED if delta.reordered else 0) | (
+        _TERMINATED if delta.terminated else 0
     )
+    if timestamp is None:
+        ts = 0
+    else:
+        ts = timestamp
+        flags |= _HAS_TS
+    dists, oids = zip(*entries) if n else ((), ())
+    try:
+        return _record(n).pack(
+            BINARY_MARK, _EMPTY_LENGTH + 16 * n, WIRE_VERSION, DELTA_TAG,
+            flags, ts, delta.qid, len(incoming), len(outgoing), len(result),
+            *dists, *oids,
+        )
+    except struct.error as exc:
+        raise WireError(_unpackable(timestamp, delta, entries, exc)) from exc
+
+
+def _unpackable(timestamp, delta, entries, exc) -> str:
+    """Why a delta could not be packed: the first id that does not fit
+    its ``i64`` field, else the packer's own complaint."""
+    named = [("ts", timestamp), ("qid", delta.qid)]
+    named += [("oid", oid) for _d, oid in entries]
+    for name, value in named:
+        if value is not None and not (
+            type(value) is int and _I64_MIN <= value <= _I64_MAX
+        ):
+            return f"delta {name} {value!r} does not fit a signed 64-bit field"
+    return f"delta does not fit the binary record: {exc}"
 
 
 def encode_updates_flat(batch: FlatUpdateBatch) -> str:
@@ -539,13 +619,103 @@ def _reject_constant(name: str):
 _decode = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
-def decode_frame(line: str | bytes) -> Frame:
-    """Parse one frame line; raises :class:`WireError` on anything off
-    (never another exception type, whatever the line holds).
+def _decode_delta(data: bytes) -> Delta:
+    """One whole binary record (marker included) back into its
+    :class:`Delta`; every field is checked against the layout in the
+    module docstring."""
+    size = len(data)
+    if size < _HEADER.size:
+        raise WireError(
+            f"truncated binary record: {size} bytes, the header alone "
+            f"is {_HEADER.size}"
+        )
+    (_mark, length, version, tag, flags, ts, qid,
+     n_in, n_out, n_result) = _HEADER.unpack_from(data)
+    if length != size - _PREFIX:
+        raise WireError(
+            f"binary record length {length} != the {size - _PREFIX} "
+            f"bytes that follow it"
+        )
+    if version != WIRE_VERSION:
+        raise WireError(
+            f"unsupported wire version {version!r} "
+            f"(this endpoint speaks {list(SUPPORTED_VERSIONS)})"
+        )
+    if tag != DELTA_TAG:
+        raise WireError(f"unknown binary frame tag {tag}")
+    if flags & ~(_HAS_TS | _REORDERED | _TERMINATED):
+        raise WireError(f"delta flags {flags:#04x} set an undefined bit")
+    if not flags & _HAS_TS:
+        if ts:
+            raise WireError("delta carries a ts but its flag is clear")
+        ts = None
+    n = n_in + n_out + n_result
+    if length != _EMPTY_LENGTH + 16 * n:
+        raise WireError(
+            f"delta length {length} does not hold its {n_in}+{n_out}"
+            f"+{n_result} entries"
+        )
+    values = _record(n).unpack(data)
+    dists = values[10 : 10 + n]
+    # A sum of floats is finite iff every term is, unless finite terms
+    # overflow it: only then is the per-entry check needed.
+    if not isfinite(sum(dists)) and not all(map(isfinite, dists)):
+        raise WireError("non-finite distance in delta")
+    entries = tuple(zip(dists, values[10 + n :]))
+    split = n_in + n_out
+    return Delta(
+        ts,
+        ResultDelta(
+            qid,
+            entries[:n_in],
+            entries[n_in:split],
+            bool(flags & _REORDERED),
+            entries[split:],
+            bool(flags & _TERMINATED),
+        ),
+    )
 
-    Unknown versions are rejected *before* the type is inspected — a v2
-    peer talking to a v1 endpoint fails loudly at the first frame.
+
+def read_frame(stream) -> Frame | None:
+    """The next frame on a binary buffered stream (``sock.makefile("rb")``),
+    or ``None`` at a clean end of stream.
+
+    The first byte picks the framing: :data:`BINARY_MARK` reads the
+    length prefix and exactly that many bytes more, anything else reads
+    one line (blank lines are skipped).  A record cut short by the end
+    of the stream, or longer than :data:`MAX_RECORD_BYTES`, raises
+    :class:`WireError` like any other undecodable frame.
     """
+    while True:
+        first = stream.read(1)
+        if not first:
+            return None
+        if first == _MARK:
+            record = first + stream.read(4)
+            if len(record) == _PREFIX:
+                length = int.from_bytes(record[1:], "little")
+                if length > MAX_RECORD_BYTES:
+                    raise WireError(
+                        f"binary record of {length} bytes exceeds "
+                        f"{MAX_RECORD_BYTES}"
+                    )
+                record += stream.read(length)
+            return _decode_delta(record)
+        if first != b"\n":
+            return decode_frame(first + stream.readline())
+
+
+def decode_frame(line: str | bytes) -> Frame:
+    """Parse one frame — an ndjson line, or a whole binary record as
+    :func:`encode_delta` made it; raises :class:`WireError` on anything
+    off (never another exception type, whatever the input holds).
+
+    Bytes dispatch on their first byte (:data:`BINARY_MARK` = binary).
+    Unknown versions are rejected *before* the type is inspected — an
+    older peer talking to this endpoint fails loudly at the first frame.
+    """
+    if not isinstance(line, str) and line[:1] == _MARK:
+        return _decode_delta(line)
     try:
         if not isinstance(line, str):
             line = str(line, "utf-8")
@@ -565,14 +735,16 @@ def decode_frame(line: str | bytes) -> Frame:
         )
     kind = obj.get("t")
     try:
-        if kind == "delta":
-            return Delta(timestamp=obj["ts"], delta=_delta_in(obj))
         if kind == "updates":
             rows = []
             for oid, old, new in obj["rows"]:
-                rows.append(
-                    ObjectUpdate(int(oid), _opt_point(old), _opt_point(new))
-                )
+                oid = int(oid)
+                # _id inlined: this loop runs once per ingested row.
+                if not _I64_MIN <= oid <= _I64_MAX:
+                    raise ValueError(
+                        f"id {oid} does not fit a signed 64-bit field"
+                    )
+                rows.append(ObjectUpdate(oid, _opt_point(old), _opt_point(new)))
             return Updates(updates=tuple(rows))
         if kind == "tick":
             ts = obj["ts"]
@@ -589,31 +761,31 @@ def decode_frame(line: str | bytes) -> Frame:
             qid = obj.get("qid")
             return Register(
                 spec=spec_from_wire(obj["spec"]),
-                qid=None if qid is None else int(qid),
+                qid=None if qid is None else _id(qid),
                 watch=bool(obj.get("watch", True)),
             )
         if kind == "registered":
             return Registered(qid=int(obj["qid"]), result=_entries(obj["result"]))
         if kind == "move":
-            return Move(qid=int(obj["qid"]), point=_point(obj["point"]))
+            return Move(qid=_id(obj["qid"]), point=_point(obj["point"]))
         if kind == "terminate":
-            return Terminate(qid=int(obj["qid"]))
+            return Terminate(qid=_id(obj["qid"]))
         if kind == "get_snapshot":
-            return GetSnapshot(qid=int(obj["qid"]))
+            return GetSnapshot(qid=_id(obj["qid"]))
         if kind == "snapshot":
             return Snapshot(qid=int(obj["qid"]), result=_entries(obj["result"]))
         if kind == "subscribe":
             return Subscribe(
-                qid=int(obj["qid"]),
+                qid=_id(obj["qid"]),
                 include_unchanged=bool(obj.get("include_unchanged", False)),
             )
         if kind == "unsubscribe":
-            return Unsubscribe(qid=int(obj["qid"]))
+            return Unsubscribe(qid=_id(obj["qid"]))
         if kind == "tags":
             return Tags(
                 rows=tuple(
                     [
-                        (int(oid), tuple([str(t) for t in tags]))
+                        (_id(oid), tuple([str(t) for t in tags]))
                         for oid, tags in obj["rows"]
                     ]
                 )

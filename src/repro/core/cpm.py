@@ -330,8 +330,9 @@ class CPMMonitor(ContinuousMonitor):
             # Plain point NN: the core is the single query cell (mindist
             # 0 by construction would be wrong for clamped out-of-bounds
             # queries, so it is still computed) and the four level-0 keys
-            # are perpendicular gaps (strategies._perpendicular_gap,
-            # inlined; same float ops).
+            # are perpendicular gaps to the strip's near grid line,
+            # computed with the float expression its cells' mindist uses
+            # (the same key rule as _run_search's deeper levels).
             qx = state.qx
             qy = state.qy
             ci = partition.i_lo
@@ -349,11 +350,11 @@ class CPMMonitor(ContinuousMonitor):
             if ci <= cols_2:  # RIGHT_0
                 gap = bx0 + (ci + 1) * delta - qx
                 heap.push_rect(gap if gap > 0.0 else 0.0, 1, 0)
-            if cj >= 1:  # DOWN_0
-                gap = qy - (by0 + cj * delta)
+            if cj >= 1:  # DOWN_0: row cj-1's top edge, as its cells' y1
+                gap = qy - (by0 + (cj - 1) * delta + delta)
                 heap.push_rect(gap if gap > 0.0 else 0.0, 2, 0)
-            if ci >= 1:  # LEFT_0
-                gap = qx - (bx0 + ci * delta)
+            if ci >= 1:  # LEFT_0: column ci-1's right edge, as its x1
+                gap = qx - (bx0 + (ci - 1) * delta + delta)
                 heap.push_rect(gap if gap > 0.0 else 0.0, 3, 0)
         else:
             for i, j in partition.core_cells():
@@ -512,8 +513,13 @@ class CPMMonitor(ContinuousMonitor):
                 # this is where most heap entries are born.
                 direction, level = a, b
                 seq = heap._seq
+                # ``gap``: the next level's key, the distance to its grid
+                # line spelled exactly as its cells' mindist spells it, so
+                # no cell ever keys below the strip that en-heaps it (an
+                # accumulated ``key + step`` can, by one ulp).
                 if direction == 0:  # UP: row cj+level+1, columns vary
                     jj = cj + level + 1
+                    gap = by0 + (jj + 1) * delta - qy
                     lo = ci - level
                     if lo < 0:
                         lo = 0
@@ -524,6 +530,7 @@ class CPMMonitor(ContinuousMonitor):
                     nxt = rows_1 - 1 - cj >= level + 1
                 elif direction == 1:  # RIGHT: column ci+level+1, rows vary
                     ii = ci + level + 1
+                    gap = bx0 + (ii + 1) * delta - qx
                     lo = cj - level - 1
                     if lo < 0:
                         lo = 0
@@ -534,6 +541,7 @@ class CPMMonitor(ContinuousMonitor):
                     nxt = cols_1 - 1 - ci >= level + 1
                 elif direction == 2:  # DOWN: row cj-level-1, columns vary
                     jj = cj - level - 1
+                    gap = qy - (by0 + (jj - 1) * delta + delta)
                     lo = ci - level - 1
                     if lo < 0:
                         lo = 0
@@ -544,6 +552,7 @@ class CPMMonitor(ContinuousMonitor):
                     nxt = cj - 1 >= level + 1
                 else:  # LEFT: column ci-level-1, rows vary
                     ii = ci - level - 1
+                    gap = qx - (bx0 + (ii - 1) * delta + delta)
                     lo = cj - level
                     if lo < 0:
                         lo = 0
@@ -608,9 +617,12 @@ class CPMMonitor(ContinuousMonitor):
                         seq += 1
                         heappush(heap_list, (md, seq, CELL, ii, j))
                 if nxt:
-                    # Inlined SearchHeap.push_rect (Lemma 3.1 key step).
+                    # Inlined SearchHeap.push_rect.
                     seq += 1
-                    heappush(heap_list, (key + step, seq, RECT, direction, level + 1))
+                    heappush(
+                        heap_list,
+                        (gap if gap > 0.0 else 0.0, seq, RECT, direction, level + 1),
+                    )
                 heap._seq = seq
             else:
                 direction, level = a, b

@@ -4,8 +4,9 @@ boundary.
 **Byte identity.**  The server writes one *drain* at a time — every
 frame queued when the connection's writer woke, joined into a few
 ``sendall`` calls.  A raw-socket subscriber must still receive exactly
-``encode_frame(f) + "\\n"`` for every frame ``f`` of the per-frame
-reference, in order: through plain cycles, through a
+the concatenation of the per-frame encodings of the reference, in
+order — ``encode_frame(f) + "\\n"`` for a JSON frame, the binary
+record ``encode_frame(f)`` for a delta: through plain cycles, through a
 ``DROP_AND_SNAPSHOT`` episode, and up to (not including) the frame a
 ``FaultPlan`` cuts at in the middle of a drain.
 
@@ -14,9 +15,10 @@ runs on the writer thread before every frame: a hook that *blocks* is a
 consumer stalled at an exact frame boundary, whatever the kernel's
 buffers hold.
 
-**Poisoned frames.**  ``NaN`` / ``Infinity`` are not JSON.  Each
-endpoint turns a frame carrying one into the loss of that connection,
-and applies nothing of it.
+**Poisoned frames.**  ``NaN`` / ``Infinity`` are not JSON, nor a
+distance a binary delta may carry.  Each endpoint turns a frame
+carrying one — or a record whose framing does not add up — into the
+loss of that connection, and applies nothing of it.
 """
 
 import socket
@@ -25,16 +27,16 @@ import threading
 import pytest
 
 from repro.api import wire
-from repro.api.client import Client, RemoteError
+from repro.api.client import Client, RemoteError, RemoteSubscription
 from repro.api.queries import KnnSpec
 from repro.api.server import FLUSH_BYTES, MonitorSocketServer
 from repro.api.session import Session
 from repro.core.cpm import CPMMonitor
 from repro.ingest.feeds import SocketFeed
+from repro.service.deltas import ResultDelta
 from repro.service.subscriptions import SlowConsumerPolicy
 from repro.testing.faults import FaultPlan
 from repro.updates import ObjectUpdate
-from tests.test_fault_tolerance import frame_line as line_of
 from tests.test_service_fanout import wait_for
 
 QID = 7
@@ -42,6 +44,38 @@ SPEC = KnnSpec(point=(0.5, 0.5), k=2)
 #: the mover's two places; each flip re-keys the query's second neighbor,
 #: so every cycle yields exactly one changed delta for ``QID``.
 PLACES = [(0.55, 0.5), (0.6, 0.5)]
+
+
+def line_of(frame) -> bytes:
+    """One JSON frame's wire bytes: its line plus the newline."""
+    return (wire.encode_frame(frame) + "\n").encode()
+
+
+def wire_bytes(frame) -> bytes:
+    """One frame's wire bytes: a delta is its binary record as is."""
+    if type(frame) is wire.Delta:
+        return wire.encode_frame(frame)
+    return line_of(frame)
+
+
+def split_frames(data: bytes) -> list[bytes]:
+    """The whole frames at the head of ``data``, by the framing rule
+    alone: a ``0xFF`` byte opens a record of ``5 + u32 length`` bytes,
+    any other byte a line that runs through its newline."""
+    frames: list[bytes] = []
+    at = 0
+    while at < len(data):
+        if data[at] == wire.BINARY_MARK:
+            end = at + 5 + int.from_bytes(data[at + 1 : at + 5], "little")
+            if at + 5 > len(data) or end > len(data):
+                break
+        else:
+            end = data.find(b"\n", at) + 1
+            if end == 0:
+                break
+        frames.append(data[at:end])
+        at = end
+    return frames
 
 
 class StallHook:
@@ -94,8 +128,8 @@ class Script:
     def send(self, frame):
         self.sock.sendall(line_of(frame))
 
-    def read_until_lines(self, n: int) -> None:
-        while self.received.count(b"\n") < n:
+    def read_until_frames(self, n: int) -> None:
+        while len(split_frames(self.received)) < n:
             chunk = self.sock.recv(65536)
             assert chunk, "server closed early"
             self.received += chunk
@@ -112,7 +146,8 @@ class Script:
 
     def expected_bytes(self, frames=None) -> bytes:
         return b"".join(
-            line_of(f) for f in (self.reference if frames is None else frames)
+            wire_bytes(f)
+            for f in (self.reference if frames is None else frames)
         )
 
     # -- the script's moves --------------------------------------------
@@ -123,14 +158,14 @@ class Script:
     def quiesce(self) -> int:
         """Read everything the reference expects; returns the ordinal
         the connection's next outbound frame will carry."""
-        self.read_until_lines(len(self.reference))
+        self.read_until_frames(len(self.reference))
         assert wait_for(lambda: self.conn_stats().depth == 0)
         assert self.conn_stats().frames_sent == len(self.reference)
         return len(self.reference)
 
     def register(self):
         self.send(wire.Register(spec=SPEC, qid=QID, watch=True))
-        self.read_until_lines(len(self.reference) + 1)
+        self.read_until_frames(len(self.reference) + 1)
         with self.server.lock:
             result = tuple(self.session.snapshot(QID))
         self.reference.append(wire.Registered(qid=QID, result=result))
@@ -147,7 +182,7 @@ class Script:
             line_of(wire.Updates(updates=(self.flip(),)))
             + line_of(wire.Tick(timestamp=timestamp))
         )
-        self.read_until_lines(len(self.reference) + 2)
+        self.read_until_frames(len(self.reference) + 2)
         self.reference.append(self.published[-1])
         self.reference.append(wire.Ticked(timestamp=timestamp, changed=(QID,)))
 
@@ -196,18 +231,25 @@ class TestByteIdentity:
             script.wire_cycle(0)
             hook.stall_at = script.quiesce()
 
+            def counters():
+                stats = script.conn_stats()
+                return stats.overflows, stats.dropped, stats.depth
+
             in_flight = script.host_cycle(10)      # parks the writer
             assert hook.parked.wait(timeout=5.0)
+            assert counters() == (0, 0, 1)
             script.host_cycle(11)                  # queued, will be shed
+            assert counters() == (0, 0, 2)
             kept = script.snapshot_request(depth_after=3)
             for t in (12, 13, 14):
                 script.host_cycle(t)               # queued, will be shed
-            assert script.conn_stats().depth == 6
+            assert counters() == (0, 0, 6)
             script.host_cycle(15)                  # overflow: sheds itself too
-            stats = script.conn_stats()
-            assert (stats.overflows, stats.dropped, stats.depth) == (1, 5, 3)
+            assert counters() == (1, 5, 3)
             after = script.host_cycle(16)
+            assert counters() == (1, 5, 4)
             late = script.snapshot_request(depth_after=5)
+            assert counters() == (1, 5, 5)
             hook.release.set()
 
             script.reference += [
@@ -219,9 +261,13 @@ class TestByteIdentity:
                 late,
             ]
             script.quiesce()
+            assert split_frames(script.received) == [
+                wire_bytes(f) for f in script.reference
+            ]
             assert script.received == script.expected_bytes()
             stats = script.conn_stats()
-            assert not stats.broken and stats.dropped == 5
+            assert not stats.broken
+            assert (stats.overflows, stats.dropped, stats.depth) == (1, 5, 0)
         finally:
             hook.release.set()
             script.close()
@@ -239,7 +285,7 @@ class TestByteIdentity:
             queued_bytes = 0
             while queued_bytes < 3 * FLUSH_BYTES:
                 backlog.append(script.host_cycle(100 + len(backlog)))
-                queued_bytes += len(line_of(backlog[-1]))
+                queued_bytes += len(wire_bytes(backlog[-1]))
             hook.release.set()
             script.reference += backlog
             script.quiesce()
@@ -288,10 +334,23 @@ class TestByteIdentity:
 # Poisoned frames: one connection lost, nothing applied
 # ----------------------------------------------------------------------
 
-POISONED_DELTA = (
-    b'{"v":3,"t":"delta","ts":1,"qid":7,"in":[[NaN,4]],"out":[],'
-    b'"reordered":false,"result":[[NaN,4]],"terminated":false}\n'
-)
+def poisoned_delta_record() -> bytes:
+    """A well-framed delta record whose one distance is ``NaN`` (the
+    encoder packs whatever float it is handed; decoders refuse it)."""
+    nan = float("nan")
+    return wire.encode_delta(
+        1, ResultDelta(QID, ((nan, 4),), (), False, ((nan, 4),))
+    )
+
+
+def misframed_delta_record() -> bytes:
+    """A delta record whose length field claims one entry more than the
+    counts it carries."""
+    record = bytearray(
+        wire.encode_delta(1, ResultDelta(QID, ((0.5, 4),), (), False, ((0.5, 4),)))
+    )
+    record[1:5] = (int.from_bytes(record[1:5], "little") + 16).to_bytes(4, "little")
+    return bytes(record) + bytes(16)
 
 
 class TestPoisonedFrames:
@@ -302,19 +361,19 @@ class TestPoisonedFrames:
         before = list(session.snapshot(QID))
         with MonitorSocketServer(session) as server:
             sock = socket.create_connection(server.address, timeout=5.0)
-            reader = sock.makefile("r", encoding="utf-8", newline="\n")
-            assert type(wire.decode_frame(reader.readline())) is wire.Welcome
+            reader = sock.makefile("rb")
+            assert type(wire.read_frame(reader)) is wire.Welcome
             # Two good rows around a poisoned one, then the tick that
             # would apply them.
             sock.sendall(
-                b'{"v":3,"t":"updates","rows":[[1,[0.45,0.5],[0.5,0.5]],'
+                b'{"v":4,"t":"updates","rows":[[1,[0.45,0.5],[0.5,0.5]],'
                 b'[2,[0.6,0.5],[Infinity,0.5]],[3,null,[0.5,0.51]]]}\n'
                 + line_of(wire.Tick(timestamp=1))
             )
-            reply = wire.decode_frame(reader.readline())
+            reply = wire.read_frame(reader)
             assert type(reply) is wire.Error
             assert "non-finite" in reply.message
-            assert reader.readline() == ""  # closed: the tick is never read
+            assert wire.read_frame(reader) is None  # closed: no tick read
             sock.close()
             assert wait_for(lambda: server.stats().connections == ())
             with server.lock:
@@ -322,20 +381,42 @@ class TestPoisonedFrames:
                 objects = dict(session.service.monitor.iter_objects())
             assert objects == {1: (0.45, 0.5), 2: (0.6, 0.5)}
 
-    def test_client_pump_ends_the_connection(self):
+    @pytest.mark.parametrize(
+        "poison, reason",
+        [
+            (poisoned_delta_record(), "non-finite distance"),
+            (misframed_delta_record(), "does not hold its"),
+            (
+                b'{"v":4,"t":"delta","ts":1,"qid":7,"in":[],"out":[],'
+                b'"reordered":false,"result":[],"terminated":false}\n',
+                "unknown frame type 'delta'",
+            ),
+        ],
+        ids=["binary-nan", "binary-length", "json-delta"],
+    )
+    def test_client_pump_ends_the_connection(self, poison, reason):
         with socket.create_server(("127.0.0.1", 0)) as listener:
             seen = []
             client_sock = socket.create_connection(listener.getsockname()[:2])
             peer, _addr = listener.accept()
-            peer.sendall(line_of(wire.Welcome(server="evil", versions=(3,))))
+            peer.sendall(
+                line_of(
+                    wire.Welcome(server="evil", versions=wire.SUPPORTED_VERSIONS)
+                )
+            )
             client = Client(client_sock)
             try:
-                client._subscriptions[QID] = []
+                dispatched = []
+                client._subscriptions[QID] = [
+                    RemoteSubscription(
+                        client, QID, lambda ts, d: dispatched.append(d)
+                    )
+                ]
                 client.delta_frame_log = seen
-                peer.sendall(POISONED_DELTA)
+                peer.sendall(poison)
                 assert client._closed.wait(timeout=5.0)
-                assert seen == []
-                with pytest.raises(RemoteError, match="non-finite"):
+                assert seen == [] and dispatched == []
+                with pytest.raises(RemoteError, match=reason):
                     client.snapshot(QID)
             finally:
                 client.close()
@@ -349,7 +430,7 @@ class TestPoisonedFrames:
         good = ObjectUpdate(1, None, (0.5, 0.5))
         producer.sendall(
             line_of(wire.Updates(updates=(good,)))
-            + b'{"v":3,"t":"updates","rows":[[2,null,[0.1,0.2]],'
+            + b'{"v":4,"t":"updates","rows":[[2,null,[0.1,0.2]],'
             b'[3,null,[-Infinity,0.2]]]}\n'
             + line_of(wire.Tick(timestamp=0))
         )

@@ -2,8 +2,10 @@
 
 The headline check pins the acceptance criterion of the wire protocol:
 a remote client registering queries and streaming a workload receives a
-delta stream **byte-equivalent** (as encoded ndjson frames) to an
-in-process Session subscribing on the same workload.
+delta stream **byte-equivalent** (as encoded binary delta records) to
+an in-process Session subscribing on the same workload.  Raw-socket
+peers read the server through ``wire.read_frame`` on a binary reader,
+the framing rule a real client uses.
 """
 
 import socket
@@ -27,6 +29,7 @@ from repro.ingest.driver import IngestDriver
 from repro.ingest.feeds import SocketFeed, WorkloadFeed, push_feed_to_socket
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import WorkloadSpec
+from repro.service.deltas import ResultDelta
 from repro.service.service import MonitoringService
 from repro.service.subscriptions import SlowConsumerPolicy
 from repro.updates import ObjectUpdate
@@ -63,11 +66,11 @@ class TestEndToEnd:
         queries = sorted(workload.initial_queries.items())
 
         with Client.connect(host, port) as client:
-            remote: dict[int, list[str]] = {}
+            remote: dict[int, list[bytes]] = {}
             handles = []
             for qid, point in queries:
                 handle = client.register(KnnSpec(point=point, k=SPEC.k), qid=qid)
-                lines: list[str] = []
+                lines: list[bytes] = []
                 handle.subscribe(
                     lambda ts, d, _lines=lines: _lines.append(
                         wire.encode_delta(ts, d)
@@ -82,7 +85,7 @@ class TestEndToEnd:
         # Direct drive: same workload, in-process Session.
         local_session = Session(CPMMonitor(cells_per_axis=CELLS))
         local_session.load_objects(workload.initial_objects.items())
-        local: dict[int, list[str]] = {}
+        local: dict[int, list[bytes]] = {}
         for qid, point in queries:
             handle = local_session.register(KnnSpec(point=point, k=SPEC.k), qid=qid)
             lines = []
@@ -246,16 +249,88 @@ class TestEndToEnd:
         _session, _server, host, port = endpoint
         raw = socket.create_connection((host, port), timeout=10.0)
         try:
-            reader = raw.makefile("r", encoding="utf-8", newline="\n")
-            welcome = wire.decode_frame(reader.readline())
+            reader = raw.makefile("rb")
+            welcome = wire.read_frame(reader)
             assert type(welcome) is wire.Welcome
-            assert wire.WIRE_VERSION in welcome.versions
+            assert welcome.versions == (wire.WIRE_VERSION,)
             raw.sendall(b'{"v":99,"t":"tick","ts":0}\n')
-            reply = wire.decode_frame(reader.readline())
+            reply = wire.read_frame(reader)
             assert type(reply) is wire.Error
             assert "unsupported wire version" in reply.message
         finally:
             raw.close()
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_peers_are_refused_at_the_welcome(self, endpoint, version):
+        """A v1–v3 client's first frame is refused, and a v4 client
+        refuses a v1–v3 server's welcome, before any delta record."""
+        _session, _server, host, port = endpoint
+        raw = socket.create_connection((host, port), timeout=10.0)
+        try:
+            reader = raw.makefile("rb")
+            assert type(wire.read_frame(reader)) is wire.Welcome
+            raw.sendall(b'{"v":%d,"t":"hello","client":"old"}\n' % version)
+            reply = wire.read_frame(reader)
+            assert type(reply) is wire.Error
+            assert "unsupported wire version" in reply.message
+            assert wire.read_frame(reader) is None
+        finally:
+            raw.close()
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            sock = socket.create_connection(listener.getsockname()[:2])
+            peer, _addr = listener.accept()
+            try:
+                peer.sendall(
+                    b'{"v":%d,"t":"welcome","server":"old","versions":[%d]}\n'
+                    % (version, version)
+                )
+                with pytest.raises(RemoteError, match="welcome refused"):
+                    Client(sock)
+            finally:
+                sock.close()
+                peer.close()
+
+    def test_server_refuses_ids_outside_signed_64_bit(self, endpoint):
+        _session, _server, host, port = endpoint
+        with Client.connect(host, port) as client:
+            with pytest.raises(RemoteError, match="signed 64-bit"):
+                client.snapshot(2**63)
+            # The refusal cost the connection; a fresh one still works.
+        with Client.connect(host, port) as client:
+            handle = client.register(KnnSpec(point=(0.5, 0.5), k=2))
+            assert len(handle.snapshot()) == 2
+
+    def test_a_delta_id_that_does_not_fit_cuts_after_the_frames_before_it(self):
+        """``encode_delta`` refuses a qid or oid outside ``i64`` with a
+        ``WireError`` naming it; the writer flushes what preceded the
+        delta and cuts the transport (the peer sees EOF, never a
+        half-record).  Such a query can only be installed host-side."""
+        huge = 2**63
+        session = Session(CPMMonitor(cells_per_axis=CELLS))
+        session.load_objects([(1, (0.4, 0.5)), (2, (0.9, 0.9))])
+        session.register(KnnSpec(point=(0.5, 0.5), k=1), qid=huge)
+        with MonitorSocketServer(session) as server:
+            raw = socket.create_connection(server.address, timeout=10.0)
+            try:
+                reader = raw.makefile("rb")
+                assert type(wire.read_frame(reader)) is wire.Welcome
+                # sync(watch=True) subscribes to every query, this one too.
+                raw.sendall((wire.encode_frame(wire.Sync()) + "\n").encode())
+                assert type(wire.read_frame(reader)) is wire.SyncQuery
+                assert type(wire.read_frame(reader)) is wire.SyncDone
+                with server.lock:
+                    session.handle(huge).move((0.85, 0.85))
+                assert wire.read_frame(reader) is None
+            finally:
+                raw.close()
+        with pytest.raises(wire.WireError, match=f"qid {huge}"):
+            wire.encode_delta(0, ResultDelta(huge, (), (), False, ()))
+        with pytest.raises(wire.WireError, match=f"oid {-huge - 1}"):
+            wire.encode_delta(
+                0, ResultDelta(1, ((0.0, 3), (0.5, -huge - 1)), (), False, ())
+            )
+        with pytest.raises(wire.WireError, match=f"ts {huge}"):
+            wire.encode_delta(huge, ResultDelta(1, (), (), False, ()))
 
 
 class TestFilteredAndSync:
@@ -340,14 +415,14 @@ def _stalled_peer(host, port, qid, point, k, rcvbuf=2048):
     sock = socket.socket()
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
     sock.connect((host, port))
-    reader = sock.makefile("r", encoding="utf-8", newline="\n")
-    welcome = wire.decode_frame(reader.readline())
+    reader = sock.makefile("rb")
+    welcome = wire.read_frame(reader)
     assert type(welcome) is wire.Welcome
     register = wire.Register(
         spec=KnnSpec(point=point, k=k), qid=qid, watch=True
     )
     sock.sendall((wire.encode_frame(register) + "\n").encode())
-    reply = wire.decode_frame(reader.readline())
+    reply = wire.read_frame(reader)
     assert type(reply) is wire.Registered
     return sock, reader
 
@@ -470,8 +545,8 @@ class TestSlowConsumer:
             stalled.settimeout(2.0)
             frames = []
             try:
-                for line in reader:
-                    frames.append(wire.decode_frame(line))
+                while (frame := wire.read_frame(reader)) is not None:
+                    frames.append(frame)
             except (TimeoutError, socket.timeout, ConnectionError, OSError):
                 pass
             lagged = [f for f in frames if type(f) is wire.Lagged]
@@ -500,8 +575,8 @@ class TestSlowConsumer:
             stalled.settimeout(2.0)
             frames = []
             try:
-                for line in reader:
-                    frames.append(wire.decode_frame(line))
+                while (frame := wire.read_frame(reader)) is not None:
+                    frames.append(frame)
             except (TimeoutError, socket.timeout, ConnectionError, OSError):
                 pass
             lagged_at = [

@@ -1,7 +1,9 @@
 """Wire-protocol tests: round-trip identity for every frame type,
-canonical re-encoding, and version/type rejection."""
+canonical re-encoding, the binary delta record's layout, and
+version/type/id rejection."""
 
 import json
+import struct
 
 import pytest
 from hypothesis import given
@@ -111,7 +113,10 @@ metric_rows = st.lists(
 ).map(tuple)
 wall_clock = st.floats(min_value=0, max_value=2e9, allow_nan=False)
 
-frames = st.one_of(
+delta_frames = st.builds(wire.Delta, timestamp=timestamps, delta=deltas)
+
+#: every frame type but :class:`wire.Delta` (the one binary frame).
+json_frames = st.one_of(
     st.builds(wire.Hello, client=st.text(max_size=20)),
     st.builds(
         wire.Welcome,
@@ -141,7 +146,6 @@ frames = st.one_of(
     st.builds(wire.Snapshot, qid=oids, result=entries),
     st.builds(wire.Subscribe, qid=oids, include_unchanged=st.booleans()),
     st.builds(wire.Unsubscribe, qid=oids),
-    st.builds(wire.Delta, timestamp=timestamps, delta=deltas),
     st.builds(wire.Tags, rows=st.lists(st.tuples(oids, tags), max_size=4).map(tuple)),
     st.builds(wire.Sync, objects=st.booleans(), watch=st.booleans()),
     st.builds(
@@ -178,6 +182,8 @@ frames = st.one_of(
     st.builds(wire.Bye),
 )
 
+frames = st.one_of(json_frames, delta_frames)
+
 
 # ----------------------------------------------------------------------
 # Round trips
@@ -198,18 +204,26 @@ class TestRoundTrip:
         line = wire.encode_frame(frame)
         assert wire.encode_frame(wire.decode_frame(line)) == line
 
-    @given(frames)
+    @given(json_frames)
     def test_one_line_ndjson(self, frame):
         line = wire.encode_frame(frame)
         assert "\n" not in line
+        assert line[:1] != chr(wire.BINARY_MARK)
         obj = json.loads(line)
         assert obj["v"] == wire.WIRE_VERSION
         assert isinstance(obj["t"], str)
 
-    @given(frames)
+    @given(json_frames)
     def test_bytes_accepted(self, frame):
         line = wire.encode_frame(frame)
         assert wire.decode_frame(line.encode("utf-8")) == frame
+
+    @given(delta_frames)
+    def test_delta_is_one_binary_record(self, frame):
+        record = wire.encode_frame(frame)
+        assert type(record) is bytes
+        assert record[0] == wire.BINARY_MARK
+        assert int.from_bytes(record[1:5], "little") == len(record) - 5
 
     def test_every_frame_type_covered(self):
         """One hand-built example per frame type round-trips, and the
@@ -268,7 +282,7 @@ class TestRoundTrip:
 
 
 class TestDeltaFrames:
-    def test_delta_encoding_shape(self):
+    def test_delta_record_layout(self):
         delta = ResultDelta(
             qid=7,
             incoming=((0.5, 3),),
@@ -277,26 +291,95 @@ class TestDeltaFrames:
             result=((0.5, 3), (0.75, 4)),
             terminated=False,
         )
-        obj = json.loads(wire.encode_delta(11, delta))
-        assert obj == {
-            "v": 3,
-            "t": "delta",
-            "ts": 11,
-            "qid": 7,
-            "in": [[0.5, 3]],
-            "out": [[0.25, 9]],
-            "reordered": True,
-            "result": [[0.5, 3], [0.75, 4]],
-            "terminated": False,
-        }
+        record = wire.encode_delta(11, delta)
+        assert len(record) == 36 + 16 * 4
+        assert struct.unpack("<BIBBBqqIII4d4q", record) == (
+            0xFF, 31 + 16 * 4, 4, 1, 0b011, 11, 7, 1, 1, 2,
+            0.5, 0.25, 0.5, 0.75,
+            3, 9, 3, 4,
+        )
 
-    def test_install_delta_has_null_timestamp(self):
+    def test_install_delta_has_no_timestamp(self):
         delta = ResultDelta(
             qid=1, incoming=(), outgoing=(), reordered=False, result=(),
             terminated=True,
         )
-        obj = json.loads(wire.encode_delta(None, delta))
-        assert obj["ts"] is None
+        record = wire.encode_delta(None, delta)
+        assert struct.unpack("<BIBBBqqIII", record)[4:6] == (0b100, 0)
+        assert wire.decode_frame(record).timestamp is None
+
+    def test_read_frame_splits_a_mixed_stream(self):
+        import io
+
+        delta = wire.Delta(3, ResultDelta(1, ((0.5, 2),), (), False, ((0.5, 2),)))
+        lagged = wire.Lagged(dropped=2)
+        stream = io.BufferedReader(
+            io.BytesIO(
+                wire.encode_frame(delta)
+                + b"\n"  # a blank line between frames is skipped
+                + (wire.encode_frame(lagged) + "\n").encode()
+                + wire.encode_frame(delta)
+            )
+        )
+        assert [wire.read_frame(stream) for _ in range(4)] == [
+            delta, lagged, delta, None
+        ]
+
+    def test_read_frame_refuses_a_record_cut_short_or_oversized(self):
+        import io
+
+        record = wire.encode_delta(3, ResultDelta(1, (), (), False, ((0.5, 2),)))
+        for data in (record[:-1], record[:3]):
+            with pytest.raises(wire.WireError, match="length|truncated"):
+                wire.read_frame(io.BufferedReader(io.BytesIO(data)))
+        oversized = b"\xff" + (wire.MAX_RECORD_BYTES + 1).to_bytes(4, "little")
+        with pytest.raises(wire.WireError, match="exceeds"):
+            wire.read_frame(io.BufferedReader(io.BytesIO(oversized)))
+
+
+class TestIdsFitSigned64Bit:
+    """Every id a client hands the server must fit the binary delta's
+    ``i64`` fields, or the frame is refused whole at decode."""
+
+    FIT = [-(2**63), 2**63 - 1]
+    UNFIT = [2**63, -(2**63) - 1, 2**64]
+
+    @staticmethod
+    def lines(i):
+        return [
+            '{"v":4,"t":"updates","rows":[[1,null,[0.5,0.5]],[%d,null,[0.1,0.2]]]}' % i,
+            '{"v":4,"t":"query","qid":%d,"op":"terminate"}' % i,
+            '{"v":4,"t":"register","spec":{"type":"knn","point":[0.5,0.5],'
+            '"k":1},"qid":%d,"watch":true}' % i,
+            '{"v":4,"t":"move","qid":%d,"point":[0.5,0.5]}' % i,
+            '{"v":4,"t":"terminate","qid":%d}' % i,
+            '{"v":4,"t":"subscribe","qid":%d,"include_unchanged":false}' % i,
+            '{"v":4,"t":"unsubscribe","qid":%d}' % i,
+            '{"v":4,"t":"tags","rows":[[%d,["taxi"]]]}' % i,
+            '{"v":4,"t":"get_snapshot","qid":%d}' % i,
+        ]
+
+    @pytest.mark.parametrize("value", FIT)
+    def test_ids_at_the_bounds_decode(self, value):
+        for line in self.lines(value):
+            wire.decode_frame(line)
+
+    @pytest.mark.parametrize("value", UNFIT)
+    def test_ids_past_the_bounds_are_refused(self, value):
+        for line in self.lines(value):
+            with pytest.raises(wire.WireError, match="signed 64-bit"):
+                wire.decode_frame(line)
+
+    @pytest.mark.parametrize("value", UNFIT)
+    def test_encode_delta_names_the_id_that_does_not_fit(self, value):
+        cases = [
+            ("ts", value, ResultDelta(1, (), (), False, ())),
+            ("qid", 0, ResultDelta(value, (), (), False, ())),
+            ("oid", 0, ResultDelta(1, (), ((0.5, value),), False, ())),
+        ]
+        for name, ts, delta in cases:
+            with pytest.raises(wire.WireError, match=f"{name} {value}"):
+                wire.encode_delta(ts, delta)
 
 
 # ----------------------------------------------------------------------
@@ -307,35 +390,40 @@ class TestDeltaFrames:
 class TestRejection:
     def test_unknown_version_rejected(self):
         line = wire.encode_frame(wire.Tick(timestamp=3)).replace(
-            '"v":3', '"v":4', 1
+            '"v":4', '"v":5', 1
         )
         with pytest.raises(wire.WireError, match="unsupported wire version"):
             wire.decode_frame(line)
 
-    def test_v1_frames_still_decode(self):
-        """v2/v3 are additive: a v1 line from an old peer still decodes."""
-        line = wire.encode_frame(wire.Tick(timestamp=3)).replace(
-            '"v":3', '"v":1', 1
-        )
-        assert wire.decode_frame(line) == wire.Tick(timestamp=3)
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_v1_to_v3_frames_rejected(self, version):
+        """v4 reshaped the delta frame, so older lines no longer decode:
+        an older peer is refused at its first frame."""
+        for frame in (wire.Tick(timestamp=3), wire.Sync(objects=True)):
+            line = wire.encode_frame(frame).replace(
+                '"v":4', f'"v":{version}', 1
+            )
+            with pytest.raises(wire.WireError, match="unsupported wire version"):
+                wire.decode_frame(line)
 
-    def test_v2_frames_still_decode(self):
-        """v3 is additive: a v2 line (pub/sub era) still decodes."""
-        line = wire.encode_frame(wire.Sync(objects=True, watch=False)).replace(
-            '"v":3', '"v":2', 1
+    def test_binary_record_obeys_the_version_gate(self):
+        record = bytearray(
+            wire.encode_delta(1, ResultDelta(1, (), (), False, ()))
         )
-        assert wire.decode_frame(line) == wire.Sync(objects=True, watch=False)
-
-    def test_v4_telemetry_frames_rejected(self):
-        """The new frames obey the same version gate as everything else."""
-        frame = wire.Metrics(timestamp=1.5, rows=(("repro_ticks_total", 3),))
-        line = wire.encode_frame(frame).replace('"v":3', '"v":4', 1)
+        record[5] = 3
         with pytest.raises(wire.WireError, match="unsupported wire version"):
-            wire.decode_frame(line)
+            wire.decode_frame(bytes(record))
+
+    def test_json_delta_is_no_longer_a_frame(self):
+        with pytest.raises(wire.WireError, match="unknown frame type 'delta'"):
+            wire.decode_frame(
+                '{"v":4,"t":"delta","ts":1,"qid":1,"in":[],"out":[],'
+                '"reordered":false,"result":[],"terminated":false}'
+            )
 
     def test_metrics_values_keep_number_type(self):
         """Int counters stay int through decode → canonical re-encode."""
-        line = '{"v":3,"t":"metrics","ts":1.5,"rows":[["a",7],["b",0.5]]}'
+        line = '{"v":4,"t":"metrics","ts":1.5,"rows":[["a",7],["b",0.5]]}'
         frame = wire.decode_frame(line)
         assert frame.rows == (("a", 7), ("b", 0.5))
         assert type(frame.rows[0][1]) is int
@@ -346,7 +434,7 @@ class TestRejection:
         with pytest.raises(wire.WireError, match="unsupported wire version"):
             wire.decode_frame('{"t":"tick","ts":0}')
 
-    @given(frames)
+    @given(json_frames)
     def test_future_version_rejected_for_every_frame(self, frame):
         obj = json.loads(wire.encode_frame(frame))
         obj["v"] = 99
@@ -355,7 +443,7 @@ class TestRejection:
 
     def test_unknown_type_rejected(self):
         with pytest.raises(wire.WireError, match="unknown frame type"):
-            wire.decode_frame('{"v":1,"t":"frobnicate"}')
+            wire.decode_frame('{"v":4,"t":"frobnicate"}')
 
     def test_malformed_json_rejected(self):
         with pytest.raises(wire.WireError, match="malformed frame"):
@@ -367,11 +455,11 @@ class TestRejection:
 
     def test_bad_shape_rejected(self):
         with pytest.raises(wire.WireError, match="bad 'move' frame"):
-            wire.decode_frame('{"v":1,"t":"move","qid":1}')
+            wire.decode_frame('{"v":4,"t":"move","qid":1}')
 
     def test_unknown_spec_type_rejected(self):
         with pytest.raises(wire.WireError, match="bad 'register' frame"):
             wire.decode_frame(
-                '{"v":1,"t":"register","spec":{"type":"voronoi"},"qid":null,'
+                '{"v":4,"t":"register","spec":{"type":"voronoi"},"qid":null,'
                 '"watch":true}'
             )

@@ -67,7 +67,7 @@ class TestExamples:
         out = run_example("remote_dashboard.py")
         assert "leaked topics: none" in out
         assert "byte-identical: True" in out
-        assert '"t":"delta"' in out
+        assert "-byte delta record Delta(" in out
 
     def test_streaming_feed(self):
         out = run_example("streaming_feed.py")

@@ -198,3 +198,38 @@ def test_marked_prefix_invariant_holds_throughout(script, q, k):
         assert marked == set(state.visit_cells[: state.marked_upto])
         # And the visit list stays sorted by key.
         assert state.visit_keys == sorted(state.visit_keys)
+
+
+def test_visit_keys_on_a_cell_boundary_stay_ordered():
+    """q=(0.8, 0.0) on a 5x5 grid lies on grid lines.  Its level-1 LEFT
+    strip cells key 0.19999999999999996 (0.8 - (0.4 + 0.2)), one ulp
+    below 0.2, so a strip keyed ``0.0 + step`` would pop after a 0.2
+    cell and visit them out of order; a strip keyed from its own grid
+    line cannot."""
+    monitor = CPMMonitor(cells_per_axis=5)
+    monitor.load_objects([(1, (0.05, 0.95)), (2, (0.1, 0.9))])
+    monitor.install_query(0, (0.8, 0.0), 2)
+    assert 0.19999999999999996 in monitor.query_state(0).visit_keys
+    for update in (None, ObjectUpdate(2, (0.1, 0.9), (0.15, 0.85))):
+        if update is not None:
+            monitor.process([update])
+        monitor.check_invariants()
+        state = monitor.query_state(0)
+        assert state.visit_keys == sorted(state.visit_keys)
+        marked = set(monitor.grid.marked_cells(0))
+        assert marked == set(state.visit_cells[: state.marked_upto])
+
+
+def test_visit_keys_ordered_for_every_grid_line_query():
+    """The same property swept over every grid-line intersection of a
+    few grids, each query searching (nearly) the whole grid."""
+    for cells in (5, 7, 10):
+        for i in range(cells + 1):
+            for j in range(cells + 1):
+                q = (i / cells, j / cells)
+                monitor = CPMMonitor(cells_per_axis=cells)
+                far = (1.0 - q[0] or 0.01, 1.0 - q[1] or 0.01)
+                monitor.load_objects([(1, far)])
+                monitor.install_query(0, q, 1)
+                keys = monitor.query_state(0).visit_keys
+                assert keys == sorted(keys), (cells, q)
