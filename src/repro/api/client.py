@@ -321,7 +321,7 @@ class Client:
     # ------------------------------------------------------------------
 
     def _send(self, frame: wire.Frame) -> None:
-        data = (wire.encode_frame(frame) + "\n").encode("utf-8")
+        data = wire.frame_bytes(frame)
         with self._write_lock:
             self._sock.sendall(data)
 

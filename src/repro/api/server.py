@@ -17,9 +17,9 @@ registers a per-qid subscription whose callback *enqueues* the delta on
 the connection's bounded outbox (:class:`repro.service.subscriptions.
 FanoutQueue`); a per-connection writer thread encodes and sends one
 **drain** at a time — every frame queued when it woke, encoded to its
-wire bytes (:func:`repro.api.wire.encode_delta`'s record for a delta,
-the line plus ``\\n`` for anything else) and joined into ``sendall``
-calls of at most :data:`FLUSH_BYTES` — so a cycle's deltas cost a
+wire bytes (:func:`repro.api.wire.encode_delta` for a queued delta,
+:func:`repro.api.wire.frame_bytes` for anything else) and joined into
+``sendall`` calls of at most :data:`FLUSH_BYTES` — so a cycle's deltas cost a
 handful of syscalls, not one each.  The hub's publish loop
 therefore never blocks on a socket — a stalled client costs O(1) per
 delta until its outbox fills (frames queued plus frames of the drain in
@@ -165,7 +165,7 @@ class _Connection:
         this drain before N are flushed, then the transport is cut."""
         hook = self.server.fault_hook
         encode_delta = wire.encode_delta
-        encode_frame = wire.encode_frame
+        frame_bytes = wire.frame_bytes
         chunks: list[bytes] = []
         size = 0
         for item in items:
@@ -181,8 +181,7 @@ class _Connection:
                     self._abort(chunks)
                     raise
             else:
-                # Lines are ASCII (the encoder escapes the rest).
-                data = (encode_frame(item) + "\n").encode("ascii")
+                data = frame_bytes(item)
             self.frames_sent += 1
             size += len(data)
             if size > FLUSH_BYTES and chunks:

@@ -25,6 +25,8 @@ can start with it)::
 All integers and floats are little-endian on every host.  A record
 therefore costs ``36 + 16n`` bytes and no text formatting; ``length``
 must equal ``31 + 16n`` and the bytes that follow it, exactly.
+:func:`frame_bytes` is the one place that applies this rule on the
+way out, :func:`read_frame` on the way in.
 
 Decoding rejects unknown versions, types and tags up front, and
 :func:`decode_frame` raises :class:`WireError` — only ever that — for
@@ -79,8 +81,8 @@ frame this module produced, which is what lets the tests (and paranoid
 clients) compare delta streams byte for byte.  One module-level encoder
 and one module-level decoder do all the JSON; the decoders refuse
 ``NaN`` / ``Infinity`` / ``-Infinity`` (not JSON, and poison as
-distances or coordinates) and any qid or oid outside signed 64-bit
-(it could not ride a binary delta).
+distances or coordinates) and any qid, oid or tick timestamp outside
+signed 64-bit (it could not ride a binary delta).
 
 Points are ``[x, y]``; result entries are ``[dist, oid]``; object
 update rows are ``[oid, old, new]`` with ``null`` for the
@@ -385,11 +387,12 @@ def _number(raw) -> int | float:
 
 
 def _id(raw) -> int:
-    """A qid or oid: an int that fits the binary delta's ``i64``."""
+    """A qid, oid or tick timestamp: an int that fits the binary
+    delta's ``i64``."""
     value = int(raw)
     if _I64_MIN <= value <= _I64_MAX:
         return value
-    raise ValueError(f"id {value} does not fit a signed 64-bit field")
+    raise ValueError(f"{value} does not fit a signed 64-bit field")
 
 
 def _entries(raw) -> tuple[ResultEntry, ...]:
@@ -533,6 +536,15 @@ def encode_frame(frame: Frame) -> str | bytes:
     obj = {"v": WIRE_VERSION, "t": kind}
     obj.update(body)
     return _encode(obj)
+
+
+def frame_bytes(frame: Frame) -> bytes:
+    """A frame exactly as it goes on the socket: the binary record for
+    a :class:`Delta`, the ndjson line plus ``\\n`` for any other frame
+    (lines are ASCII: the encoder escapes everything else)."""
+    if type(frame) is Delta:
+        return encode_delta(frame.timestamp, frame.delta)
+    return (encode_frame(frame) + "\n").encode("ascii")
 
 
 def encode_delta(timestamp: int | None, delta: ResultDelta) -> bytes:
@@ -742,13 +754,14 @@ def decode_frame(line: str | bytes) -> Frame:
                 # _id inlined: this loop runs once per ingested row.
                 if not _I64_MIN <= oid <= _I64_MAX:
                     raise ValueError(
-                        f"id {oid} does not fit a signed 64-bit field"
+                        f"{oid} does not fit a signed 64-bit field"
                     )
                 rows.append(ObjectUpdate(oid, _opt_point(old), _opt_point(new)))
             return Updates(updates=tuple(rows))
         if kind == "tick":
+            # The ts stamps every delta of the cycle, so it must fit too.
             ts = obj["ts"]
-            return Tick(timestamp=None if ts is None else int(ts))
+            return Tick(timestamp=None if ts is None else _id(ts))
         if kind == "ticked":
             ts = obj["ts"]
             return Ticked(

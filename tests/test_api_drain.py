@@ -5,8 +5,8 @@ boundary.
 frame queued when the connection's writer woke, joined into a few
 ``sendall`` calls.  A raw-socket subscriber must still receive exactly
 the concatenation of the per-frame encodings of the reference, in
-order — ``encode_frame(f) + "\\n"`` for a JSON frame, the binary
-record ``encode_frame(f)`` for a delta: through plain cycles, through a
+order — ``wire.frame_bytes(f)``: the line plus ``\\n`` for a JSON
+frame, the binary record for a delta: through plain cycles, through a
 ``DROP_AND_SNAPSHOT`` episode, and up to (not including) the frame a
 ``FaultPlan`` cuts at in the middle of a drain.
 
@@ -21,6 +21,7 @@ carrying one — or a record whose framing does not add up — into the
 loss of that connection, and applies nothing of it.
 """
 
+import io
 import socket
 import threading
 
@@ -46,36 +47,25 @@ SPEC = KnnSpec(point=(0.5, 0.5), k=2)
 PLACES = [(0.55, 0.5), (0.6, 0.5)]
 
 
-def line_of(frame) -> bytes:
-    """One JSON frame's wire bytes: its line plus the newline."""
-    return (wire.encode_frame(frame) + "\n").encode()
+class Recorder(io.RawIOBase):
+    """The subscriber's socket as a raw stream that keeps every byte it
+    hands on: ``wire.read_frame`` parses the frames, and the bytes are
+    still there to compare whole."""
 
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.received = bytearray()
 
-def wire_bytes(frame) -> bytes:
-    """One frame's wire bytes: a delta is its binary record as is."""
-    if type(frame) is wire.Delta:
-        return wire.encode_frame(frame)
-    return line_of(frame)
+    def readable(self) -> bool:
+        return True
 
-
-def split_frames(data: bytes) -> list[bytes]:
-    """The whole frames at the head of ``data``, by the framing rule
-    alone: a ``0xFF`` byte opens a record of ``5 + u32 length`` bytes,
-    any other byte a line that runs through its newline."""
-    frames: list[bytes] = []
-    at = 0
-    while at < len(data):
-        if data[at] == wire.BINARY_MARK:
-            end = at + 5 + int.from_bytes(data[at + 1 : at + 5], "little")
-            if at + 5 > len(data) or end > len(data):
-                break
-        else:
-            end = data.find(b"\n", at) + 1
-            if end == 0:
-                break
-        frames.append(data[at:end])
-        at = end
-    return frames
+    def readinto(self, buffer) -> int:
+        try:
+            n = self.sock.recv_into(buffer)
+        except ConnectionError:
+            return 0
+        self.received += memoryview(buffer)[:n]
+        return n
 
 
 class StallHook:
@@ -108,7 +98,10 @@ class Script:
         )
         host, port = self.server.start()
         self.sock = socket.create_connection((host, port), timeout=5.0)
-        self.received = b""
+        self.recorder = Recorder(self.sock)
+        self.reader = io.BufferedReader(self.recorder)
+        #: every frame read so far, decoded.
+        self.frames: list = []
         #: every frame the server is expected to have written, in order.
         self.reference: list = [
             wire.Welcome(server="drain", versions=wire.SUPPORTED_VERSIONS)
@@ -125,30 +118,24 @@ class Script:
 
     # -- the subscriber ------------------------------------------------
 
+    @property
+    def received(self) -> bytes:
+        return bytes(self.recorder.received)
+
     def send(self, frame):
-        self.sock.sendall(line_of(frame))
+        self.sock.sendall(wire.frame_bytes(frame))
 
     def read_until_frames(self, n: int) -> None:
-        while len(split_frames(self.received)) < n:
-            chunk = self.sock.recv(65536)
-            assert chunk, "server closed early"
-            self.received += chunk
+        while len(self.frames) < n:
+            frame = wire.read_frame(self.reader)
+            assert frame is not None, "server closed early"
+            self.frames.append(frame)
 
     def read_to_eof(self) -> None:
-        while True:
-            try:
-                chunk = self.sock.recv(65536)
-            except ConnectionError:
-                return
-            if not chunk:
-                return
-            self.received += chunk
+        self.reader.read()
 
-    def expected_bytes(self, frames=None) -> bytes:
-        return b"".join(
-            wire_bytes(f)
-            for f in (self.reference if frames is None else frames)
-        )
+    def expected_bytes(self) -> bytes:
+        return b"".join(map(wire.frame_bytes, self.reference))
 
     # -- the script's moves --------------------------------------------
 
@@ -179,8 +166,8 @@ class Script:
     def wire_cycle(self, timestamp: int):
         """A cycle driven over the socket: its delta, then ``ticked``."""
         self.sock.sendall(
-            line_of(wire.Updates(updates=(self.flip(),)))
-            + line_of(wire.Tick(timestamp=timestamp))
+            wire.frame_bytes(wire.Updates(updates=(self.flip(),)))
+            + wire.frame_bytes(wire.Tick(timestamp=timestamp))
         )
         self.read_until_frames(len(self.reference) + 2)
         self.reference.append(self.published[-1])
@@ -261,9 +248,7 @@ class TestByteIdentity:
                 late,
             ]
             script.quiesce()
-            assert split_frames(script.received) == [
-                wire_bytes(f) for f in script.reference
-            ]
+            assert script.frames == script.reference
             assert script.received == script.expected_bytes()
             stats = script.conn_stats()
             assert not stats.broken
@@ -285,7 +270,7 @@ class TestByteIdentity:
             queued_bytes = 0
             while queued_bytes < 3 * FLUSH_BYTES:
                 backlog.append(script.host_cycle(100 + len(backlog)))
-                queued_bytes += len(wire_bytes(backlog[-1]))
+                queued_bytes += len(wire.frame_bytes(backlog[-1]))
             hook.release.set()
             script.reference += backlog
             script.quiesce()
@@ -368,7 +353,7 @@ class TestPoisonedFrames:
             sock.sendall(
                 b'{"v":4,"t":"updates","rows":[[1,[0.45,0.5],[0.5,0.5]],'
                 b'[2,[0.6,0.5],[Infinity,0.5]],[3,null,[0.5,0.51]]]}\n'
-                + line_of(wire.Tick(timestamp=1))
+                + wire.frame_bytes(wire.Tick(timestamp=1))
             )
             reply = wire.read_frame(reader)
             assert type(reply) is wire.Error
@@ -400,7 +385,7 @@ class TestPoisonedFrames:
             client_sock = socket.create_connection(listener.getsockname()[:2])
             peer, _addr = listener.accept()
             peer.sendall(
-                line_of(
+                wire.frame_bytes(
                     wire.Welcome(server="evil", versions=wire.SUPPORTED_VERSIONS)
                 )
             )
@@ -429,10 +414,10 @@ class TestPoisonedFrames:
         feed = SocketFeed(feed_sock)
         good = ObjectUpdate(1, None, (0.5, 0.5))
         producer.sendall(
-            line_of(wire.Updates(updates=(good,)))
+            wire.frame_bytes(wire.Updates(updates=(good,)))
             + b'{"v":4,"t":"updates","rows":[[2,null,[0.1,0.2]],'
             b'[3,null,[-Infinity,0.2]]]}\n'
-            + line_of(wire.Tick(timestamp=0))
+            + wire.frame_bytes(wire.Tick(timestamp=0))
         )
         events = feed.events()
         try:

@@ -300,6 +300,45 @@ class TestEndToEnd:
             handle = client.register(KnnSpec(point=(0.5, 0.5), k=2))
             assert len(handle.snapshot()) == 2
 
+    def test_a_tick_ts_outside_signed_64_bit_costs_only_its_sender(
+        self, endpoint
+    ):
+        """The tick ts stamps every delta of its cycle, so a ts no record
+        can carry is refused at decode: the sender draws an ``error`` and
+        loses its connection, its staged rows are never applied, and a
+        subscriber on another connection keeps streaming."""
+        session, server, host, port = endpoint
+        with Client.connect(host, port) as watcher:
+            seen = []
+            handle = watcher.register(KnnSpec(point=(0.5, 0.5), k=2))
+            handle.subscribe(lambda ts, d: seen.append((ts, d.result[0][1])))
+            raw = socket.create_connection((host, port), timeout=10.0)
+            try:
+                reader = raw.makefile("rb")
+                assert type(wire.read_frame(reader)) is wire.Welcome
+                # The row would change the watcher's result, so a cycle
+                # run with this ts would owe the watcher a delta.
+                raw.sendall(
+                    wire.frame_bytes(
+                        wire.Updates(
+                            updates=(ObjectUpdate(9001, None, (0.5, 0.5)),)
+                        )
+                    )
+                    + b'{"v":4,"t":"tick","ts":%d}\n' % 2**63
+                )
+                reply = wire.read_frame(reader)
+                assert type(reply) is wire.Error
+                assert "signed 64-bit" in reply.message
+                assert wire.read_frame(reader) is None
+            finally:
+                raw.close()
+            with server.lock:
+                assert 9001 not in dict(session.service.monitor.iter_objects())
+            watcher.send_updates([ObjectUpdate(9002, None, (0.5, 0.5))])
+            watcher.tick(timestamp=1)
+            assert seen == [(1, 9002)]
+            assert handle.snapshot() == session.snapshot(handle.qid)
+
     def test_a_delta_id_that_does_not_fit_cuts_after_the_frames_before_it(self):
         """``encode_delta`` refuses a qid or oid outside ``i64`` with a
         ``WireError`` naming it; the writer flushes what preceded the
@@ -315,7 +354,7 @@ class TestEndToEnd:
                 reader = raw.makefile("rb")
                 assert type(wire.read_frame(reader)) is wire.Welcome
                 # sync(watch=True) subscribes to every query, this one too.
-                raw.sendall((wire.encode_frame(wire.Sync()) + "\n").encode())
+                raw.sendall(wire.frame_bytes(wire.Sync()))
                 assert type(wire.read_frame(reader)) is wire.SyncQuery
                 assert type(wire.read_frame(reader)) is wire.SyncDone
                 with server.lock:
@@ -421,7 +460,7 @@ def _stalled_peer(host, port, qid, point, k, rcvbuf=2048):
     register = wire.Register(
         spec=KnnSpec(point=point, k=k), qid=qid, watch=True
     )
-    sock.sendall((wire.encode_frame(register) + "\n").encode())
+    sock.sendall(wire.frame_bytes(register))
     reply = wire.read_frame(reader)
     assert type(reply) is wire.Registered
     return sock, reader
@@ -653,9 +692,7 @@ class TestSocketFeed:
     def test_socket_feed_rejects_foreign_frames(self):
         a, b = socket.socketpair()
         try:
-            a.sendall(
-                (wire.encode_frame(wire.GetSnapshot(qid=1)) + "\n").encode()
-            )
+            a.sendall(wire.frame_bytes(wire.GetSnapshot(qid=1)))
             feed = SocketFeed(b)
             with pytest.raises(ValueError, match="not part of the"):
                 next(iter(feed.events()))

@@ -218,6 +218,21 @@ class TestRoundTrip:
         line = wire.encode_frame(frame)
         assert wire.decode_frame(line.encode("utf-8")) == frame
 
+    @given(frames)
+    def test_frame_bytes_is_what_read_frame_reads(self, frame):
+        """``frame_bytes`` applies the framing rule: a delta is its
+        record as is, any other frame its line plus the newline."""
+        import io
+
+        data = wire.frame_bytes(frame)
+        encoded = wire.encode_frame(frame)
+        if type(frame) is wire.Delta:
+            assert data == encoded
+        else:
+            assert data == encoded.encode() + b"\n"
+        stream = io.BufferedReader(io.BytesIO(data))
+        assert [wire.read_frame(stream), wire.read_frame(stream)] == [frame, None]
+
     @given(delta_frames)
     def test_delta_is_one_binary_record(self, frame):
         record = wire.encode_frame(frame)
@@ -315,10 +330,10 @@ class TestDeltaFrames:
         lagged = wire.Lagged(dropped=2)
         stream = io.BufferedReader(
             io.BytesIO(
-                wire.encode_frame(delta)
+                wire.frame_bytes(delta)
                 + b"\n"  # a blank line between frames is skipped
-                + (wire.encode_frame(lagged) + "\n").encode()
-                + wire.encode_frame(delta)
+                + wire.frame_bytes(lagged)
+                + wire.frame_bytes(delta)
             )
         )
         assert [wire.read_frame(stream) for _ in range(4)] == [
@@ -338,8 +353,9 @@ class TestDeltaFrames:
 
 
 class TestIdsFitSigned64Bit:
-    """Every id a client hands the server must fit the binary delta's
-    ``i64`` fields, or the frame is refused whole at decode."""
+    """Every id a client hands the server, and the tick timestamp that
+    stamps a cycle's deltas, must fit the binary delta's ``i64`` fields,
+    or the frame is refused whole at decode."""
 
     FIT = [-(2**63), 2**63 - 1]
     UNFIT = [2**63, -(2**63) - 1, 2**64]
@@ -357,6 +373,7 @@ class TestIdsFitSigned64Bit:
             '{"v":4,"t":"unsubscribe","qid":%d}' % i,
             '{"v":4,"t":"tags","rows":[[%d,["taxi"]]]}' % i,
             '{"v":4,"t":"get_snapshot","qid":%d}' % i,
+            '{"v":4,"t":"tick","ts":%d}' % i,
         ]
 
     @pytest.mark.parametrize("value", FIT)

@@ -520,10 +520,6 @@ class TestClientReconnect:
 # ----------------------------------------------------------------------
 
 
-def frame_line(frame) -> bytes:
-    return (wire.encode_frame(frame) + "\n").encode()
-
-
 @pytest.mark.chaos
 class TestSocketFeedReconnect:
     def test_feed_resumes_across_injected_cut(self):
@@ -540,8 +536,8 @@ class TestSocketFeedReconnect:
                 )
                 for i in range(4)
             )
-            frames.append(frame_line(wire.Updates(updates=ups)))
-            frames.append(frame_line(wire.Tick(timestamp=t)))
+            frames.append(wire.frame_bytes(wire.Updates(updates=ups)))
+            frames.append(wire.frame_bytes(wire.Tick(timestamp=t)))
         cut_after = 3  # cycle 1's tick: a frame boundary
 
         plan = FaultPlan().drop_feed(after_frames=cut_after)
@@ -556,7 +552,7 @@ class TestSocketFeedReconnect:
             conn.sendall(b"".join(frames[: cut_after + 1]))
             conn2, _ = listener.accept()
             conn2.sendall(
-                b"".join(frames[cut_after + 1 :]) + frame_line(wire.Bye())
+                b"".join(frames[cut_after + 1 :]) + wire.frame_bytes(wire.Bye())
             )
             conn.close()
 
@@ -589,7 +585,7 @@ class TestSocketFeedReconnect:
 
         def producer():
             conn, _ = listener.accept()
-            conn.sendall(frame_line(wire.Tick(timestamp=0)))
+            conn.sendall(wire.frame_bytes(wire.Tick(timestamp=0)))
             conn.close()
 
         thread = threading.Thread(target=producer, daemon=True)
@@ -611,7 +607,7 @@ class TestSocketFeedReconnect:
 
         def producer():
             conn, _ = listener.accept()
-            conn.sendall(frame_line(wire.Tick(timestamp=0)))
+            conn.sendall(wire.frame_bytes(wire.Tick(timestamp=0)))
             conn.close()
             listener.close()  # nobody to redial to
 

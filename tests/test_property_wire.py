@@ -330,11 +330,6 @@ GOLDEN_BYTES = bytes.fromhex(
 ) + b'{"v":4,"t":"lagged","dropped":2}\n'
 
 
-def stream_bytes(frame) -> bytes:
-    encoded = wire.encode_frame(frame)
-    return encoded if type(frame) is wire.Delta else (encoded + "\n").encode()
-
-
 class TestCanonicalBytes:
     @given(frames)
     def test_reencode_identity_for_every_frame(self, frame):
@@ -344,7 +339,7 @@ class TestCanonicalBytes:
             assert wire.encode_frame(wire.decode_frame(encoded.encode())) == encoded
 
     def test_golden_mixed_stream(self):
-        assert b"".join(stream_bytes(f) for f in GOLDEN_FRAMES) == GOLDEN_BYTES
+        assert b"".join(map(wire.frame_bytes, GOLDEN_FRAMES)) == GOLDEN_BYTES
         import io
 
         stream = io.BufferedReader(io.BytesIO(GOLDEN_BYTES))
