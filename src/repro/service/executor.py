@@ -8,7 +8,10 @@ each).  Every command returns ``(payload, stats)`` where ``stats`` is the
 :class:`repro.grid.stats.GridStats` delta accumulated by the shard engine
 while executing the command — the sharded monitor folds these into its
 aggregate counters so the engine-facing accounting (cell scans etc.) stays
-exact regardless of where the shards run.
+exact regardless of where the shards run.  Both block until every reply
+is in: nothing pipelines one command behind another, and a partitioned
+cycle (:mod:`repro.service.partition`) is a single ``call_all`` of
+``partition_cycle``.
 
 Two implementations:
 
@@ -97,28 +100,6 @@ class ShardExecutor(ABC):
         engines never invoke the server.
         """
         self._pull_server = server
-
-    def submit_all(self, method: str, args_per_shard: Sequence[tuple]) -> None:
-        """Stage ``call_all(method, ...)`` for a later :meth:`collect_all`.
-
-        Base implementation: run the command immediately (blocking) and
-        buffer its results, which preserves every subclass's dispatch
-        semantics (the supervisor's logging and recovery in particular).
-        :class:`ProcessShardExecutor` overrides this with a true
-        send-now/collect-later pipeline so consecutive commands overlap
-        coordinator-side work with shard-side processing.
-        """
-        staged = getattr(self, "_staged_groups", None)
-        if staged is None:
-            staged = self._staged_groups = []
-        staged.append(self.call_all(method, args_per_shard))
-
-    def collect_all(self) -> list[list[tuple[object, GridStats]]]:
-        """Collect the results of every staged :meth:`submit_all` command,
-        in submission order (one ``call_all``-shaped list per command)."""
-        staged = getattr(self, "_staged_groups", None) or []
-        self._staged_groups = []
-        return staged
 
     def close(self) -> None:
         """Release engines/workers (idempotent)."""
@@ -311,10 +292,6 @@ class ProcessShardExecutor(ShardExecutor):
         self._workers: list = []
         self._pipes: list = []
         self._sent: list[int] = []
-        # Streaming submit/collect state (see submit_all/collect_all).
-        self._submitted: list[str] = []
-        self._inflight: list[int] = []
-        self._stream_segments: list = []
 
     @property
     def n_shards(self) -> int:
@@ -334,7 +311,6 @@ class ProcessShardExecutor(ShardExecutor):
             self._workers.append(worker)
             self._pipes.append(parent)
             self._sent.append(0)
-            self._inflight.append(0)
 
     def worker_pid(self, shard: int) -> int | None:
         """PID of a shard's worker process (diagnostics, fault injection)."""
@@ -370,8 +346,6 @@ class ProcessShardExecutor(ShardExecutor):
         child.close()
         self._workers[shard] = replacement
         self._pipes[shard] = parent
-        if self._inflight:
-            self._inflight[shard] = 0
 
     def _send(self, shard: int, method: str, args: tuple, segments: list) -> None:
         """Encode and send one command, wrapping transport failures."""
@@ -455,11 +429,6 @@ class ProcessShardExecutor(ShardExecutor):
         return payload
 
     def call(self, shard: int, method: str, *args) -> tuple[object, GridStats]:
-        if self._submitted:
-            raise RuntimeError(
-                "collect_all() the in-flight submit_all commands before "
-                "issuing further calls"
-            )
         segments: list = []
         try:
             self._send(shard, method, args, segments)
@@ -470,79 +439,9 @@ class ProcessShardExecutor(ShardExecutor):
             for shm in segments:
                 release_segment(shm)
 
-    def submit_all(self, method: str, args_per_shard: Sequence[tuple]) -> None:
-        """Send a command to every shard without waiting for replies.
-
-        Consecutive submits pipeline: while the workers process command
-        ``k``, the coordinator assembles and sends command ``k+1``.  The
-        caller must :meth:`collect_all` before any plain ``call`` /
-        ``call_all``.  Shared-memory segments stay alive until collection
-        (workers may not have consumed them yet).
-        """
-        if len(args_per_shard) != len(self._pipes):
-            raise ValueError(
-                f"expected {len(self._pipes)} argument tuples, "
-                f"got {len(args_per_shard)}"
-            )
-        failure: ShardFailure | None = None
-        for shard, args in enumerate(args_per_shard):
-            try:
-                self._send(shard, method, args, self._stream_segments)
-                self._inflight[shard] += 1
-            except ShardFailure as exc:
-                if failure is None:
-                    failure = exc
-        self._submitted.append(method)
-        if failure is not None:
-            raise failure
-
-    def collect_all(self) -> list[list[tuple[object, GridStats]]]:
-        """Drain every reply of the submitted command pipeline.
-
-        Replies come back per shard in command order; cell pulls arriving
-        while draining are served inline by :meth:`_recv`.  On a shard
-        failure every healthy shard is still drained (protocol sync)
-        before the first failure is raised.
-        """
-        methods = self._submitted
-        self._submitted = []
-        segments = self._stream_segments
-        self._stream_segments = []
-        n = len(self._pipes)
-        try:
-            replies: list[list] = [[] for _ in range(n)]
-            failure: ShardWorkerError | None = None
-            for shard in range(n):
-                want = self._inflight[shard]
-                self._inflight[shard] = 0
-                for _k in range(want):
-                    try:
-                        replies[shard].append(self._recv(shard))
-                    except ShardFailure as exc:
-                        if failure is None:
-                            failure = exc
-                        break  # channel poisoned: nothing left to drain
-                    except ShardWorkerError as exc:
-                        if failure is None:
-                            failure = exc
-            if failure is not None:
-                raise failure
-            return [
-                [replies[shard][k] for shard in range(n)]
-                for k in range(len(methods))
-            ]
-        finally:
-            for shm in segments:
-                release_segment(shm)
-
     def call_all(
         self, method: str, args_per_shard: Sequence[tuple]
     ) -> list[tuple[object, GridStats]]:
-        if self._submitted:
-            raise RuntimeError(
-                "collect_all() the in-flight submit_all commands before "
-                "issuing further calls"
-            )
         if len(args_per_shard) != len(self._pipes):
             raise ValueError(
                 f"expected {len(self._pipes)} argument tuples, "
@@ -601,8 +500,3 @@ class ProcessShardExecutor(ShardExecutor):
         self._workers = []
         self._pipes = []
         self._sent = []
-        self._submitted = []
-        self._inflight = []
-        for shm in self._stream_segments:
-            release_segment(shm)
-        self._stream_segments = []

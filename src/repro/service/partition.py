@@ -12,7 +12,7 @@ maintenance.  This module is the partitioned alternative:
   :class:`_HaloCell` sentinel.
 * **Cell-sync protocol** — the coordinator (:class:`PartitionedMonitor`)
   keeps the one authoritative object store and translates each cycle's
-  :class:`FlatUpdateBatch` into per-shard row streams: a row is fanned
+  :class:`FlatUpdateBatch` into one row batch per shard: a row is fanned
   only to the shards *tracking* the touched cells (static column mask ∪
   dynamic interest acquired through pulls/prefetch).  A move whose old
   cell a shard tracks but whose new cell it does not reaches that shard
@@ -20,28 +20,24 @@ maintenance.  This module is the partitioned alternative:
   none of its queries' marks, and an NN that moves into an unmarked
   cell is outgoing in the single engine too (the tie rule of
   ``CPMMonitor._apply_flat_rows``), so there is nothing else to probe.
+  Each shard then gets exactly one command per cycle,
+  ``partition_cycle``.
 * **Pull path** — when CPM re-computation expands past the halo, the
   first attribute access on a sentinel fetches the cell's rows from the
   coordinator store, synchronously over the shard's command pipe.  The
-  protocol guarantees consistency without per-cell versions: pulls can
-  only happen during ``partition_finish`` (the begin/apply commands run
-  no searches), and by then the coordinator has applied the *whole*
-  cycle to its store — so pulled data always equals the post-cycle
-  truth the single engine would see.  Every pull registers dynamic
-  interest so later cycles fan rows to the copy; ``partition_finish``
-  evicts pulled cells no influence region marks anymore and releases
-  the interest.
+  protocol guarantees consistency without per-cell versions: the
+  coordinator sends ``partition_cycle`` only after it has applied the
+  *whole* batch to its store, so pulled data always equals the
+  post-cycle truth the single engine would see.  Every pull registers
+  dynamic interest so later cycles fan rows to the copy; the tail of
+  ``partition_cycle`` evicts pulled cells no influence region marks
+  anymore and releases the interest.
 * **Live query migration** — a cross-boundary query MOVE carries the
   query's bookkeeping (result list, influence marks, Figure 3.6 visit
   list) to the new owner via ``migrate_out_query``/``migrate_in_query``
   instead of the replicated tier's terminate+reinstall split.  See the
   method docstrings for what is reused and why the counters still match
   the single engine exactly.
-* **Shard-parallel ingest** — the coordinator streams its translation
-  in chunks through the executor's ``submit_all`` pipeline, so with
-  :class:`~repro.service.executor.ProcessShardExecutor` the shards
-  apply chunk *k* while the coordinator is still translating chunk
-  *k+1* (and the ingest driver is assembling the next batch).
 
 Byte-identity contract (property-pinned): results, changed sets,
 deltas **and all five deterministic counters** equal the single
@@ -54,8 +50,10 @@ inserts/deletes are ``n_shards``-fold.
 from __future__ import annotations
 
 import pickle
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import count
 
 from repro.core.bookkeeping import CycleScratch, QueryState
 from repro.core.cpm import CPMMonitor
@@ -68,11 +66,6 @@ from repro.monitor import CycleChanges
 from repro.service.executor import SerialShardExecutor, ShardExecutor
 from repro.service.sharding import ShardedMonitor, ShardPlan, row_error
 from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
-
-#: Translation streams in chunks so process-backed shards overlap chunk
-#: application with coordinator-side translation of the next chunk.
-_CHUNK_ROWS = 2048
-_MAX_CHUNKS = 64
 
 
 def _require_dense(grid: Grid) -> Grid:
@@ -137,21 +130,20 @@ class PartitionShardEngine(CPMMonitor):
     The grid spans the *full* workspace (cell ids identical to the
     single engine and to every peer shard); columns outside
     ``[track_lo, track_hi)`` start as :class:`_HaloCell` sentinels.
-    The coordinator drives cycles through the three-command protocol
-    ``partition_begin`` / ``partition_apply``* / ``partition_finish``
-    and never routes a row here unless this shard tracks the touched
-    cell — so the apply phase never pulls, and pulls are confined to
-    the finish phase where the parent process is guaranteed to be
-    listening on the command pipe.  ``partition_finish`` hands back the
-    cycle's before/after result maps, exactly what the single engine's
-    ``_cycle`` returns: delta capture is that return value, so the
-    protocol has no second finish path.
+    The coordinator drives each cycle with one command,
+    :meth:`partition_cycle`, sent once it has applied the whole batch to
+    its store, and never routes a row here unless this shard tracks the
+    touched cell — so the row loop never pulls, and a search's pull is
+    served while the parent process waits on this command's reply.
+    ``partition_cycle`` hands back the cycle's before/after result maps,
+    exactly what the single engine's ``_cycle`` returns: delta capture
+    is that return value, so the protocol has no second finish path.
 
     Nothing of the engine's cycle is overridden: the row loop, the cycle
     tail and the searches are :class:`CPMMonitor`'s, run over a grid some
     of whose slots fill on first touch.  It is a subclass rather than a
-    wrapper because what it adds (sentinels, the split cycle, migration,
-    the full-fidelity checkpoint) works on the engine's own tables.
+    wrapper because what it adds (sentinels, eviction, migration, the
+    full-fidelity checkpoint) works on the engine's own tables.
     """
 
     def __init__(
@@ -210,7 +202,7 @@ class PartitionShardEngine(CPMMonitor):
     def _evict_unmarked(self) -> list[int]:
         """Drop pulled cells no influence region marks; return their ids.
 
-        Runs at the tail of ``partition_finish``: a pulled cell that is
+        Runs at the tail of :meth:`partition_cycle`: a pulled cell that is
         still inside some query's influence region stays (its rows keep
         syncing), everything else reverts to a sentinel so the dynamic
         fan-out stays bounded by the live influence surface.
@@ -230,46 +222,27 @@ class PartitionShardEngine(CPMMonitor):
     # Partitioned cycle protocol
     # ------------------------------------------------------------------
 
-    _cycle_scratch: dict[int, CycleScratch] | None = None
-    _cycle_qus: tuple[QueryUpdate, ...] = ()
-    _cycle_updated: set[int] = frozenset()  # type: ignore[assignment]
-
-    def partition_begin(self, query_updates: tuple[QueryUpdate, ...]) -> None:
-        """Open one cycle: the scratch table and the queries object
-        handling skips (the head of the single engine's ``_cycle``)."""
-        if self._cycle_scratch is not None:
-            raise RuntimeError("partitioned cycle already open")
-        self._cycle_qus = query_updates
-        self._cycle_updated = {qu.qid for qu in query_updates}
-        self._cycle_scratch = {}
-
-    def partition_apply(self, chunk: FlatUpdateBatch) -> None:
-        """Apply one translated row chunk inside the open cycle."""
-        scratch = self._cycle_scratch
-        if scratch is None:
-            raise RuntimeError("partition_apply outside a partitioned cycle")
-        self._apply_flat_rows(chunk, scratch, self._cycle_updated)
-
-    def partition_finish(
-        self, keep_before: bool
+    def partition_cycle(
+        self,
+        rows: FlatUpdateBatch,
+        query_updates: tuple[QueryUpdate, ...],
+        keep_before: bool,
     ) -> tuple[CycleChanges, list[int]]:
-        """Close the cycle: finalize, query updates, eviction.
+        """One whole cycle on this shard: the translated rows, finalize
+        and query updates, then eviction.
 
-        Returns ``(changes, released)``: ``changes`` is the cycle's
-        ``(before, after)`` maps, the single engine's ``_cycle`` return
-        value from the same ``_finish_cycle``, and ``released`` lists the dynamically-tracked cell ids evicted — the
-        coordinator drops their fan-out interest.
+        The single engine's ``_cycle`` minus its ``appear``-flag check
+        (the coordinator validated the batch against its store, and a
+        shard meeting an object for the first time takes the appearance
+        path on a plain move row).  Returns ``(changes, released)``:
+        ``changes`` is the cycle's ``(before, after)`` maps from the same
+        ``_finish_cycle``, and ``released`` lists the dynamically-tracked
+        cell ids evicted — the coordinator drops their fan-out interest.
         """
-        scratch = self._cycle_scratch
-        if scratch is None:
-            raise RuntimeError("partition_finish outside a partitioned cycle")
-        try:
-            changes = self._finish_cycle(scratch, self._cycle_qus, keep_before)
-            return changes, self._evict_unmarked()
-        finally:
-            self._cycle_scratch = None
-            self._cycle_qus = ()
-            self._cycle_updated = frozenset()  # type: ignore[assignment]
+        scratch: dict[int, CycleScratch] = {}
+        self._apply_flat_rows(rows, scratch, {qu.qid for qu in query_updates})
+        changes = self._finish_cycle(scratch, query_updates, keep_before)
+        return changes, self._evict_unmarked()
 
     # ------------------------------------------------------------------
     # Live query migration
@@ -372,45 +345,25 @@ class PartitionShardEngine(CPMMonitor):
         self.stats.restore(state["stats"])
 
 
-class _ShardRows:
-    """Per-shard row accumulator for one translation chunk."""
-
-    __slots__ = ("oids", "old_xs", "old_ys", "new_xs", "new_ys", "appear", "disappear")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.oids: list[int] = []
-        self.old_xs: list[float] = []
-        self.old_ys: list[float] = []
-        self.new_xs: list[float] = []
-        self.new_ys: list[float] = []
-        self.appear = bytearray()
-        self.disappear = bytearray()
-
-    def append(self, oid, ox, oy, nx, ny, app, dis) -> None:
-        self.oids.append(oid)
-        self.old_xs.append(ox)
-        self.old_ys.append(oy)
-        self.new_xs.append(nx)
-        self.new_ys.append(ny)
-        self.appear.append(app)
-        self.disappear.append(dis)
-
-    def take(self, timestamp: int) -> FlatUpdateBatch:
-        batch = FlatUpdateBatch(
-            timestamp,
-            self.oids,
-            self.old_xs,
-            self.old_ys,
-            self.new_xs,
-            self.new_ys,
-            self.appear,
-            self.disappear,
-        )
-        self.reset()
-        return batch
+def _gather(
+    batch: FlatUpdateBatch, picked: list[int], gone: list[int]
+) -> FlatUpdateBatch:
+    """The rows ``picked`` of ``batch`` as one batch, each column gathered
+    in one pass; the rows at positions ``gone`` (of ``picked``) become
+    disappearances."""
+    disappear = bytearray([batch.disappear[i] for i in picked])
+    for pos in gone:
+        disappear[pos] = 1
+    return FlatUpdateBatch(
+        batch.timestamp,
+        array("q", [batch.oids[i] for i in picked]),
+        array("d", [batch.old_xs[i] for i in picked]),
+        array("d", [batch.old_ys[i] for i in picked]),
+        array("d", [batch.new_xs[i] for i in picked]),
+        array("d", [batch.new_ys[i] for i in picked]),
+        bytearray([batch.appear[i] for i in picked]),
+        disappear,
+    )
 
 
 class PartitionedMonitor(ShardedMonitor):
@@ -466,7 +419,6 @@ class PartitionedMonitor(ShardedMonitor):
         )
         self._executor.bind_pull_server(self._serve_pull)
         self._query_shard: dict[int, int] = {}
-        self._positions: dict[int, Point] = {}
         self._stats = GridStats()
         self.metrics = metrics
         self._n_cycles = 0
@@ -528,10 +480,10 @@ class PartitionedMonitor(ShardedMonitor):
     def _serve_pull(self, shard: int, cid: int):
         """Serve one cell to a shard and register its fan-out interest.
 
-        Only callable while the executor is collecting ``partition_finish``
-        (or during a direct query call) — by then the coordinator store
-        holds the complete post-cycle state, so the pulled rows are
-        exactly what the single engine's grid would hold.
+        Only callable inside a shard command — ``partition_cycle`` or a
+        direct query call — and the coordinator sends ``partition_cycle``
+        after applying the whole batch to its store, so the pulled rows
+        are exactly what the single engine's grid would hold.
         """
         self._dyn_mask[cid] = self._dyn_mask.get(cid, 0) | (1 << shard)
         self._n_pulls += 1
@@ -573,7 +525,6 @@ class PartitionedMonitor(ShardedMonitor):
             cid = store.cell_id(x, y)
             store.insert_at(cid, oid, point)
             self._store_cell[oid] = cid
-            self._positions[oid] = point
             m = col_mask[cid // rows] | self._dyn_mask.get(cid, 0)
             while m:
                 low = m & -m
@@ -583,6 +534,25 @@ class PartitionedMonitor(ShardedMonitor):
             "load_objects", [(rows_,) for rows_ in per_shard]
         )
         self._fold_store_stats()
+
+    # Positions are read back through the store's cell columns, as
+    # CPMMonitor reads its grid: the coordinator keeps no second table.
+
+    def object_position(self, oid: int) -> Point | None:
+        cid = self._store_cell.get(oid)
+        if cid is None:
+            return None
+        return self._store._cells[cid].position(oid)
+
+    @property
+    def object_count(self) -> int:
+        return len(self._store_cell)
+
+    def iter_objects(self) -> Iterable[tuple[int, Point]]:
+        cells = self._store._cells
+        store_cell = self._store_cell
+        for oid in sorted(store_cell):
+            yield oid, cells[store_cell[oid]].position(oid)
 
     # ------------------------------------------------------------------
     # Live query migration (coordinator side)
@@ -680,167 +650,115 @@ class PartitionedMonitor(ShardedMonitor):
         query_updates: Sequence[QueryUpdate],
         keep_before: bool,
     ) -> CycleChanges:
-        """One partitioned cycle (replaces the replicated fan-out): live
-        migrations, ``partition_begin``, the translated row streams,
-        ``partition_finish``, then the inherited merge.  A migrated query
-        reports only from its destination, whose MOVE finds the carried
-        result — its true pre-cycle one."""
+        """One partitioned cycle (replaces the replicated fan-out): row
+        validation, live migrations, query routing, the translation into
+        the store and per-shard rows, one ``partition_cycle`` per shard,
+        then the inherited merge.
+
+        This is the tier's public boundary for object rows, and it checks
+        them all before anything mutates (:meth:`_check_rows`): a rejected
+        row leaves the store, the routing table and every shard as they
+        were.  A migrated query reports only from its destination, whose
+        MOVE finds the carried result — its true pre-cycle one.
+        """
+        self._check_rows(batch)
         self._migrate(self._plan_migrations(query_updates))
         per_shard_qu = self._split_query_updates(query_updates)
-        executor = self._executor
-        executor.submit_all(
-            "partition_begin", [(tuple(qus),) for qus in per_shard_qu]
-        )
-        self._translate_and_stream(batch)
+        per_shard_rows = self._translate(batch)
         self._fold_store_stats()
-        executor.submit_all("partition_finish", [(keep_before,)] * self.n_shards)
-        groups = executor.collect_all()
-        for group in groups:
-            for _payload, stats in group:
-                self._absorb(stats)
+        replies = self._call_all(
+            "partition_cycle",
+            [
+                (rows, tuple(qus), keep_before)
+                for rows, qus in zip(per_shard_rows, per_shard_qu)
+            ],
+        )
         self._n_cycles += 1
         shard_changes = []
-        for shard, ((changes, released), _stats) in enumerate(groups[-1]):
+        for shard, (changes, released) in enumerate(replies):
             if released:
                 self._release_interest(shard, released)
             shard_changes.append(changes)
         return self._merge_changes(shard_changes)
 
-    def _translate_and_stream(self, batch: FlatUpdateBatch) -> None:
-        """Translate the authoritative batch into per-shard row streams.
+    def _check_rows(self, batch: FlatUpdateBatch) -> None:
+        """Raise ``KeyError`` (:func:`row_error`) for a row that disagrees
+        with the store: an appearance of an on-line object, a move or a
+        disappearance of an off-line one.  ``online`` overlays the rows
+        already checked, for oids that repeat within the batch."""
+        store_cell = self._store_cell
+        online: dict[int, bool] = {}
+        for oid, ap, dis in zip(batch.oids, batch.appear, batch.disappear):
+            known = online[oid] if oid in online else oid in store_cell
+            if ap == known or ap & dis:
+                raise row_error(oid, known)
+            online[oid] = not dis
 
-        Applies every row to the coordinator store (canonical
-        inserts/deletes) and fans it, chunk by chunk, to exactly the
-        shards tracking the touched cells.  Cross-boundary moves send a
-        plain move row to the new cell's trackers (shards that do not
-        know the object take the appearance path off their object map)
-        and a disappearance row to trackers of only the old cell.
+    def _translate(self, batch: FlatUpdateBatch) -> list[FlatUpdateBatch]:
+        """Apply the checked batch to the store; return each shard's rows.
 
-        This is the tier's public boundary for object rows: a row whose
-        ``appear`` flag disagrees with whether the store holds the object
-        raises ``KeyError``.
+        One pass over the rows mutates the coordinator store (the
+        canonical inserts/deletes) and appends each row's index to the
+        list of every shard tracking the touched cell.  A cross-boundary
+        move goes as a move row to the new cell's trackers (a shard that
+        does not know the object takes the appearance path off its
+        object map) and as a disappearance to trackers of only the old
+        cell, whose positions are noted in ``gone``.  Each shard's
+        columns are then gathered once.
         """
         n_rows = len(batch.oids)
-        if not n_rows:
-            return
-        n = self.n_shards
-        ts = batch.timestamp
-        executor = self._executor
         store = self._store
         rows = store.rows
-        cell_id = store.cell_id
         insert_at = store.insert_at
         delete_at = store.delete_at
         relocate_at = store.relocate_at
         col_mask = self._col_mask
-        dyn_mask = self._dyn_mask
+        dyn_get = self._dyn_mask.get
         store_cell = self._store_cell
-        positions = self._positions
-        builders = [_ShardRows() for _ in range(n)]
-        chunk_rows = max(_CHUNK_ROWS, -(-n_rows // _MAX_CHUNKS))
-        fanout = 0
-        sync_extra = 0
-        pending = 0
-
-        def flush() -> None:
-            nonlocal pending
-            if not pending:
-                return
-            executor.submit_all(
-                "partition_apply", [(b.take(ts),) for b in builders]
-            )
-            pending = 0
-
-        for oid, ox, oy, nx, ny, ap, dis in zip(
-            batch.oids,
-            batch.old_xs,
-            batch.old_ys,
-            batch.new_xs,
-            batch.new_ys,
-            batch.appear,
-            batch.disappear,
+        store_cell_get = store_cell.get
+        picked: list[list[int]] = [[] for _ in range(self.n_shards)]
+        gone: list[list[int]] = [[] for _ in range(self.n_shards)]
+        next_cid = iter(
+            store.batch_cell_ids(batch.new_xs, batch.new_ys, batch.disappear)
+        ).__next__
+        for r, oid, nx, ny, dis in zip(
+            count(), batch.oids, batch.new_xs, batch.new_ys, batch.disappear
         ):
-            old_cid = store_cell.get(oid)
-            known = old_cid is not None
-            if known if ap else not known:
-                raise row_error(oid, ap)
+            old_cid = store_cell_get(oid)
             if dis:
                 del store_cell[oid]
                 delete_at(old_cid, oid)
-                del positions[oid]
-                m = col_mask[old_cid // rows] | dyn_mask.get(old_cid, 0)
-                copies = m.bit_count()
-                fanout += copies
-                sync_extra += copies - 1
-                while m:
-                    low = m & -m
-                    builders[low.bit_length() - 1].append(
-                        oid, ox, oy, nx, ny, 0, 1
-                    )
-                    m ^= low
+                m = col_mask[old_cid // rows] | dyn_get(old_cid, 0)
             else:
-                new_cid = cell_id(nx, ny)
-                point = (nx, ny)
-                if old_cid is None:
-                    insert_at(new_cid, oid, point)
+                new_cid = next_cid()
+                m = col_mask[new_cid // rows] | dyn_get(new_cid, 0)
+                if old_cid == new_cid:
+                    relocate_at(new_cid, oid, (nx, ny))
+                elif old_cid is None:
+                    insert_at(new_cid, oid, (nx, ny))
                     store_cell[oid] = new_cid
-                    positions[oid] = point
-                    m = col_mask[new_cid // rows] | dyn_mask.get(new_cid, 0)
-                    copies = m.bit_count()
-                    fanout += copies
-                    sync_extra += copies - 1
-                    while m:
-                        low = m & -m
-                        builders[low.bit_length() - 1].append(
-                            oid, ox, oy, nx, ny, 1, 0
-                        )
-                        m ^= low
-                elif old_cid == new_cid:
-                    relocate_at(new_cid, oid, point)
-                    positions[oid] = point
-                    m = col_mask[new_cid // rows] | dyn_mask.get(new_cid, 0)
-                    copies = m.bit_count()
-                    fanout += copies
-                    sync_extra += copies - 1
-                    while m:
-                        low = m & -m
-                        builders[low.bit_length() - 1].append(
-                            oid, ox, oy, nx, ny, 0, 0
-                        )
-                        m ^= low
                 else:
                     delete_at(old_cid, oid)
-                    insert_at(new_cid, oid, point)
+                    insert_at(new_cid, oid, (nx, ny))
                     store_cell[oid] = new_cid
-                    positions[oid] = point
-                    m_new = col_mask[new_cid // rows] | dyn_mask.get(new_cid, 0)
-                    m_old = col_mask[old_cid // rows] | dyn_mask.get(old_cid, 0)
-                    m_gone = m_old & ~m_new
-                    copies = m_new.bit_count() + m_gone.bit_count()
-                    fanout += copies
-                    sync_extra += copies - 1
-                    m = m_new
-                    while m:
-                        low = m & -m
-                        builders[low.bit_length() - 1].append(
-                            oid, ox, oy, nx, ny, 0, 0
-                        )
-                        m ^= low
-                    m = m_gone
-                    while m:
-                        low = m & -m
-                        builders[low.bit_length() - 1].append(
-                            oid, ox, oy, nx, ny, 0, 1
-                        )
-                        m ^= low
-            pending += 1
-            if pending >= chunk_rows:
-                flush()
-        flush()
+                    m_gone = (col_mask[old_cid // rows] | dyn_get(old_cid, 0)) & ~m
+                    while m_gone:
+                        low = m_gone & -m_gone
+                        s = low.bit_length() - 1
+                        gone[s].append(len(picked[s]))
+                        picked[s].append(r)
+                        m_gone ^= low
+            while m:
+                low = m & -m
+                picked[low.bit_length() - 1].append(r)
+                m ^= low
+        fanout = sum(map(len, picked))
+        sync_extra = fanout - n_rows
         self._n_fanout_rows += fanout
         self._n_sync_rows += sync_extra
         if self._m_sync is not None and sync_extra:
             self._m_sync.inc(sync_extra)
+        return [_gather(batch, p, g) for p, g in zip(picked, gone)]
 
     # ------------------------------------------------------------------
     # Traffic accounting

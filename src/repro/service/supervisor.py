@@ -23,7 +23,10 @@ run's results *and* deterministic access counters are byte-identical to a
 run that never crashed.  The replayed commands' stats are discarded (the
 original execution already reported them; the sharded monitor's aggregate
 counters are never polluted by recovery traffic), and the re-issued
-in-flight command reports its stats exactly once.
+in-flight command reports its stats exactly once.  A partitioned shard
+logs one ``partition_cycle`` per cycle, so its log — and a fault
+schedule's command ordinal — advances by whole cycles; the cell pulls a
+cycle made are answered from a pull log during the rebuild.
 
 **Checkpoints.**  The log grows with the run; :meth:`checkpoint` compacts
 it by capturing each engine's logical state
@@ -57,7 +60,6 @@ from repro.service.executor import (
     FaultHook,
     ProcessShardExecutor,
     PullServer,
-    ShardExecutor,
     ShardFactory,
     ShardFailure,
     ShardWorkerError,
@@ -215,20 +217,6 @@ class SupervisedShardExecutor(ProcessShardExecutor):
         log.append((request, reply))
         self._pull_cursor[shard] = len(log)
         return reply
-
-    # ------------------------------------------------------------------
-    # Staged dispatch
-    # ------------------------------------------------------------------
-
-    def submit_all(self, method: str, args_per_shard: Sequence[tuple]) -> None:
-        """Buffered staging (no streaming): supervision needs every
-        command to commit — log append, recovery, degraded dispatch —
-        before the next is sent, so the base-class blocking fallback is
-        the correct semantics here, not the process executor's pipeline."""
-        ShardExecutor.submit_all(self, method, args_per_shard)
-
-    def collect_all(self) -> list:
-        return ShardExecutor.collect_all(self)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -245,9 +245,13 @@ class TestPartitionedRecovery:
     def test_partitioned_restart_mid_replay_is_byte_identical(self):
         workload = small_workload(query_agility=0.5)
         ref_report, ref_log = replay(CPMMonitor(cells_per_axis=CELLS), workload)
-        plan = FaultPlan(seed=7).kill_worker(shard=1, at_command=8)
+        # Shard 1's commands: load_objects, five install_query, a
+        # result_table, then one partition_cycle + result_table per
+        # cycle — ordinal 9 is cycle 2's partition_cycle.
+        plan = FaultPlan(seed=7).kill_worker(shard=1, at_command=9)
         report, log, executor = self._run(workload, plan)
         assert [f.kind for f in plan.fired] == ["kill"]
+        assert [e.method for e in executor.events] == ["partition_cycle"]
         assert executor.restart_counts[1] == 1
         assert log == ref_log
         assert report.total_cell_scans == ref_report.total_cell_scans
@@ -260,9 +264,15 @@ class TestPartitionedRecovery:
         replay after the snapshot must still be byte-identical."""
         workload = small_workload(query_agility=0.4)
         ref_report, ref_log = replay(CPMMonitor(cells_per_axis=CELLS), workload)
-        plan = FaultPlan().kill_worker(shard=1, at_command=24)
+        # Ordinal 13 is the checkpoint's capture_state after cycle 3;
+        # 16 is cycle 5's partition_cycle, so the rebuild restores the
+        # snapshot and replays cycle 4 before re-issuing cycle 5.
+        plan = FaultPlan().kill_worker(shard=1, at_command=16)
         report, log, executor = self._run(workload, plan, checkpoint_at=3)
         assert [f.kind for f in plan.fired] == ["kill"]
+        assert [(e.method, e.replayed) for e in executor.events] == [
+            ("partition_cycle", 1)
+        ]
         assert executor.restart_counts[1] == 1
         assert log == ref_log
         assert report.total_cell_scans == ref_report.total_cell_scans
@@ -270,12 +280,15 @@ class TestPartitionedRecovery:
     def test_partitioned_four_shards_kill_each(self):
         workload = small_workload(timestamps=5, query_agility=0.5)
         _, ref_log = replay(CPMMonitor(cells_per_axis=CELLS), workload)
-        for shard in range(4):
+        # Each shard's cycle-3 partition_cycle: the ordinals differ by
+        # the number of queries installed on the shard before cycle 1.
+        for shard, ordinal in enumerate([6, 7, 9, 8]):
             plan = FaultPlan(seed=shard).kill_worker(
-                shard=shard, at_command=10 + shard
+                shard=shard, at_command=ordinal
             )
             _, log, executor = self._run(workload, plan, n_shards=4)
             assert [f.kind for f in plan.fired] == ["kill"]
+            assert [e.method for e in executor.events] == ["partition_cycle"]
             assert executor.restart_counts[shard] == 1
             assert log == ref_log
 

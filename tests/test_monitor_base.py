@@ -97,9 +97,9 @@ class TestOneCycleLoop:
         assert not CYCLE_NAMES & set(vars(cls))
 
     def test_no_cpm_subclass_replaces_a_piece_of_the_engine_cycle(self):
-        """Partitioning *adds* to the engine (halo sentinels, a cycle split
-        over three commands, migration, checkpoints); the row loop, the
-        cycle tail and the cycle itself stay ``CPMMonitor``'s."""
+        """Partitioning *adds* to the engine (halo sentinels, the
+        ``partition_cycle`` command, migration, checkpoints); the row loop,
+        the cycle tail and the cycle itself stay ``CPMMonitor``'s."""
         subclasses = [
             cls
             for cls in _monitor_classes()

@@ -83,6 +83,12 @@ def test_partitioned_is_byte_identical_to_single_engine(shape):
         assert part.result_table() == single.result_table(), batch.timestamp
         assert sorted(part.query_ids()) == sorted(single.query_ids())
         assert part.object_count == single.object_count
+        # Positions come from the coordinator store's cell columns: every
+        # oid this batch touched (disappearances included) and a few more.
+        assert list(part.iter_objects()) == list(single.iter_objects())
+        sample = {u.oid for u in batch.object_updates} | set(range(5))
+        for oid in sorted(sample):
+            assert part.object_position(oid) == single.object_position(oid), oid
         single.check_invariants()
         part._call_all("check_invariants", [()] * part.n_shards)
         # The partitioned contract is counter-exact — not S-fold.

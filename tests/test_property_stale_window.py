@@ -9,25 +9,20 @@ re-keyed twice, an incomer moves again or goes off-line, more than k
 incomers pile up while NNs leave, distinct objects tie at one distance.
 
 Every script here runs through the single engine, ``ShardedMonitor(2)``
-and ``PartitionedMonitor(2)`` — the latter with the cycle cut into
-``partition_apply`` chunks of two rows, so a query's window spans several
-commands.  The three must agree byte for byte (results, changed sets,
-``GridStats``), satisfy ``check_invariants`` and match the brute-force
-oracle's distances (ids may differ from it under exact ties, as in
-``test_property_cpm``).
+and ``PartitionedMonitor(2)``.  The three must agree byte for byte
+(results, changed sets, ``GridStats``), satisfy ``check_invariants`` and
+match the brute-force oracle's distances (ids may differ from it under
+exact ties, as in ``test_property_cpm``).
 
 Coordinates are dyadic (multiples of 1/32) around queries at cell
 centres of the 8x8 grid, so mirrored positions give *exactly* equal
 distances and no query sits on a cell boundary.
 """
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.service.partition as partition_module
 from repro.baselines.brute import BruteForceMonitor
 from repro.core.cpm import CPMMonitor
 from repro.service.partition import PartitionedMonitor
@@ -88,10 +83,7 @@ def run_everywhere(initial, queries, batches, halo=1):
             positions[oid] = new
         changed = single.process(updates)
         assert sharded.process(updates) == changed, t
-        # Two-row ``partition_apply`` chunks (the production floor is
-        # 2048): a query's window stays open across several commands.
-        with mock.patch.object(partition_module, "_CHUNK_ROWS", 2):
-            assert part.process(updates) == changed, t
+        assert part.process(updates) == changed, t
         brute.process(updates)
         check(t)
 

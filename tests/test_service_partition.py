@@ -205,6 +205,87 @@ class TestPartitionedMonitor:
             part.load_objects([(1, (0.2, 0.2))])
             assert part.object_count == 1
 
+    def test_positions_are_read_from_the_store(self):
+        single = CPMMonitor(CELLS)
+        part = PartitionedMonitor(2, CELLS)
+        for m in (single, part):
+            m.load_objects([(3, (0.1, 0.2)), (1, (0.9, 0.8)), (2, (0.5, 0.5))])
+            m.process(
+                [
+                    _move(3, (0.1, 0.2), (0.7, 0.2)),
+                    ObjectUpdate(2, (0.5, 0.5), None),
+                    ObjectUpdate(4, None, (0.3, 0.3)),
+                ]
+            )
+        assert list(part.iter_objects()) == list(single.iter_objects())
+        assert list(part.iter_objects()) == [
+            (1, (0.9, 0.8)),
+            (3, (0.7, 0.2)),
+            (4, (0.3, 0.3)),
+        ]
+        for oid in range(6):
+            assert part.object_position(oid) == single.object_position(oid)
+        assert part.object_count == single.object_count == 3
+
+
+# ----------------------------------------------------------------------
+# A rejected batch leaves no trace
+# ----------------------------------------------------------------------
+
+
+class TestRejectedBatch:
+    """The coordinator checks every row against its store before the
+    first migration, routing change or store mutation, so a rejected
+    batch is as if never sent — in particular no shard is left with a
+    half-done cycle."""
+
+    OBJECTS = [
+        (i, ((i % 16) / 16 + 1 / 32, (i // 16) / 4 + 0.1)) for i in range(48)
+    ]
+    # Valid rows that, were the batch committed, would move object 2
+    # across the shard boundary, drop object 5 and add object 100.
+    PREFIX = [
+        _move(2, OBJECTS[2][1], (0.6, 0.12)),
+        ObjectUpdate(5, OBJECTS[5][1], None),
+        ObjectUpdate(100, None, (0.4, 0.4)),
+    ]
+    BAD = {
+        "appears_while_online": [ObjectUpdate(1, None, (0.2, 0.2))],
+        "moves_after_disappearing": [_move(5, OBJECTS[5][1], (0.3, 0.1))],
+        "appears_twice_in_batch": [ObjectUpdate(100, None, (0.5, 0.4))],
+        "moves_while_offline": [_move(200, (0.1, 0.1), (0.2, 0.2))],
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_next_cycle_matches_an_engine_that_never_saw_it(self, bad):
+        single = CPMMonitor(CELLS)
+        part = PartitionedMonitor(2, CELLS, halo=1)
+        for m in (single, part):
+            m.load_objects(self.OBJECTS)
+            m.install_query(1, (0.45, 0.5), 3)
+            m.install_query(2, (0.8, 0.3), 2)
+        stats = part.stats.snapshot()
+        traffic = part.partition_stats()
+        # The query MOVE would migrate query 1 to shard 1.
+        migrate = [QueryUpdate(1, QueryUpdateKind.MOVE, (0.55, 0.5), 3)]
+        with pytest.raises(KeyError):
+            part.process(self.PREFIX + self.BAD[bad], migrate)
+        assert part.query_shard(1) == 0
+        assert part.stats.snapshot() == stats
+        assert part.partition_stats() == traffic
+        assert list(part.iter_objects()) == list(single.iter_objects())
+
+        ups = [
+            _move(3, self.OBJECTS[3][1], (0.58, 0.11)),
+            ObjectUpdate(1, self.OBJECTS[1][1], None),
+        ]
+        qus = [QueryUpdate(2, QueryUpdateKind.MOVE, (0.35, 0.3), 2)]
+        assert part.process(ups, qus) == single.process(ups, qus)
+        assert part.result_table() == single.result_table()
+        assert part.stats.snapshot() == single.stats.snapshot()
+        assert list(part.iter_objects()) == list(single.iter_objects())
+        part._call_all("check_invariants", [()] * part.n_shards)
+
 
 # ----------------------------------------------------------------------
 # Live query migration
