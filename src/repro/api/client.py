@@ -72,7 +72,7 @@ from repro.api.retry import ReconnectPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.geometry.points import Point
 from repro.service.deltas import ResultDelta
-from repro.updates import ObjectUpdate, QueryUpdate
+from repro.updates import FlatUpdateBatch, ObjectUpdate, QueryUpdate
 
 ResultEntry = tuple[float, int]
 DeltaCallback = Callable[[int | None, ResultDelta], None]
@@ -762,7 +762,7 @@ class Client:
     def send_updates(self, object_updates: Sequence[ObjectUpdate]) -> None:
         """Stage object updates for the next :meth:`tick` (no reply)."""
         self._await_link()
-        self._send(wire.Updates(updates=tuple(object_updates)))
+        self._send(wire.Updates(FlatUpdateBatch.from_updates(object_updates)))
 
     def send_query_update(self, update: QueryUpdate) -> None:
         """Stage a raw query update for the next :meth:`tick`."""

@@ -622,7 +622,7 @@ class MonitorSocketServer:
         session = self.session
         kind = type(frame)
         if kind is wire.Updates:
-            conn.staged_objects.extend(frame.updates)
+            conn.staged_objects.extend(frame.batch.to_object_updates())
             return
         if kind is wire.QueryOp:
             conn.staged_queries.append(frame.update)

@@ -86,22 +86,35 @@ signed 64-bit (it could not ride a binary delta).
 
 Points are ``[x, y]``; result entries are ``[dist, oid]``; object
 update rows are ``[oid, old, new]`` with ``null`` for the
-appearance/disappearance side, exactly the Section 3 tuple.
+appearance/disappearance side, exactly the Section 3 tuple.  Every
+coordinate a frame carries in must be finite: ``1e999`` is valid JSON
+that parses to ``inf``, so the decoders check the parsed values, not
+only the ``NaN`` / ``Infinity`` constants.
+
+**Updates travel as columns.**  :class:`Updates` carries its rows as a
+:class:`repro.updates.FlatUpdateBatch`, the type the ingest tier stages
+and the engines consume.  :func:`decode_frame` fills its seven columns
+in one pass over the JSON rows — no :class:`repro.updates.ObjectUpdate`
+and no point tuple per row — and one bad row rejects the whole frame.
+A row's oid must be a JSON integer and its coordinates JSON numbers.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import isfinite
+from operator import and_, is_
 from typing import Union
 
 from repro.api.queries import QuerySpec, spec_from_wire, spec_to_wire
 from repro.geometry.points import Point
 from repro.service.deltas import ResultDelta
-from repro.updates import FlatUpdateBatch, ObjectUpdate, QueryUpdate, QueryUpdateKind
+from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
 
 #: the protocol version this module speaks (stamps every encoded frame).
 WIRE_VERSION = 4
@@ -170,9 +183,12 @@ class Welcome:
 
 @dataclass(frozen=True, slots=True)
 class Updates:
-    """Object location updates staged for the next :class:`Tick`."""
+    """Object location updates staged for the next :class:`Tick`, as
+    columns (build one from rows with
+    :meth:`repro.updates.FlatUpdateBatch.from_updates`; its
+    ``timestamp`` and ``query_updates`` do not travel)."""
 
-    updates: tuple[ObjectUpdate, ...]
+    batch: FlatUpdateBatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,7 +387,11 @@ Frame = Union[
 
 def _point(raw) -> Point:
     x, y = raw
-    return (float(x), float(y))
+    x = float(x)
+    y = float(y)
+    if isfinite(x) and isfinite(y):
+        return (x, y)
+    raise ValueError(f"non-finite coordinate in {raw!r}")
 
 
 def _opt_point(raw) -> Point | None:
@@ -399,12 +419,84 @@ def _entries(raw) -> tuple[ResultEntry, ...]:
     return tuple([(float(d), int(oid)) for d, oid in raw])
 
 
-def _update_row(upd: ObjectUpdate) -> list:
+def _update_rows(batch: FlatUpdateBatch) -> list[list]:
+    """The JSON ``rows`` of an :class:`Updates` frame, read straight
+    from the columns: ``[oid, old, new]`` with ``null`` on the
+    appearance/disappearance side."""
     return [
-        upd.oid,
-        None if upd.old is None else [upd.old[0], upd.old[1]],
-        None if upd.new is None else [upd.new[0], upd.new[1]],
+        [oid, None if ap else [ox, oy], None if dis else [nx, ny]]
+        for oid, ox, oy, nx, ny, ap, dis in zip(
+            batch.oids,
+            batch.old_xs,
+            batch.old_ys,
+            batch.new_xs,
+            batch.new_ys,
+            batch.appear,
+            batch.disappear,
+        )
     ]
+
+
+#: the placeholder an appearance (disappearance) row holds in its old
+#: (new) coordinate columns.
+_NOWHERE = (0.0, 0.0)
+
+
+def _coordinates(points, absent: int) -> tuple[array, array]:
+    """The x and y columns of one side of an ``updates`` frame.
+
+    ``points`` holds each row's ``[x, y]`` or ``None``; ``absent``
+    counts the ``None`` rows, which get the placeholder.  ``zip(*...,
+    strict=True)`` unpacks every point exactly as ``x, y = point``
+    would: a point of any other length fails the frame, and
+    ``array("d")`` refuses a coordinate that is not a JSON number."""
+    if absent:
+        points = [_NOWHERE if p is None else p for p in points]
+    xs, ys = zip(*points, strict=True)
+    xs = array("d", xs)
+    ys = array("d", ys)
+    # A sum of floats is finite iff every term is, unless finite terms
+    # overflow it: only then is the per-value check needed.
+    for col in (xs, ys):
+        if not isfinite(sum(col)) and not all(map(isfinite, col)):
+            raise ValueError("non-finite coordinate in updates row")
+    return xs, ys
+
+
+def _updates_in(rows) -> Updates:
+    """Decode an ``updates`` frame's rows column by column (the inverse
+    of :func:`_update_rows`).
+
+    Accepts exactly what a per-row ``for oid, old, new in rows`` loop
+    accepts when each oid must be a JSON integer within signed 64-bit
+    and each coordinate a finite JSON number; anything else raises
+    (``decode_frame`` turns it into :class:`WireError`)."""
+    columns = tuple(zip(*rows, strict=True))
+    if not columns:
+        if rows:
+            raise ValueError("an updates row is empty")
+        return Updates(FlatUpdateBatch(0))
+    oids, olds, news = columns
+    try:
+        oids = array("q", oids)
+    except OverflowError:
+        raise ValueError("an oid does not fit a signed 64-bit field") from None
+    n_appear = olds.count(None)
+    n_disappear = news.count(None)
+    n = len(oids)
+    appear = (
+        bytearray(map(is_, olds, repeat(None))) if n_appear else bytearray(n)
+    )
+    disappear = (
+        bytearray(map(is_, news, repeat(None))) if n_disappear else bytearray(n)
+    )
+    if n_appear and n_disappear and any(map(and_, appear, disappear)):
+        raise ValueError("an updates row carries no location")
+    old_xs, old_ys = _coordinates(olds, n_appear)
+    new_xs, new_ys = _coordinates(news, n_disappear)
+    return Updates(
+        FlatUpdateBatch(0, oids, old_xs, old_ys, new_xs, new_ys, appear, disappear)
+    )
 
 
 def _query_op_out(qu: QueryUpdate) -> dict:
@@ -433,7 +525,7 @@ def _query_op_in(obj: dict) -> QueryUpdate:
 
 def _body(frame: Frame) -> tuple[str, dict]:
     if type(frame) is Updates:
-        return "updates", {"rows": [_update_row(u) for u in frame.updates]}
+        return "updates", {"rows": _update_rows(frame.batch)}
     if type(frame) is Tick:
         return "tick", {"ts": frame.timestamp}
     if type(frame) is Ticked:
@@ -591,29 +683,9 @@ def _unpackable(timestamp, delta, entries, exc) -> str:
 
 
 def encode_updates_flat(batch: FlatUpdateBatch) -> str:
-    """The :class:`Updates` frame line read straight from a columnar
-    :class:`repro.updates.FlatUpdateBatch` — no per-row
-    :class:`ObjectUpdate` objects are built.
-
-    Byte-identical to
-    ``encode_frame(Updates(updates=batch.to_object_updates()))``: the
-    coordinate columns hold the same floats the row objects would carry
-    (``json`` serializes them by ``repr`` either way) and the key order
-    is the canonical ``v``/``t``/``rows``.
-    """
-    rows: list[list] = []
-    append = rows.append
-    for oid, ox, oy, nx, ny, ap, dis in zip(
-        batch.oids,
-        batch.old_xs,
-        batch.old_ys,
-        batch.new_xs,
-        batch.new_ys,
-        batch.appear,
-        batch.disappear,
-    ):
-        append([oid, None if ap else [ox, oy], None if dis else [nx, ny]])
-    return _encode({"v": WIRE_VERSION, "t": "updates", "rows": rows})
+    """The :class:`Updates` frame line of a columnar
+    :class:`repro.updates.FlatUpdateBatch` (``encode_frame(Updates(batch))``)."""
+    return encode_frame(Updates(batch))
 
 
 # ----------------------------------------------------------------------
@@ -748,16 +820,7 @@ def decode_frame(line: str | bytes) -> Frame:
     kind = obj.get("t")
     try:
         if kind == "updates":
-            rows = []
-            for oid, old, new in obj["rows"]:
-                oid = int(oid)
-                # _id inlined: this loop runs once per ingested row.
-                if not _I64_MIN <= oid <= _I64_MAX:
-                    raise ValueError(
-                        f"{oid} does not fit a signed 64-bit field"
-                    )
-                rows.append(ObjectUpdate(oid, _opt_point(old), _opt_point(new)))
-            return Updates(updates=tuple(rows))
+            return _updates_in(obj["rows"])
         if kind == "tick":
             # The ts stamps every delta of the cycle, so it must fit too.
             ts = obj["ts"]

@@ -9,10 +9,11 @@ turns a live (or replayed) update feed into the per-cycle batches a
 * :mod:`repro.ingest.feeds` — update sources (:class:`UpdateFeed`):
   materialized workloads, live generator-backed feeds, JSONL traces and
   wire-protocol sockets (:class:`SocketFeed`, speaking the
-  :mod:`repro.api.wire` ndjson frames);
+  :mod:`repro.api.wire` frames, one columnar chunk per ``updates``
+  frame);
 * :mod:`repro.ingest.buffer` — the bounded :class:`IngestBuffer` with
   explicit back-pressure (block / drop-oldest) and last-write-wins
-  coalescing per object;
+  coalescing per object, staging a chunk under one lock acquisition;
 * :mod:`repro.ingest.batcher` — the :class:`CycleBatcher` re-basing
   buffered target positions into consistent columnar
   :class:`repro.updates.FlatUpdateBatch` transitions;

@@ -20,7 +20,10 @@ cycles — coalescing, drops, deadline flushes mid-timestamp — still yields
 a stream every monitor accepts, and an offline replay of the assembled
 batches reproduces the exact same end state.
 
-The assembled batches are buffer-backed (``FlatUpdateBatch`` columns are
+:meth:`CycleBatcher.assemble` makes one pass over the drained targets,
+in first-arrival order, collecting the surviving rows in local lists;
+each of the seven columns is then built in one go.  The assembled
+batches are buffer-backed (``FlatUpdateBatch`` columns are
 ``array``/``bytearray``), so downstream consumers — ``process_flat``,
 the shared-memory shard transport, ``wire.encode_updates_flat`` — read
 the rows without any further conversion.
@@ -28,7 +31,10 @@ the rows without any further conversion.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Sequence
+from itertools import repeat
+from operator import is_
 
 from repro.geometry.points import Point
 from repro.updates import FlatUpdateBatch, QueryUpdate
@@ -53,29 +59,54 @@ class CycleBatcher:
     ) -> tuple[FlatUpdateBatch, int]:
         """Build one columnar batch; returns ``(batch, n_noops)``.
 
+        Rows keep the order of ``object_targets`` (first arrival).
         Commits the shadow table as it goes — callers apply the batch to
         the monitor immediately (the driver does), keeping both in step.
         """
         positions = self.positions
-        batch = FlatUpdateBatch(
-            timestamp=timestamp, query_updates=tuple(query_updates)
-        )
-        noops = 0
+        get = positions.get
+        oids: list[int] = []
+        olds: list[Point | None] = []
+        news: list[Point | None] = []
         for oid, target in object_targets:
-            old = positions.get(oid)
+            old = get(oid)
             if target is None:
                 if old is None:
                     # Appeared and disappeared entirely within the buffer.
-                    noops += 1
                     continue
-                batch.append_disappear(oid, old[0], old[1])
                 del positions[oid]
-            elif old is None:
-                batch.append_appear(oid, target[0], target[1])
-                positions[oid] = target
             elif old == target:
-                noops += 1
+                continue
             else:
-                batch.append_move(oid, old[0], old[1], target[0], target[1])
                 positions[oid] = target
-        return batch, noops
+            oids.append(oid)
+            olds.append(old)
+            news.append(target)
+        appear = bytearray(map(is_, olds, repeat(None)))
+        disappear = bytearray(map(is_, news, repeat(None)))
+        old_xs, old_ys = _columns(olds, 1 in appear)
+        new_xs, new_ys = _columns(news, 1 in disappear)
+        batch = FlatUpdateBatch(
+            timestamp,
+            array("q", oids),
+            old_xs,
+            old_ys,
+            new_xs,
+            new_ys,
+            appear,
+            disappear,
+            tuple(query_updates),
+        )
+        return batch, len(object_targets) - len(oids)
+
+
+def _columns(points: list[Point | None], absent: bool) -> tuple[array, array]:
+    """The x and y columns of ``points``, ``0.0`` where a point is
+    ``None`` (the placeholder of an appearance's old or a
+    disappearance's new side)."""
+    if not points:
+        return array("d"), array("d")
+    if absent:
+        points = [(0.0, 0.0) if p is None else p for p in points]
+    xs, ys = zip(*points)
+    return array("d", xs), array("d", ys)

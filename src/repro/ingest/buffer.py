@@ -23,6 +23,17 @@ Query updates ride in a side FIFO, uncoalesced and unbounded: they are
 orders of magnitude rarer than object updates and each one changes
 monitor state (terminate/move/insert are not idempotent).
 
+Rows arrive one at a time (:meth:`IngestBuffer.offer` /
+:meth:`~IngestBuffer.try_offer`) or as a *chunk*, the columns of one
+wire frame (:meth:`~IngestBuffer.offer_rows` /
+:meth:`~IngestBuffer.try_offer_rows`), staged under one lock
+acquisition.  A chunk that cannot fill the buffer or reach the caller's
+size limit is one ``dict.update`` plus counter arithmetic; any other
+chunk runs the per-row logic every offer shares, row by row, and
+reports the first row it did not stage so the caller can carry the rest.
+Either way the counters and the staged state equal those of offering the
+rows one by one.
+
 All operations are thread-safe; one lock guards both directions.
 """
 
@@ -33,7 +44,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.geometry.points import Point
-from repro.updates import ObjectUpdate, QueryUpdate
+from repro.updates import FlatUpdateBatch, ObjectUpdate, QueryUpdate
 
 
 class BackPressurePolicy(Enum):
@@ -92,6 +103,21 @@ class DrainedCycle:
     counters: BufferCounters = field(default_factory=BufferCounters)
 
 
+def _targets(batch: FlatUpdateBatch, start: int) -> list[Point | None]:
+    """The target of each row of ``batch[start:]``: its new position, or
+    ``None`` for a disappearance."""
+    if start:
+        targets = list(zip(batch.new_xs[start:], batch.new_ys[start:]))
+    else:
+        targets = list(zip(batch.new_xs, batch.new_ys))
+    gone = batch.disappear
+    row = gone.find(1, start)
+    while row >= 0:
+        targets[row - start] = None
+        row = gone.find(1, row + 1)
+    return targets
+
+
 class IngestBuffer:
     """Bounded, coalescing staging area between a feed and the batcher."""
 
@@ -130,37 +156,11 @@ class IngestBuffer:
         the batcher against what the monitor actually saw, so coalescing
         and drops can never desynchronize the stream.
         """
-        oid = update.oid
-        target = update.new
-        cond = self._cond
-        counters = self._counters
-        with cond:
-            counters.offered += 1
-            targets = self._targets
-            if oid in targets:
-                # Last write wins; the slot (and its arrival rank) is kept.
-                targets[oid] = target
-                counters.coalesced += 1
-                cond.notify_all()
-                return len(targets)
-            while len(targets) >= self.capacity:
-                if self.policy is BackPressurePolicy.DROP_OLDEST:
-                    stalest = next(iter(targets))
-                    del targets[stalest]
-                    counters.dropped += 1
-                    break
-                if self._closed:
-                    # Nobody will drain a closed buffer: waiting would
-                    # hang the producer forever.  Reject instead.
-                    counters.rejected += 1
-                    return 0
-                counters.blocked += 1
-                if not cond.wait(timeout):
-                    counters.rejected += 1
-                    return 0
-            targets[oid] = target
-            cond.notify_all()
-            return len(targets)
+        with self._cond:
+            pending = self._place(update.oid, update.new, True, timeout)
+            if pending:
+                self._cond.notify_all()
+            return pending
 
     def try_offer(self, update: ObjectUpdate) -> int:
         """Non-blocking :meth:`offer` for the single-threaded pull loop.
@@ -171,25 +171,115 @@ class IngestBuffer:
         counts exactly once).  Returns the staged count, or ``0`` when
         the update could not be staged.
         """
-        oid = update.oid
-        target = update.new
-        counters = self._counters
         with self._cond:
-            targets = self._targets
-            if oid in targets:
-                counters.offered += 1
-                targets[oid] = target
-                counters.coalesced += 1
-                return len(targets)
-            if len(targets) >= self.capacity:
-                if self.policy is not BackPressurePolicy.DROP_OLDEST:
-                    return 0
-                stalest = next(iter(targets))
-                del targets[stalest]
-                counters.dropped += 1
-            counters.offered += 1
+            return self._place(update.oid, update.new, False, None)
+
+    def offer_rows(
+        self, batch: FlatUpdateBatch, start: int = 0, timeout: float | None = None
+    ) -> int:
+        """Stage the rows ``batch[start:]`` in order, as :meth:`offer`
+        would one by one, under one lock acquisition.
+
+        Returns the index of the first row not staged: ``len(batch)``,
+        or the row whose BLOCK wait timed out or met a closed buffer
+        (re-offer from there).
+        """
+        return self._offer_rows(batch, start, None, True, timeout)[0]
+
+    def try_offer_rows(
+        self, batch: FlatUpdateBatch, start: int = 0, limit: int | None = None
+    ) -> tuple[int, int]:
+        """Stage the rows ``batch[start:]`` as :meth:`try_offer` would one
+        by one, stopping after the row that brings :attr:`pending` to
+        ``limit`` (the driver's size trigger) or before a row a full
+        BLOCK buffer declines.
+
+        Returns ``(next_row, pending)``: the index of the first row not
+        staged (``len(batch)`` when all were) and the staged count.
+        """
+        return self._offer_rows(batch, start, limit, False, None)
+
+    def _offer_rows(
+        self,
+        batch: FlatUpdateBatch,
+        start: int,
+        limit: int | None,
+        block: bool,
+        timeout: float | None,
+    ) -> tuple[int, int]:
+        n = len(batch)
+        oids = batch.oids[start:] if start else batch.oids
+        targets = _targets(batch, start)
+        cond = self._cond
+        with cond:
+            staged = self._targets
+            pending = len(staged)
+            room = self.capacity if limit is None else min(self.capacity, limit)
+            if pending + len(oids) <= room:
+                # Even if every row is a new object, no row meets a full
+                # buffer or a limit before the last: stage them at once.
+                staged.update(zip(oids, targets))
+                counters = self._counters
+                counters.offered += len(oids)
+                counters.coalesced += len(oids) - (len(staged) - pending)
+                cond.notify_all()
+                return n, len(staged)
+            row = start
+            place = self._place
+            for oid, target in zip(oids, targets):
+                staged_now = place(oid, target, block, timeout)
+                if not staged_now:
+                    break
+                pending = staged_now
+                row += 1
+                if limit is not None and pending >= limit:
+                    break
+            if row > start:
+                cond.notify_all()
+            return row, pending
+
+    def _place(
+        self, oid: int, target: Point | None, block: bool, timeout: float | None
+    ) -> int:
+        """Stage one target with the lock held: the per-row logic every
+        offer shares.  Returns the staged count, or ``0`` when the row
+        was not staged (a full BLOCK buffer: at once unless ``block``,
+        else after a wait that timed out or met a closed buffer)."""
+        targets = self._targets
+        counters = self._counters
+        if oid in targets:
+            # Last write wins; the slot (and its arrival rank) is kept.
             targets[oid] = target
+            counters.offered += 1
+            counters.coalesced += 1
             return len(targets)
+        if len(targets) >= self.capacity:
+            if self.policy is BackPressurePolicy.DROP_OLDEST:
+                del targets[next(iter(targets))]
+                counters.dropped += 1
+            elif not block:
+                return 0
+            else:
+                # A blocking offer counts once, staged or rejected.
+                counters.offered += 1
+                while len(targets) >= self.capacity:
+                    if self._closed:
+                        # Nobody will drain a closed buffer: waiting
+                        # would hang the producer forever.  Reject.
+                        counters.rejected += 1
+                        return 0
+                    counters.blocked += 1
+                    # Rows staged earlier in this call are not announced
+                    # yet: wake the consumer this wait depends on.
+                    self._cond.notify_all()
+                    if not self._cond.wait(timeout):
+                        counters.rejected += 1
+                        return 0
+                targets[oid] = target
+                return len(targets)
+        counters.offered += 1
+        targets[oid] = target
+        return len(targets)
 
     def offer_query(self, update: QueryUpdate) -> None:
         """Stage one query update (FIFO, never coalesced or dropped)."""

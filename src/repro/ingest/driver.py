@@ -17,6 +17,17 @@ Each closed cycle drains the buffer, assembles one columnar
 :meth:`repro.service.service.MonitoringService.tick_report`; the per-cycle
 :class:`CycleIngestStats` aggregates into an :class:`IngestReport`.
 
+The driver reads :meth:`repro.ingest.feeds.UpdateFeed.chunks`: feed
+events plus *chunks*, runs of object rows that arrive as one
+``FlatUpdateBatch`` (a :class:`repro.ingest.feeds.SocketFeed` yields one
+per ``updates`` frame).  A chunk is staged under one buffer lock
+acquisition and counts as one feed item for the deadline check.  A size
+trigger, or a full BLOCK buffer, inside a chunk stages exactly the rows
+before it would have fired row by row and carries the rest into the next
+cycle, so the cycles cut, the batches and every counter equal those of
+feeding the same rows one at a time.  Any other item is a feed bug and
+raises ``TypeError`` before it is staged.
+
 Two source modes:
 
 * **pull** (default) — the driver iterates the feed itself, applying
@@ -38,7 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.ingest.batcher import CycleBatcher
 from repro.ingest.buffer import BackPressurePolicy, IngestBuffer
-from repro.ingest.feeds import CycleMark, FeedEvent, UpdateFeed
+from repro.ingest.feeds import CycleMark, FeedItem, UpdateFeed
 from repro.obs.health import (
     AlertEvent,
     HealthMonitor,
@@ -226,10 +237,11 @@ class IngestDriver:
         self.report = IngestReport()
         #: applied columnar batches, when ``record`` is set.
         self.recorded: list[FlatUpdateBatch] = []
-        self._events: Iterator[FeedEvent] | None = None
-        #: pull-mode event that could not be staged (buffer full under
-        #: BLOCK): retried at the start of the next cycle.
-        self._carry: ObjectUpdate | None = None
+        self._items: Iterator[FeedItem] | None = None
+        #: pull-mode chunk remainder ``(chunk, first unstaged row)`` left
+        #: by a size trigger or a full BLOCK buffer inside the chunk:
+        #: staged first thing next cycle.
+        self._carry: tuple[FlatUpdateBatch, int] | None = None
         self._primed = False
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -321,46 +333,66 @@ class IngestDriver:
     # ------------------------------------------------------------------
 
     def _fill_from_feed(self, cycle_start: float) -> tuple[str, int | None]:
-        """Pull feed events until a cycle trigger fires (pull mode).
+        """Pull feed items until a cycle trigger fires (pull mode).
 
         Returns ``(trigger, mark_timestamp)``.
 
         Offers never block here: the pull loop is the only thread that
         could drain the buffer, so a blocking offer on a full BLOCK
         buffer would deadlock.  A full buffer instead closes the cycle
-        (trigger ``"size"``) and the unplaceable event is carried into
-        the next cycle, which starts with a freshly drained buffer.
+        (trigger ``"size"``); so does ``max_batch`` staged objects.
+        Either can fire inside a chunk: the rows up to that point are
+        staged and the rest of the chunk carries into the next cycle,
+        which starts with a freshly drained buffer.  The deadline is
+        checked between feed items, so a chunk counts as one item.
         """
-        if self._events is None:
-            self._events = self.feed.events()
-        events = self._events
+        if self._items is None:
+            self._items = self.feed.chunks()
+        items = self._items
         buffer = self.buffer
         max_batch = self.max_batch
         deadline = self.cycle_deadline
         clock = self.clock
         if self._carry is not None:
-            if not buffer.try_offer(self._carry):
-                return "size", None
+            chunk, row = self._carry
             self._carry = None
+            if self._stage(chunk, row):
+                return "size", None
         while True:
-            event = next(events, _END)
-            if event is _END:
+            item = next(items, _END)
+            if item is _END:
                 return "end", None
-            if type(event) is CycleMark:
-                if self.honor_marks:
-                    return "mark", event.timestamp
-                continue
-            if type(event) is ObjectUpdate:
-                pending = buffer.try_offer(event)
+            kind = type(item)
+            if kind is FlatUpdateBatch:
+                if self._stage(item, 0):
+                    return "size", None
+            elif kind is ObjectUpdate:
+                pending = buffer.try_offer(item)
                 if not pending:
-                    self._carry = event
+                    self._carry = (FlatUpdateBatch.from_updates((item,)), 0)
                     return "size", None
                 if max_batch is not None and pending >= max_batch:
                     return "size", None
+            elif kind is QueryUpdate:
+                buffer.offer_query(item)
+            elif kind is CycleMark:
+                if self.honor_marks:
+                    return "mark", item.timestamp
+                continue
             else:
-                buffer.offer_query(event)
+                raise _not_a_feed_item(item)
             if deadline is not None and clock() - cycle_start >= deadline:
                 return "deadline", None
+
+    def _stage(self, chunk: FlatUpdateBatch, row: int) -> bool:
+        """Stage ``chunk[row:]`` without blocking; True when the size
+        trigger fired (the unstaged remainder, if any, is carried)."""
+        max_batch = self.max_batch
+        end, pending = self.buffer.try_offer_rows(chunk, row, max_batch)
+        if end < len(chunk):
+            self._carry = (chunk, end)
+            return True
+        return max_batch is not None and pending >= max_batch
 
     def _wait_on_buffer(self, cycle_start: float) -> str:
         """Wait for staged work until a trigger fires (buffered mode)."""
@@ -577,15 +609,24 @@ class IngestDriver:
         return self.report
 
 
+def _not_a_feed_item(item) -> TypeError:
+    return TypeError(
+        f"feed yielded a {type(item).__name__!r}, not an ObjectUpdate, "
+        "QueryUpdate, CycleMark or FlatUpdateBatch chunk"
+    )
+
+
 class ThreadedFeedPump:
     """Producer thread pushing a feed into an :class:`IngestBuffer`.
 
-    The live half of buffered mode: cycle marks are ignored (the driver
-    re-cuts cycles by size/deadline), object updates go through
-    :meth:`IngestBuffer.offer` — so a full buffer exerts real
-    back-pressure on this thread (BLOCK) or sheds stale positions
-    (DROP_OLDEST).  ``events_per_cycle`` throttles the push rate for
-    demos; ``None`` pushes as fast as the buffer accepts.
+    The live half of buffered mode: it reads :meth:`UpdateFeed.chunks`,
+    ignores cycle marks (the driver re-cuts cycles by size/deadline) and
+    stages object rows through :meth:`IngestBuffer.offer_rows`, a chunk
+    at a time — so a full buffer exerts real back-pressure on this
+    thread (BLOCK) or sheds stale positions (DROP_OLDEST).
+    ``max_events`` caps the rows and query updates pushed, checked
+    between feed items (a chunk counts whole); ``None`` pushes the
+    whole feed as fast as the buffer accepts.
     """
 
     def __init__(
@@ -611,23 +652,35 @@ class ThreadedFeedPump:
         return self.failure is not None
 
     def _run(self) -> None:
+        buffer = self.buffer
         try:
-            for event in self.feed.events():
+            for item in self.feed.chunks():
                 if self._stop.is_set():
                     break
                 if self.max_events is not None and self.pushed >= self.max_events:
                     break
-                if type(event) is CycleMark:
+                kind = type(item)
+                if kind is CycleMark:
                     continue
-                if type(event) is QueryUpdate:
-                    self.buffer.offer_query(event)
-                else:
-                    while not self.buffer.offer(event, timeout=self.offer_timeout):
-                        # A closed buffer rejects instantly (nobody will
-                        # drain it again): retrying would spin forever.
-                        if self._stop.is_set() or self.buffer.closed:
+                if kind is QueryUpdate:
+                    buffer.offer_query(item)
+                    self.pushed += 1
+                    continue
+                if kind is ObjectUpdate:
+                    n = 1
+                    while not buffer.offer(item, timeout=self.offer_timeout):
+                        if self._given_up():
                             return
-                self.pushed += 1
+                elif kind is FlatUpdateBatch:
+                    n = len(item)
+                    row = 0
+                    while row < n:
+                        row = buffer.offer_rows(item, row, self.offer_timeout)
+                        if row < n and self._given_up():
+                            return
+                else:
+                    raise _not_a_feed_item(item)
+                self.pushed += n
         except BaseException as exc:  # noqa: BLE001 - surfaced via stop()
             # A dying feed must not fail silently: record the reason —
             # the buffer close below still unblocks the consumer, which
@@ -635,6 +688,12 @@ class ThreadedFeedPump:
             self.failure = exc
         finally:
             self.buffer.close()
+
+    def _given_up(self) -> bool:
+        """After an offer timed out: stop retrying?  A closed buffer
+        rejects instantly (nobody will drain it again), so retrying
+        would spin forever."""
+        return self._stop.is_set() or self.buffer.closed
 
     def start(self) -> "ThreadedFeedPump":
         if self._thread is not None:

@@ -11,6 +11,14 @@ driver (:mod:`repro.ingest.driver`) may honor the marks — deterministic
 replay — or re-cut cycles by batch size and deadline, which is what a
 real-time deployment does.
 
+A feed has two views of one stream.  :meth:`UpdateFeed.events` yields
+one event per row.  :meth:`UpdateFeed.chunks`, which the driver reads,
+may instead deliver a run of object rows as one columnar
+:class:`repro.updates.FlatUpdateBatch`: :class:`SocketFeed` yields each
+``updates`` frame that way, so no per-row object exists between the
+frame's bytes and the cycle's batch.  Every other feed inherits the
+base ``chunks``, which is ``events`` itself.
+
 Four adapters cover the sources the repo has:
 
 * :class:`WorkloadFeed` — a materialized
@@ -40,7 +48,7 @@ from repro.geometry.points import Point
 from repro.mobility.brinkhoff import BrinkhoffStream
 from repro.mobility.network import RoadNetwork
 from repro.mobility.workload import Workload, WorkloadSpec
-from repro.updates import ObjectUpdate, QueryUpdate, QueryUpdateKind
+from repro.updates import FlatUpdateBatch, ObjectUpdate, QueryUpdate, QueryUpdateKind
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +59,10 @@ class CycleMark:
 
 
 FeedEvent = Union[ObjectUpdate, QueryUpdate, CycleMark]
+
+#: what :meth:`UpdateFeed.chunks` yields: a feed event, or a run of
+#: object rows as one columnar chunk.
+FeedItem = Union[FeedEvent, FlatUpdateBatch]
 
 
 class UpdateFeed:
@@ -79,8 +91,18 @@ class UpdateFeed:
         return default
 
     def events(self) -> Iterator[FeedEvent]:
-        """The update stream itself."""
+        """The update stream itself, one event per row."""
         raise NotImplementedError
+
+    def chunks(self) -> Iterator[FeedItem]:
+        """The same stream as :meth:`events`, except that a run of
+        object rows may arrive as one :class:`FlatUpdateBatch` chunk
+        (rows in order; its ``timestamp`` and ``query_updates`` carry
+        nothing).  This is what the ingest driver and
+        :class:`repro.ingest.driver.ThreadedFeedPump` read; a feed whose
+        source already holds rows as columns overrides it, any other
+        feed inherits this one, which is :meth:`events` itself."""
+        return self.events()
 
     def __iter__(self) -> Iterator[FeedEvent]:
         return self.events()
@@ -304,8 +326,10 @@ class SocketFeed(UpdateFeed):
     """A live update source speaking the ndjson wire protocol.
 
     Reads frames (:mod:`repro.api.wire`) off a connected socket and
-    yields the feed vocabulary: each ``updates`` frame's rows stream as
-    :class:`repro.updates.ObjectUpdate`, ``query`` frames as
+    yields the feed vocabulary: :meth:`chunks` yields each ``updates``
+    frame as the one :class:`repro.updates.FlatUpdateBatch` it decodes
+    to (:meth:`events`, the per-row view, streams its rows as
+    :class:`repro.updates.ObjectUpdate`), ``query`` frames as
     :class:`repro.updates.QueryUpdate`, ``tick`` frames as
     :class:`CycleMark` (an unlabelled tick gets the running frame
     ordinal).  ``bye`` ends the feed.  ``hello``/``welcome`` frames are
@@ -415,6 +439,13 @@ class SocketFeed(UpdateFeed):
         return False
 
     def events(self) -> Iterator[FeedEvent]:
+        for item in self.chunks():
+            if type(item) is FlatUpdateBatch:
+                yield from item.to_object_updates()
+            else:
+                yield item
+
+    def chunks(self) -> Iterator[FeedItem]:
         # Local import: the api package depends on repro.updates, not on
         # the ingest tier, so this direction stays cycle-free; importing
         # lazily keeps plain workload feeds free of the wire module.
@@ -442,7 +473,7 @@ class SocketFeed(UpdateFeed):
                     frame = wire.decode_frame(line)
                     kind = type(frame)
                     if kind is wire.Updates:
-                        yield from frame.updates
+                        yield frame.batch
                     elif kind is wire.QueryOp:
                         yield frame.update
                     elif kind is wire.Tick:
@@ -500,7 +531,6 @@ def push_feed_to_socket(feed: UpdateFeed, sock, *, updates_per_frame: int = 256)
     materializing them.
     """
     from repro.api import wire
-    from repro.updates import FlatUpdateBatch
 
     pending = FlatUpdateBatch(timestamp=0)
 

@@ -37,7 +37,7 @@ from repro.ingest.feeds import SocketFeed
 from repro.service.deltas import ResultDelta
 from repro.service.subscriptions import SlowConsumerPolicy
 from repro.testing.faults import FaultPlan
-from repro.updates import ObjectUpdate
+from repro.updates import FlatUpdateBatch, ObjectUpdate
 from tests.test_service_fanout import wait_for
 
 QID = 7
@@ -166,7 +166,7 @@ class Script:
     def wire_cycle(self, timestamp: int):
         """A cycle driven over the socket: its delta, then ``ticked``."""
         self.sock.sendall(
-            wire.frame_bytes(wire.Updates(updates=(self.flip(),)))
+            wire.frame_bytes(wire.Updates(FlatUpdateBatch.from_updates((self.flip(),))))
             + wire.frame_bytes(wire.Tick(timestamp=timestamp))
         )
         self.read_until_frames(len(self.reference) + 2)
@@ -414,7 +414,7 @@ class TestPoisonedFrames:
         feed = SocketFeed(feed_sock)
         good = ObjectUpdate(1, None, (0.5, 0.5))
         producer.sendall(
-            wire.frame_bytes(wire.Updates(updates=(good,)))
+            wire.frame_bytes(wire.Updates(FlatUpdateBatch.from_updates((good,))))
             + b'{"v":4,"t":"updates","rows":[[2,null,[0.1,0.2]],'
             b'[3,null,[-Infinity,0.2]]]}\n'
             + wire.frame_bytes(wire.Tick(timestamp=0))

@@ -32,7 +32,7 @@ from repro.mobility.workload import WorkloadSpec
 from repro.service.deltas import ResultDelta
 from repro.service.service import MonitoringService
 from repro.service.subscriptions import SlowConsumerPolicy
-from repro.updates import ObjectUpdate
+from repro.updates import FlatUpdateBatch, ObjectUpdate
 
 SPEC = WorkloadSpec(
     n_objects=120, n_queries=4, k=3, timestamps=5, seed=17, query_agility=0.0
@@ -321,7 +321,9 @@ class TestEndToEnd:
                 raw.sendall(
                     wire.frame_bytes(
                         wire.Updates(
-                            updates=(ObjectUpdate(9001, None, (0.5, 0.5)),)
+                            FlatUpdateBatch.from_updates(
+                                (ObjectUpdate(9001, None, (0.5, 0.5)),)
+                            )
                         )
                     )
                     + b'{"v":4,"t":"tick","ts":%d}\n' % 2**63
@@ -337,6 +339,40 @@ class TestEndToEnd:
             watcher.send_updates([ObjectUpdate(9002, None, (0.5, 0.5))])
             watcher.tick(timestamp=1)
             assert seen == [(1, 9002)]
+            assert handle.snapshot() == session.snapshot(handle.qid)
+
+    def test_a_non_finite_coordinate_costs_only_its_sender(self, endpoint):
+        """``1e999`` is a JSON float that parses to ``inf``: the whole
+        ``updates`` frame is refused at decode, so the sender draws an
+        ``error`` and loses its connection, none of the frame's rows is
+        staged for the tick that follows, and another connection keeps
+        streaming."""
+        session, server, host, port = endpoint
+        with Client.connect(host, port) as watcher:
+            seen = []
+            handle = watcher.register(KnnSpec(point=(0.5, 0.5), k=2))
+            handle.subscribe(lambda ts, d: seen.append((ts, d.result[0][1])))
+            raw = socket.create_connection((host, port), timeout=10.0)
+            try:
+                reader = raw.makefile("rb")
+                assert type(wire.read_frame(reader)) is wire.Welcome
+                raw.sendall(
+                    b'{"v":4,"t":"updates","rows":[[9001,null,[0.5,0.5]],'
+                    b'[9003,null,[1e999,0.5]]]}\n'
+                    b'{"v":4,"t":"tick","ts":1}\n'
+                )
+                reply = wire.read_frame(reader)
+                assert type(reply) is wire.Error
+                assert "non-finite" in reply.message
+                assert wire.read_frame(reader) is None
+            finally:
+                raw.close()
+            with server.lock:
+                objects = dict(session.service.monitor.iter_objects())
+            assert 9001 not in objects and 9003 not in objects
+            watcher.send_updates([ObjectUpdate(9002, None, (0.5, 0.5))])
+            watcher.tick(timestamp=2)
+            assert seen == [(2, 9002)]
             assert handle.snapshot() == session.snapshot(handle.qid)
 
     def test_a_delta_id_that_does_not_fit_cuts_after_the_frames_before_it(self):

@@ -17,7 +17,7 @@ from repro.api.queries import (
     RangeSpec,
 )
 from repro.service.deltas import ResultDelta
-from repro.updates import ObjectUpdate, QueryUpdate, QueryUpdateKind
+from repro.updates import FlatUpdateBatch, ObjectUpdate, QueryUpdate, QueryUpdateKind
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -125,7 +125,10 @@ json_frames = st.one_of(
             st.integers(min_value=1, max_value=9), min_size=1, max_size=3
         ).map(tuple),
     ),
-    st.builds(wire.Updates, updates=st.lists(object_updates, max_size=5).map(tuple)),
+    st.builds(
+        wire.Updates,
+        st.lists(object_updates, max_size=5).map(FlatUpdateBatch.from_updates),
+    ),
     st.builds(wire.QueryOp, update=query_updates),
     st.builds(wire.Tick, timestamp=timestamps),
     st.builds(
@@ -248,7 +251,7 @@ class TestRoundTrip:
         examples = [
             wire.Hello(client="c"),
             wire.Welcome(server="s", versions=(1,)),
-            wire.Updates(updates=(ObjectUpdate(1, None, (0.5, 0.5)),)),
+            wire.Updates(FlatUpdateBatch.from_updates((ObjectUpdate(1, None, (0.5, 0.5)),))),
             wire.QueryOp(update=QueryUpdate(2, QueryUpdateKind.TERMINATE)),
             wire.Tick(timestamp=None),
             wire.Ticked(timestamp=4, changed=(1, 2)),

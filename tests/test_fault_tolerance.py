@@ -43,7 +43,7 @@ from repro.service.service import MonitoringService
 from repro.service.sharding import ShardedMonitor, ShardEngineFactory
 from repro.service.supervisor import SupervisedShardExecutor, SupervisorPolicy
 from repro.testing import FaultPlan, ScheduledFault
-from repro.updates import ObjectUpdate
+from repro.updates import FlatUpdateBatch, ObjectUpdate
 
 CELLS = 16
 
@@ -549,7 +549,7 @@ class TestSocketFeedReconnect:
                 )
                 for i in range(4)
             )
-            frames.append(wire.frame_bytes(wire.Updates(updates=ups)))
+            frames.append(wire.frame_bytes(wire.Updates(FlatUpdateBatch.from_updates(ups))))
             frames.append(wire.frame_bytes(wire.Tick(timestamp=t)))
         cut_after = 3  # cycle 1's tick: a frame boundary
 

@@ -1,11 +1,15 @@
 """Unit tests for the bounded ingest buffer (back-pressure + coalescing)."""
 
 import threading
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ingest.buffer import BackPressurePolicy, IngestBuffer
 from repro.updates import (
+    FlatUpdateBatch,
     QueryUpdate,
     QueryUpdateKind,
     appear_update,
@@ -166,3 +170,101 @@ class TestTryOffer:
 def test_capacity_validation():
     with pytest.raises(ValueError):
         IngestBuffer(capacity=0)
+
+
+# ----------------------------------------------------------------------
+# Chunks: a FlatUpdateBatch staged under one lock acquisition
+# ----------------------------------------------------------------------
+
+#: ``(oid, disappears)`` rows; few enough objects that a chunk repeats
+#: some, enough that a chunk can also bring only new ones.
+chunk_rows = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=24), st.booleans()),
+    max_size=20,
+)
+
+
+def _updates(rows, salt: float = 0.0):
+    return [
+        disappear_update(oid, (0.5, 0.5))
+        if gone
+        else move_update(oid, (0.5, 0.5), (oid / 16, salt + i / 64))
+        for i, (oid, gone) in enumerate(rows)
+    ]
+
+
+def _state(buf: IngestBuffer):
+    return buf.pending, buf.counters(), buf.drain().object_targets
+
+
+class TestChunks:
+    @given(
+        prefill=chunk_rows,
+        rows=chunk_rows,
+        start=st.integers(min_value=0, max_value=8),
+        capacity_slack=st.integers(min_value=-3, max_value=3),
+        limit_slack=st.one_of(st.none(), st.integers(min_value=-3, max_value=3)),
+        policy=st.sampled_from(list(BackPressurePolicy)),
+    )
+    def test_try_offer_rows_equals_try_offer_one_by_one(
+        self, prefill, rows, start, capacity_slack, limit_slack, policy
+    ):
+        """Fast path or per-row path, a chunk stages exactly what the
+        driver's row loop would: up to the row that reaches ``limit``,
+        or up to the row a full BLOCK buffer declines.  Capacity and
+        limit sit within a few rows of what prefill plus chunk need, the
+        boundary the fast path must not cross."""
+        start = min(start, len(rows))
+        need = len({oid for oid, _gone in prefill}) + len(rows) - start
+        capacity = max(1, need + capacity_slack)
+        limit = None if limit_slack is None else max(1, need + limit_slack)
+        updates = _updates(rows, salt=0.25)
+        bufs = [IngestBuffer(capacity=capacity, policy=policy) for _ in range(2)]
+        for buf in bufs:
+            for update in _updates(prefill):
+                buf.try_offer(update)
+        chunked, by_row = bufs
+        next_row, pending = chunked.try_offer_rows(
+            FlatUpdateBatch.from_updates(updates), start, limit
+        )
+        row = start
+        for update in updates[start:]:
+            staged = by_row.try_offer(update)
+            if not staged:
+                break
+            row += 1
+            if limit is not None and staged >= limit:
+                break
+        assert (next_row, pending) == (row, by_row.pending)
+        assert _state(chunked) == _state(by_row)
+
+    @given(rows=chunk_rows, capacity=st.integers(min_value=1, max_value=16))
+    def test_offer_rows_equals_offer_one_by_one(self, rows, capacity):
+        updates = _updates(rows)
+        chunked = IngestBuffer(capacity, BackPressurePolicy.DROP_OLDEST)
+        by_row = IngestBuffer(capacity, BackPressurePolicy.DROP_OLDEST)
+        assert chunked.offer_rows(FlatUpdateBatch.from_updates(updates)) == len(rows)
+        for update in updates:
+            assert by_row.offer(update)
+        assert _state(chunked) == _state(by_row)
+
+    def test_a_chunk_blocked_mid_way_wakes_the_consumer_first(self):
+        """Rows staged before a BLOCK wait are announced before the
+        producer sleeps: a consumer waiting for them drains at once, so
+        an untimed producer never deadlocks against it."""
+        buf = IngestBuffer(capacity=2, policy=BackPressurePolicy.BLOCK)
+        chunk = FlatUpdateBatch.from_updates(_updates([(i, False) for i in range(5)]))
+        staged = []
+        producer = threading.Thread(
+            target=lambda: staged.append(buf.offer_rows(chunk)), daemon=True
+        )
+        producer.start()
+        drained = []
+        t0 = time.monotonic()
+        while len(drained) < 5 and time.monotonic() - t0 < 5.0:
+            buf.wait_for_work(count=1, deadline=time.monotonic() + 5.0)
+            drained += [oid for oid, _target in buf.drain().object_targets]
+        producer.join(5.0)
+        assert not producer.is_alive()
+        assert staged == [5] and drained == [0, 1, 2, 3, 4]
+        assert time.monotonic() - t0 < 2.0

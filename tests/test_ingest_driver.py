@@ -3,18 +3,30 @@ service), including the back-pressure acceptance property: a feed that
 outruns the cycle budget coalesces/drops, and an offline replay of the
 recorded (coalesced) stream reproduces the exact end state."""
 
+import random
+import socket
+import threading
+import time
+
+import pytest
+
 from repro.core.cpm import CPMMonitor
 from repro.ingest import (
     BackPressurePolicy,
+    CycleMark,
     GeneratorFeed,
     IngestBuffer,
     IngestDriver,
+    SocketFeed,
     ThreadedFeedPump,
+    UpdateFeed,
     WorkloadFeed,
+    push_feed_to_socket,
 )
 from repro.mobility.brinkhoff import BrinkhoffGenerator
-from repro.mobility.workload import WorkloadSpec
+from repro.mobility.workload import Workload, WorkloadSpec
 from repro.service.service import MonitoringService, TickReport
+from repro.updates import ObjectUpdate, QueryUpdate, QueryUpdateKind, UpdateBatch
 
 SPEC = WorkloadSpec(
     n_objects=120,
@@ -335,3 +347,168 @@ class TestTickReport:
             assert flat_report.changed == row_report.changed
             assert flat_report.timestamp == row_report.timestamp
         assert row_service.monitor.result_table() == flat_service.monitor.result_table()
+
+
+# ----------------------------------------------------------------------
+# Feed items: chunks, rows, query updates, marks — and nothing else
+# ----------------------------------------------------------------------
+
+
+class _ListFeed(UpdateFeed):
+    def __init__(self, items, objects) -> None:
+        self.items = items
+        self.objects = objects
+
+    def initial_objects(self):
+        return dict(self.objects)
+
+    def events(self):
+        yield from self.items
+
+
+def _finish(pump: ThreadedFeedPump, buffer: IngestBuffer) -> None:
+    """Let the pump run to the end of its feed (it closes the buffer
+    then), and re-raise what killed it, if anything did."""
+    deadline = time.monotonic() + 10.0
+    while not buffer.closed and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert buffer.closed
+    pump.stop()
+
+
+class TestFeedItemDispatch:
+    def test_an_unknown_item_fails_the_cycle_and_is_staged_nowhere(self):
+        """Anything but a chunk, row, query update or mark is a feed
+        bug: the pull loop raises ``TypeError`` naming its type instead
+        of staging it as a query update, so no cycle runs — the shadow
+        table keeps the applied position — and the row before it stays
+        staged for the next cycle."""
+        feed = _ListFeed(
+            [
+                ObjectUpdate(1, (0.1, 0.1), (0.3, 0.3)),
+                ("stray", 1),
+                CycleMark(0),
+            ],
+            {1: (0.1, 0.1)},
+        )
+        service = _fresh_service()
+        driver = IngestDriver(feed, service)
+        driver.prime()
+        with pytest.raises(TypeError, match="'tuple'"):
+            driver.pump_cycle()
+        assert driver.batcher.positions == {1: (0.1, 0.1)}
+        assert service.monitor.object_position(1) == (0.1, 0.1)
+        assert driver.buffer.pending_queries == 0
+        assert driver.buffer.pending == 1
+        stats = driver.pump_cycle()
+        assert (stats.trigger, stats.applied) == ("mark", 1)
+        assert service.monitor.object_position(1) == (0.3, 0.3)
+
+    def test_the_pump_refuses_an_unknown_item_too(self):
+        buffer = IngestBuffer()
+        feed = _ListFeed([ObjectUpdate(1, None, (0.5, 0.5)), 7], {})
+        pump = ThreadedFeedPump(feed, buffer).start()
+        with pytest.raises(TypeError, match="'int'"):
+            _finish(pump, buffer)
+        assert buffer.pending == 1 and buffer.pending_queries == 0
+
+
+def _repeating_workload(seed: int = 5) -> Workload:
+    """Three cycles of ~700 rows over 150 objects, so an object moves
+    several times inside one 256-row frame; a few appearances,
+    disappearances and one query move ride along."""
+    rng = random.Random(seed)
+    objects = {oid: (rng.random(), rng.random()) for oid in range(120)}
+    where = dict(objects)
+    batches = []
+    for t in range(3):
+        rows = []
+        for _ in range(700):
+            oid = rng.randrange(150)
+            old = where.get(oid)
+            if old is not None and rng.random() < 0.03:
+                rows.append(ObjectUpdate(oid, old, None))
+                del where[oid]
+                continue
+            new = (rng.random(), rng.random())
+            rows.append(ObjectUpdate(oid, old, new))
+            where[oid] = new
+        queries = (QueryUpdate(2, QueryUpdateKind.MOVE, (0.4, 0.6), 3),)
+        batches.append(UpdateBatch(t, tuple(rows), queries))
+    queries = {qid: (0.2 * qid + 0.1, 0.5) for qid in range(5)}
+    return Workload(SPEC, objects, queries, batches)
+
+
+class TestChunksIngestLikeRows:
+    """One stream, read as chunks (``SocketFeed``: one per 256-row
+    ``updates`` frame) and as rows (``WorkloadFeed``), must cut the same
+    cycles: ``max_batch`` falls inside a frame, so the size trigger and a
+    full BLOCK buffer split chunks mid-way.  Buffered runs let the pump
+    finish before the driver starts, so the interleaving is fixed (a
+    BLOCK buffer then needs room for every object)."""
+
+    @pytest.mark.parametrize(
+        "mode, policy, capacity",
+        [
+            ("pull", BackPressurePolicy.BLOCK, 1 << 20),
+            ("pull", BackPressurePolicy.BLOCK, 80),
+            ("pull", BackPressurePolicy.DROP_OLDEST, 80),
+            ("buffered", BackPressurePolicy.BLOCK, 1 << 20),
+            ("buffered", BackPressurePolicy.DROP_OLDEST, 80),
+        ],
+    )
+    def test_same_batches_triggers_and_counts(self, mode, policy, capacity):
+        workload = _repeating_workload()
+        rows = self._run(WorkloadFeed(workload), workload, mode, policy, capacity)
+        feed_end, producer_end = socket.socketpair()
+        producer = threading.Thread(
+            target=push_feed_to_socket,
+            args=(WorkloadFeed(workload), producer_end),
+            daemon=True,
+        )
+        producer.start()
+        try:
+            chunked = self._run(
+                SocketFeed(
+                    feed_end,
+                    initial_objects=workload.initial_objects,
+                    initial_queries=workload.initial_queries,
+                ),
+                workload,
+                mode,
+                policy,
+                capacity,
+            )
+        finally:
+            producer.join(10.0)
+            producer_end.close()
+            feed_end.close()
+        assert not producer.is_alive()
+        assert chunked == rows
+        cycles = rows[0]
+        assert sum(coalesced for _t, _o, coalesced, _d in cycles) > 0
+        if policy is BackPressurePolicy.DROP_OLDEST:
+            assert sum(dropped for _t, _o, _c, dropped in cycles) > 0
+        else:
+            assert "size" in [trigger for trigger, _o, _c, _d in cycles]
+
+    @staticmethod
+    def _run(feed, workload, mode, policy, capacity):
+        service = _fresh_service()
+        buffer = IngestBuffer(capacity=capacity, policy=policy)
+        driver = IngestDriver(
+            feed,
+            service,
+            buffer=buffer,
+            max_batch=100,
+            honor_marks=False,
+            record=True,
+        )
+        driver.prime(k=3)
+        if mode == "buffered":
+            _finish(ThreadedFeedPump(feed, buffer).start(), buffer)
+        report = driver.run(from_buffer=mode == "buffered")
+        cycles = [
+            (c.trigger, c.offered, c.coalesced, c.dropped) for c in report.cycles
+        ]
+        return cycles, driver.recorded, service.monitor.result_table()

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.api import wire
 from repro.service.deltas import ResultDelta
-from repro.updates import FlatUpdateBatch
+from repro.updates import FlatUpdateBatch, ObjectUpdate
 from tests.test_api_wire import frames, json_frames, object_updates
 
 # ----------------------------------------------------------------------
@@ -165,6 +165,9 @@ class TestDecodeRaisesOnlyWireError:
             '{"v":4,"t":"register","spec":7,"qid":null,"watch":true}',
             "[" * 100_000,                                # parser stack
             b"\xff\xfe{}",                                # not utf-8
+            # 1e999 is a JSON float literal that parses to inf.
+            '{"v":4,"t":"updates","rows":[[7,[0.5,0.5],[1e999,0.5]]]}',
+            '{"v":4,"t":"move","qid":1,"point":[1e999,0.5]}',
         ],
     )
     def test_known_escape_routes_are_closed(self, line):
@@ -188,6 +191,98 @@ class TestNonFiniteRejected:
         ):
             with pytest.raises(wire.WireError, match="non-finite"):
                 wire.decode_frame(line.replace("%s", constant))
+
+
+# ----------------------------------------------------------------------
+# Inbound: updates rows decode column by column
+# ----------------------------------------------------------------------
+
+
+def reference_number(raw) -> float:
+    if not isinstance(raw, (int, float)):
+        raise TypeError(f"not a JSON number: {raw!r}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("non-finite coordinate")
+    return value
+
+
+def reference_point(raw):
+    if raw is None:
+        return None
+    x, y = raw
+    return (reference_number(x), reference_number(y))
+
+
+def reference_updates(rows) -> FlatUpdateBatch:
+    """The per-row decode the columnar one replaced — one
+    ``ObjectUpdate`` per row — with its ``int()`` / ``float()`` narrowed
+    to JSON numbers and the finiteness check added."""
+    updates = []
+    for oid, old, new in rows:
+        if not isinstance(oid, int):
+            raise TypeError(f"not a JSON integer: {oid!r}")
+        if not -(2**63) <= oid <= 2**63 - 1:
+            raise ValueError("oid outside i64")
+        updates.append(
+            ObjectUpdate(oid, reference_point(old), reference_point(new))
+        )
+    return FlatUpdateBatch.from_updates(updates)
+
+
+#: JSON spellings the stdlib encoder cannot produce, planted by marker.
+RAW_NUMBERS = {"@big@": "1e999", "@-big@": "-1e999", "@huge@": "9" * 400}
+
+row_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from(list(RAW_NUMBERS)),
+    st.booleans(),
+    st.sampled_from(["0.5", "nan", "x"]),
+)
+row_points = st.one_of(
+    st.none(),
+    st.lists(row_numbers, min_size=2, max_size=2),
+    st.lists(row_numbers, min_size=0, max_size=3),
+    st.dictionaries(st.text(max_size=2), row_numbers, max_size=2),
+    row_numbers,
+)
+row_oids = st.one_of(
+    st.integers(min_value=-(2**63) - 2, max_value=2**63 + 1),
+    st.sampled_from([2**63, -(2**63) - 1, 2**63 - 1, -(2**63)]),
+    row_numbers,
+)
+update_rows = st.one_of(
+    st.tuples(row_oids, row_points, row_points).map(list),
+    st.lists(st.one_of(row_oids, row_points), max_size=4),
+)
+
+
+def raw_line(rows) -> str:
+    line = json.dumps({"v": 4, "t": "updates", "rows": rows})
+    for marker, spelling in RAW_NUMBERS.items():
+        line = line.replace(json.dumps(marker), spelling)
+    return line
+
+
+class TestUpdatesDecodeAgreesWithRows:
+    @given(st.lists(update_rows, max_size=6))
+    def test_columnar_decode_equals_the_row_reference(self, rows):
+        line = raw_line(rows)
+        try:
+            expected = reference_updates(json.loads(line)["rows"])
+        except (ValueError, TypeError, OverflowError):
+            with pytest.raises(wire.WireError):
+                wire.decode_frame(line)
+            return
+        assert wire.decode_frame(line).batch == expected
+
+    @given(st.lists(object_updates, max_size=8))
+    def test_decode_inverts_encode_updates_flat(self, updates):
+        batch = FlatUpdateBatch.from_updates(updates)
+        line = wire.encode_updates_flat(batch)
+        assert line == wire.encode_frame(wire.Updates(batch))
+        assert wire.decode_frame(line).batch == batch
 
 
 # ----------------------------------------------------------------------
@@ -365,5 +460,5 @@ class TestCanonicalBytes:
             else:
                 batch.append_move(u.oid, u.old[0], u.old[1], u.new[0], u.new[1])
         line = wire.encode_updates_flat(batch)
-        assert line == wire.encode_frame(wire.Updates(updates=tuple(updates)))
+        assert line == wire.encode_frame(wire.Updates(FlatUpdateBatch.from_updates(updates)))
         assert wire.encode_frame(wire.decode_frame(line)) == line
