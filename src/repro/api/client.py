@@ -760,9 +760,18 @@ class Client:
                 raise RemoteError(f"unexpected frame during sync: {reply!r}")
 
     def send_updates(self, object_updates: Sequence[ObjectUpdate]) -> None:
-        """Stage object updates for the next :meth:`tick` (no reply)."""
+        """Stage object updates for the next :meth:`tick` (no reply).
+
+        A batch of more than :data:`repro.api.wire.MAX_UPDATE_ROWS` rows
+        goes as several ``updates`` frames, in order."""
         self._await_link()
-        self._send(wire.Updates(FlatUpdateBatch.from_updates(object_updates)))
+        batch = FlatUpdateBatch.from_updates(object_updates)
+        step = wire.MAX_UPDATE_ROWS
+        if len(batch) <= step:
+            self._send(wire.Updates(batch))
+            return
+        for start in range(0, len(batch), step):
+            self._send(wire.Updates(batch.rows(start, start + step)))
 
     def send_query_update(self, update: QueryUpdate) -> None:
         """Stage a raw query update for the next :meth:`tick`."""

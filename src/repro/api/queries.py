@@ -46,6 +46,7 @@ routing and ``move``) and ``moved_to(point)`` (the same spec re-anchored
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Union
 
 from repro.geometry.points import Point
@@ -241,28 +242,55 @@ def spec_to_wire(spec: QuerySpec) -> dict:
     raise TypeError(f"not a query spec: {spec!r}")
 
 
+def _finite(raw) -> float:
+    value = float(raw)
+    if isfinite(value):
+        return value
+    raise ValueError(f"non-finite coordinate {raw!r} in a query spec")
+
+
+def _wire_point(raw) -> Point:
+    x, y = raw
+    return (_finite(x), _finite(y))
+
+
+def _wire_rect(raw) -> Rect:
+    x0, y0, x1, y1 = raw
+    return Rect(_finite(x0), _finite(y0), _finite(x1), _finite(y1))
+
+
+def _wire_k(obj: dict) -> int:
+    """``k`` as the wire must carry it: a positive JSON integer (a float
+    such as ``2.9`` would silently truncate, a ``bool`` is no count)."""
+    k = obj.get("k", 1)
+    if type(k) is int and k >= 1:
+        return k
+    raise ValueError(f"query spec k must be a positive integer, got {k!r}")
+
+
 def spec_from_wire(obj: dict) -> QuerySpec:
-    """Parse the dict form back into a spec (inverse of spec_to_wire)."""
+    """Parse the dict form back into a spec (inverse of spec_to_wire).
+
+    Refuses (``ValueError``) what no engine may install: a non-finite
+    point or region bound (``1e999`` is valid JSON that parses to
+    ``inf``) and a ``k`` that is not a positive JSON integer."""
     kind = obj.get("type")
     if kind == "knn":
-        x, y = obj["point"]
-        return KnnSpec(point=(float(x), float(y)), k=int(obj.get("k", 1)))
+        return KnnSpec(point=_wire_point(obj["point"]), k=_wire_k(obj))
     if kind == "constrained":
-        x, y = obj["point"]
         return ConstrainedKnnSpec(
-            point=(float(x), float(y)),
-            region=as_rect(obj["region"]),
-            k=int(obj.get("k", 1)),
+            point=_wire_point(obj["point"]),
+            region=_wire_rect(obj["region"]),
+            k=_wire_k(obj),
         )
     if kind == "range":
-        return RangeSpec(region=as_rect(obj["region"]))
+        return RangeSpec(region=_wire_rect(obj["region"]))
     if kind == "filtered":
-        x, y = obj["point"]
         region = obj.get("region")
         return FilteredKnnSpec(
-            point=(float(x), float(y)),
-            k=int(obj.get("k", 1)),
+            point=_wire_point(obj["point"]),
+            k=_wire_k(obj),
             tags=tuple(str(t) for t in obj["tags"]),
-            region=None if region is None else as_rect(region),
+            region=None if region is None else _wire_rect(region),
         )
     raise ValueError(f"unknown query spec type {kind!r}")

@@ -1,9 +1,13 @@
 """Socket transport: publish subscribed deltas, accept update frames.
 
 A :class:`MonitorSocketServer` exposes one
-:class:`repro.api.session.Session` over TCP speaking wire v4
+:class:`repro.api.session.Session` over TCP speaking wire v5
 (:mod:`repro.api.wire`): ndjson lines in, and out every frame as an
-ndjson line except result deltas, which leave as binary records.  Each
+ndjson line except result deltas, which leave as binary records.  The
+columns of every ``updates`` frame are appended to one staged
+:class:`repro.updates.FlatUpdateBatch`, which the ``tick`` frame hands
+to :meth:`repro.api.session.Session.tick_flat` with the staged query
+updates attached — no row becomes a Python object on the way in.  Each
 connection gets a reader thread; frames on one connection are
 processed strictly in arrival order, and every engine-touching
 operation takes the server-wide :attr:`lock` — the monitoring cycle
@@ -54,7 +58,7 @@ from repro.service.subscriptions import (
     SlowConsumerPolicy,
     Subscription,
 )
-from repro.updates import QueryUpdateKind
+from repro.updates import FlatUpdateBatch, QueryUpdateKind
 
 #: rows per ``sync_objects`` chunk of the cold-start stream.
 SYNC_CHUNK = 512
@@ -127,11 +131,12 @@ class _Connection:
         self.index = index
         #: outbound frames written so far (fault-hook ordinal).
         self.frames_sent = 0
-        self.reader = sock.makefile("r", encoding="utf-8", newline="\n")
+        self.reader = sock.makefile("rb")
         #: qid -> hub subscription feeding this connection.
         self.subscriptions: dict[int, Subscription] = {}
-        #: updates staged by ``updates`` / ``query`` frames until ``tick``.
-        self.staged_objects: list = []
+        #: updates staged by ``updates`` / ``query`` frames until ``tick``:
+        #: every ``updates`` frame's columns appended to one batch.
+        self.staged_objects = FlatUpdateBatch(timestamp=None)
         self.staged_queries: list = []
         self.closed = False
         #: ``watch_metrics`` state: push interval in seconds (``None`` =
@@ -575,15 +580,15 @@ class MonitorSocketServer:
             ).start()
 
     def _serve_connection(self, conn: _Connection) -> None:
+        reader = conn.reader
         try:
-            for line in conn.reader:
-                line = line.strip()
-                if not line:
-                    continue
+            while True:
                 try:
-                    frame = wire.decode_frame(line)
+                    frame = wire.read_frame(reader)
                 except wire.WireError as exc:
                     conn.send(wire.Error(message=str(exc)))
+                    break
+                if frame is None:
                     break
                 if type(frame) is wire.Bye:
                     conn.send(wire.Bye())
@@ -622,18 +627,17 @@ class MonitorSocketServer:
         session = self.session
         kind = type(frame)
         if kind is wire.Updates:
-            conn.staged_objects.extend(frame.batch.to_object_updates())
+            conn.staged_objects.extend(frame.batch)
             return
         if kind is wire.QueryOp:
             conn.staged_queries.append(frame.update)
             return
         if kind is wire.Tick:
+            batch = conn.staged_objects
+            batch.timestamp = frame.timestamp
+            batch.query_updates = tuple(conn.staged_queries)
             with self.lock:
-                changed = session.tick(
-                    conn.staged_objects,
-                    conn.staged_queries,
-                    timestamp=frame.timestamp,
-                )
+                changed = session.tick_flat(batch)
             # Terminated-by-stream queries no longer route anywhere; reap
             # their connection subscriptions too.  Only a TERMINATE kind
             # qualifies (a raw MOVE/INSERT leaves the query alive), and
@@ -648,7 +652,7 @@ class MonitorSocketServer:
                         and qu.qid not in live
                     ):
                         conn.subscriptions.pop(qu.qid).close()
-            conn.staged_objects = []
+            conn.staged_objects = FlatUpdateBatch(timestamp=None)
             conn.staged_queries = []
             conn.send(
                 wire.Ticked(

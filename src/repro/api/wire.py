@@ -11,7 +11,7 @@ can start with it)::
     offset  size  field
     0       1     0xFF marker
     1       4     u32 length of everything after this field
-    5       1     u8  version (4)
+    5       1     u8  version (5)
     6       1     u8  tag (1 = delta)
     7       1     u8  flags: 1 ts present, 2 reordered, 4 terminated
     8       8     i64 ts (0 when the flag is clear)
@@ -28,15 +28,51 @@ must equal ``31 + 16n`` and the bytes that follow it, exactly.
 :func:`frame_bytes` is the one place that applies this rule on the
 way out, :func:`read_frame` on the way in.
 
+**Updates travel as one packed column block.**  An ``updates`` frame is
+a JSON line, ``{"v":5,"t":"updates","n":N,"cols":"..."}``, whose
+``cols`` is the standard base64 of the ``42 * N``-byte block
+:meth:`repro.updates.FlatUpdateBatch.column_bytes` packs (exactly
+``56 * N`` characters, never padded), little-endian on every host::
+
+    offset  size  column
+    0       8N    i64 oids
+    8N      8N    f64 old x
+    16N     8N    f64 old y
+    24N     8N    f64 new x
+    32N     8N    f64 new y
+    40N     N     u8  appear (0 or 1)
+    41N     N     u8  disappear (0 or 1)
+
+An appearance's old and a disappearance's new coordinates are
+placeholders (``0.0`` from this package's encoders).  A 256-row frame
+costs about 56.2 bytes per row, where v4's ``[oid, old, new]`` JSON rows
+cost 88.9.  Decoding is one small JSON parse, one base64 decode and one
+``frombytes`` per column — no Python value per row — and then the whole
+frame is checked, one bad row rejecting it: ``n`` is a JSON integer in
+``[0, MAX_UPDATE_ROWS]`` that matches ``len(cols)`` (checked before any
+base64 is decoded), the masks hold only 0 and 1, no row both appears and
+disappears, and every coordinate is finite.
+
+**Limits.**  A line holds at most :data:`MAX_LINE_BYTES` bytes, its
+newline included, and a binary record at most :data:`MAX_RECORD_BYTES`
+after its prefix; :func:`read_frame` and :func:`read_line` refuse a
+longer one after reading no more than the limit.  Every frame this
+package encodes fits: an ``updates`` frame holds at most
+:data:`MAX_UPDATE_ROWS` rows (``repro.api.client.Client.send_updates``
+splits a larger batch), and a result-carrying line of as many entries
+as a record can hold (a million) stays under the line limit.
+
 Decoding rejects unknown versions, types and tags up front, and
 :func:`decode_frame` raises :class:`WireError` — only ever that — for
 anything it cannot accept.  **Versions.**  v2 added the pub/sub
 vocabulary (tags, filtered subscriptions, cold-start sync, the lag
 marker) and v3 the telemetry vocabulary (``watch_metrics``, ``metrics``,
-``alert``), both additively.  **v4** reshapes the delta frame into the
-binary record above, which no v1–v3 peer can read, so a v4 endpoint
-speaks v4 only (:data:`SUPPORTED_VERSIONS`): a v1–v3 peer is refused at
-the ``welcome`` (or its first frame) instead of at its first delta.
+``alert``), both additively.  v4 reshaped the delta frame into the
+binary record above, and **v5** replaces the ``updates`` frame's JSON
+rows with the packed column block; neither is readable by an older
+peer, so a v5 endpoint speaks v5 only (:data:`SUPPORTED_VERSIONS`): an
+older peer is refused at the ``welcome`` (or its first frame) instead of
+at its first delta or ``updates`` frame.
 
 The frame vocabulary mirrors the in-process client surface
 (:mod:`repro.api.session`) plus the ingestion vocabulary
@@ -84,31 +120,27 @@ and one module-level decoder do all the JSON; the decoders refuse
 distances or coordinates) and any qid, oid or tick timestamp outside
 signed 64-bit (it could not ride a binary delta).
 
-Points are ``[x, y]``; result entries are ``[dist, oid]``; object
-update rows are ``[oid, old, new]`` with ``null`` for the
-appearance/disappearance side, exactly the Section 3 tuple.  Every
-coordinate a frame carries in must be finite: ``1e999`` is valid JSON
-that parses to ``inf``, so the decoders check the parsed values, not
-only the ``NaN`` / ``Infinity`` constants.
-
-**Updates travel as columns.**  :class:`Updates` carries its rows as a
+Points are ``[x, y]`` and result entries ``[dist, oid]``.
+:class:`Updates` carries its rows as a
 :class:`repro.updates.FlatUpdateBatch`, the type the ingest tier stages
-and the engines consume.  :func:`decode_frame` fills its seven columns
-in one pass over the JSON rows — no :class:`repro.updates.ObjectUpdate`
-and no point tuple per row — and one bad row rejects the whole frame.
-A row's oid must be a JSON integer and its coordinates JSON numbers.
+and the engines consume, so the Section 3 tuple never exists as a
+Python object between the socket and the cycle.  Every coordinate a
+frame carries in must be finite: ``1e999`` is valid JSON that parses to
+``inf``, so the decoders check the parsed values (and the packed
+columns' bits), not only the ``NaN`` / ``Infinity`` constants.  A query
+spec's point and region bounds must be finite too, and its ``k`` a
+positive JSON integer (:func:`repro.api.queries.spec_from_wire`).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from array import array
+from base64 import b64decode
+from binascii import b2a_base64
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import isfinite
-from operator import and_, is_
 from typing import Union
 
 from repro.api.queries import QuerySpec, spec_from_wire, spec_to_wire
@@ -117,11 +149,12 @@ from repro.service.deltas import ResultDelta
 from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
 
 #: the protocol version this module speaks (stamps every encoded frame).
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
-#: versions :func:`decode_frame` accepts.  v4's binary delta record is
-#: unreadable to a v1–v3 peer, so there is no older version to accept.
-SUPPORTED_VERSIONS = (4,)
+#: versions :func:`decode_frame` accepts.  v5's packed ``updates`` frame
+#: (like v4's binary delta record) is unreadable to an older peer, so
+#: there is no older version to accept.
+SUPPORTED_VERSIONS = (5,)
 
 #: first byte of a binary record (never a byte of UTF-8 text).
 BINARY_MARK = 0xFF
@@ -146,6 +179,23 @@ _EMPTY_LENGTH = _HEADER.size - _PREFIX
 #: prefix): a million result entries.  A length beyond it is refused
 #: before anything is allocated for it.
 MAX_RECORD_BYTES = 1 << 24
+
+#: the longest ndjson line :func:`read_line` / :func:`read_frame` read,
+#: newline included: 64 MiB, room for the largest ``updates`` frame
+#: (~56 MiB) and for a million ``[dist, oid]`` result entries.
+MAX_LINE_BYTES = 1 << 26
+
+#: the most rows one ``updates`` frame may carry; a larger ``n`` is
+#: refused before any base64 is decoded.
+MAX_UPDATE_ROWS = 1 << 20
+
+#: bytes of one row in the packed ``updates`` block, and its base64
+#: characters (a whole number of 3-byte groups: never padded).
+_ROW_BYTES = 42
+_ROW_CHARS = 56
+
+#: the two byte values an ``updates`` mask may hold.
+_BITS = b"\x00\x01"
 
 
 @lru_cache(maxsize=256)
@@ -186,7 +236,8 @@ class Updates:
     """Object location updates staged for the next :class:`Tick`, as
     columns (build one from rows with
     :meth:`repro.updates.FlatUpdateBatch.from_updates`; its
-    ``timestamp`` and ``query_updates`` do not travel)."""
+    ``timestamp`` and ``query_updates`` do not travel).  On the wire it
+    is the packed column block in base64 (module docstring)."""
 
     batch: FlatUpdateBatch
 
@@ -419,84 +470,50 @@ def _entries(raw) -> tuple[ResultEntry, ...]:
     return tuple([(float(d), int(oid)) for d, oid in raw])
 
 
-def _update_rows(batch: FlatUpdateBatch) -> list[list]:
-    """The JSON ``rows`` of an :class:`Updates` frame, read straight
-    from the columns: ``[oid, old, new]`` with ``null`` on the
-    appearance/disappearance side."""
-    return [
-        [oid, None if ap else [ox, oy], None if dis else [nx, ny]]
-        for oid, ox, oy, nx, ny, ap, dis in zip(
-            batch.oids,
-            batch.old_xs,
-            batch.old_ys,
-            batch.new_xs,
-            batch.new_ys,
-            batch.appear,
-            batch.disappear,
+def _updates_out(batch: FlatUpdateBatch) -> dict:
+    """The body of an :class:`Updates` frame: the row count and the
+    base64 of the packed column block."""
+    block = b2a_base64(batch.column_bytes(), newline=False)
+    return {"n": len(batch), "cols": block.decode("ascii")}
+
+
+def _updates_in(obj: dict) -> Updates:
+    """Decode an ``updates`` frame's packed column block (the inverse of
+    :func:`_updates_out`), then check the whole frame; anything off
+    raises (``decode_frame`` turns it into :class:`WireError`)."""
+    n = obj["n"]
+    cols = obj["cols"]
+    if type(n) is not int or not 0 <= n <= MAX_UPDATE_ROWS:
+        raise ValueError(
+            f"updates row count {n!r} is not a JSON integer in "
+            f"[0, {MAX_UPDATE_ROWS}]"
         )
-    ]
-
-
-#: the placeholder an appearance (disappearance) row holds in its old
-#: (new) coordinate columns.
-_NOWHERE = (0.0, 0.0)
-
-
-def _coordinates(points, absent: int) -> tuple[array, array]:
-    """The x and y columns of one side of an ``updates`` frame.
-
-    ``points`` holds each row's ``[x, y]`` or ``None``; ``absent``
-    counts the ``None`` rows, which get the placeholder.  ``zip(*...,
-    strict=True)`` unpacks every point exactly as ``x, y = point``
-    would: a point of any other length fails the frame, and
-    ``array("d")`` refuses a coordinate that is not a JSON number."""
-    if absent:
-        points = [_NOWHERE if p is None else p for p in points]
-    xs, ys = zip(*points, strict=True)
-    xs = array("d", xs)
-    ys = array("d", ys)
-    # A sum of floats is finite iff every term is, unless finite terms
-    # overflow it: only then is the per-value check needed.
-    for col in (xs, ys):
+    if type(cols) is not str or len(cols) != _ROW_CHARS * n:
+        raise ValueError(
+            f"updates cols must be {_ROW_CHARS * n} base64 characters "
+            f"for {n} rows"
+        )
+    block = b64decode(cols, validate=True)
+    if len(block) != _ROW_BYTES * n:
+        # Any '=' in a string of the right length shortens the block.
+        raise ValueError("updates cols carry base64 padding")
+    batch = FlatUpdateBatch.from_column_bytes(n, block)
+    appear = batch.appear
+    disappear = batch.disappear
+    if appear.translate(None, _BITS) or disappear.translate(None, _BITS):
+        raise ValueError("an updates mask byte is neither 0 nor 1")
+    if (
+        1 in appear
+        and 1 in disappear
+        and int.from_bytes(appear, "little") & int.from_bytes(disappear, "little")
+    ):
+        raise ValueError("an updates row both appears and disappears")
+    for col in (batch.old_xs, batch.old_ys, batch.new_xs, batch.new_ys):
+        # A sum of floats is finite iff every term is, unless finite
+        # terms overflow it: only then is the per-value check needed.
         if not isfinite(sum(col)) and not all(map(isfinite, col)):
-            raise ValueError("non-finite coordinate in updates row")
-    return xs, ys
-
-
-def _updates_in(rows) -> Updates:
-    """Decode an ``updates`` frame's rows column by column (the inverse
-    of :func:`_update_rows`).
-
-    Accepts exactly what a per-row ``for oid, old, new in rows`` loop
-    accepts when each oid must be a JSON integer within signed 64-bit
-    and each coordinate a finite JSON number; anything else raises
-    (``decode_frame`` turns it into :class:`WireError`)."""
-    columns = tuple(zip(*rows, strict=True))
-    if not columns:
-        if rows:
-            raise ValueError("an updates row is empty")
-        return Updates(FlatUpdateBatch(0))
-    oids, olds, news = columns
-    try:
-        oids = array("q", oids)
-    except OverflowError:
-        raise ValueError("an oid does not fit a signed 64-bit field") from None
-    n_appear = olds.count(None)
-    n_disappear = news.count(None)
-    n = len(oids)
-    appear = (
-        bytearray(map(is_, olds, repeat(None))) if n_appear else bytearray(n)
-    )
-    disappear = (
-        bytearray(map(is_, news, repeat(None))) if n_disappear else bytearray(n)
-    )
-    if n_appear and n_disappear and any(map(and_, appear, disappear)):
-        raise ValueError("an updates row carries no location")
-    old_xs, old_ys = _coordinates(olds, n_appear)
-    new_xs, new_ys = _coordinates(news, n_disappear)
-    return Updates(
-        FlatUpdateBatch(0, oids, old_xs, old_ys, new_xs, new_ys, appear, disappear)
-    )
+            raise ValueError("non-finite coordinate in an updates row")
+    return Updates(batch)
 
 
 def _query_op_out(qu: QueryUpdate) -> dict:
@@ -525,7 +542,7 @@ def _query_op_in(obj: dict) -> QueryUpdate:
 
 def _body(frame: Frame) -> tuple[str, dict]:
     if type(frame) is Updates:
-        return "updates", {"rows": _update_rows(frame.batch)}
+        return "updates", _updates_out(frame.batch)
     if type(frame) is Tick:
         return "tick", {"ts": frame.timestamp}
     if type(frame) is Ticked:
@@ -684,7 +701,8 @@ def _unpackable(timestamp, delta, entries, exc) -> str:
 
 def encode_updates_flat(batch: FlatUpdateBatch) -> str:
     """The :class:`Updates` frame line of a columnar
-    :class:`repro.updates.FlatUpdateBatch` (``encode_frame(Updates(batch))``)."""
+    :class:`repro.updates.FlatUpdateBatch` (``encode_frame(Updates(batch))``):
+    one text line carrying the packed column block in base64."""
     return encode_frame(Updates(batch))
 
 
@@ -760,6 +778,20 @@ def _decode_delta(data: bytes) -> Delta:
     )
 
 
+def read_line(stream, head: bytes = b"") -> bytes:
+    """The rest of one ndjson line from a binary buffered stream, after
+    the ``head`` already read from it: ``head`` plus everything up to
+    and including the next newline (or the end of the stream).
+
+    Reads at most :data:`MAX_LINE_BYTES` bytes in all; a line that does
+    not end within them raises :class:`WireError`."""
+    limit = MAX_LINE_BYTES - len(head)
+    line = stream.readline(limit)
+    if len(line) == limit and line[-1:] != b"\n":
+        raise WireError(f"line exceeds {MAX_LINE_BYTES} bytes")
+    return head + line
+
+
 def read_frame(stream) -> Frame | None:
     """The next frame on a binary buffered stream (``sock.makefile("rb")``),
     or ``None`` at a clean end of stream.
@@ -767,8 +799,9 @@ def read_frame(stream) -> Frame | None:
     The first byte picks the framing: :data:`BINARY_MARK` reads the
     length prefix and exactly that many bytes more, anything else reads
     one line (blank lines are skipped).  A record cut short by the end
-    of the stream, or longer than :data:`MAX_RECORD_BYTES`, raises
-    :class:`WireError` like any other undecodable frame.
+    of the stream, a record longer than :data:`MAX_RECORD_BYTES` or a
+    line longer than :data:`MAX_LINE_BYTES` raises :class:`WireError`
+    like any other undecodable frame.
     """
     while True:
         first = stream.read(1)
@@ -786,7 +819,7 @@ def read_frame(stream) -> Frame | None:
                 record += stream.read(length)
             return _decode_delta(record)
         if first != b"\n":
-            return decode_frame(first + stream.readline())
+            return decode_frame(read_line(stream, first))
 
 
 def decode_frame(line: str | bytes) -> Frame:
@@ -820,7 +853,7 @@ def decode_frame(line: str | bytes) -> Frame:
     kind = obj.get("t")
     try:
         if kind == "updates":
-            return _updates_in(obj["rows"])
+            return _updates_in(obj)
         if kind == "tick":
             # The ts stamps every delta of the cycle, so it must fit too.
             ts = obj["ts"]

@@ -20,93 +20,171 @@ cycles — coalescing, drops, deadline flushes mid-timestamp — still yields
 a stream every monitor accepts, and an offline replay of the assembled
 batches reproduces the exact same end state.
 
-:meth:`CycleBatcher.assemble` makes one pass over the drained targets,
-in first-arrival order, collecting the surviving rows in local lists;
-each of the seven columns is then built in one go.  The assembled
-batches are buffer-backed (``FlatUpdateBatch`` columns are
-``array``/``bytearray``), so downstream consumers — ``process_flat``,
-the shared-memory shard transport, ``wire.encode_updates_flat`` — read
-the rows without any further conversion.
+:meth:`CycleBatcher.assemble` works column by column.  The shadow table
+is itself columnar: one dict from oid to a row of two coordinate
+columns.  Row 0 is never an object's: it holds the ``0.0`` placeholder
+an unknown oid reads, so one ``map`` of ``dict.get`` over the drained
+oids (unknown -> row 0) and one gather per coordinate give every
+target's old position, the appearance placeholder included.  The
+no-op, appearance, disappearance and annihilation masks are C-level
+maps of ``operator`` functions over those columns, the batch's columns
+are cut out of them with ``itertools.compress``, and the table is
+written back by mapping ``array.__setitem__`` — no Python value per row
+and no per-row loop.  A cycle of plain moves (the common case) skips the
+appearance/disappearance masks altogether.  The assembled batches are
+buffer-backed (``FlatUpdateBatch`` columns are ``array``/``bytearray``),
+so downstream consumers — ``process_flat``, the shared-memory shard
+transport, ``wire.encode_updates_flat`` — read the rows without any
+further conversion.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from collections.abc import Iterable, Sequence
-from itertools import repeat
-from operator import is_
+from itertools import compress, repeat
+from operator import and_, gt, itemgetter, ne, not_, or_
 
 from repro.geometry.points import Point
+from repro.ingest.buffer import Targets
 from repro.updates import FlatUpdateBatch, QueryUpdate
+
+#: exhausts an iterator at C speed (for ``map`` calls run for effect).
+_consume = deque(maxlen=0).extend
 
 
 class CycleBatcher:
     """Stateful assembler of :class:`repro.updates.FlatUpdateBatch`."""
 
     def __init__(self) -> None:
-        #: oid -> position as last shown to the monitor (the shadow table).
-        self.positions: dict[int, Point] = {}
+        #: the shadow table: oid -> row of ``_xs`` / ``_ys`` holding the
+        #: position last shown to the monitor.  Row 0 is the placeholder.
+        self._rows: dict[int, int] = {}
+        self._xs = array("d", [0.0])
+        self._ys = array("d", [0.0])
+        #: rows freed by disappearances, reused by appearances.
+        self._free: list[int] = []
+
+    @property
+    def positions(self) -> dict[int, Point]:
+        """oid -> position as last shown to the monitor (a snapshot of
+        the shadow table, built on demand)."""
+        xs = self._xs
+        ys = self._ys
+        return {oid: (xs[row], ys[row]) for oid, row in self._rows.items()}
 
     def prime(self, objects: Iterable[tuple[int, Point]]) -> None:
         """Seed the shadow table with the bulk-loaded initial population."""
-        self.positions.update(objects)
+        objects = list(objects)
+        points = list(map(itemgetter(1), objects))
+        base = len(self._xs)
+        self._xs.extend(map(itemgetter(0), points))
+        self._ys.extend(map(itemgetter(1), points))
+        self._rows.update(
+            zip(map(itemgetter(0), objects), range(base, base + len(objects)))
+        )
 
     def assemble(
         self,
-        object_targets: Sequence[tuple[int, Point | None]],
+        object_targets: Targets | Iterable[tuple[int, Point | None]],
         query_updates: Sequence[QueryUpdate] = (),
         timestamp: int = 0,
     ) -> tuple[FlatUpdateBatch, int]:
         """Build one columnar batch; returns ``(batch, n_noops)``.
 
-        Rows keep the order of ``object_targets`` (first arrival).
-        Commits the shadow table as it goes — callers apply the batch to
-        the monitor immediately (the driver does), keeping both in step.
+        ``object_targets`` is a drain's :class:`repro.ingest.buffer.Targets`
+        or ``(oid, target)`` pairs naming each oid at most once.  Rows keep its order (first arrival).  Commits the shadow
+        table — callers apply the batch to the monitor immediately (the
+        driver does), keeping both in step.
         """
-        positions = self.positions
-        get = positions.get
-        oids: list[int] = []
-        olds: list[Point | None] = []
-        news: list[Point | None] = []
-        for oid, target in object_targets:
-            old = get(oid)
-            if target is None:
-                if old is None:
-                    # Appeared and disappeared entirely within the buffer.
-                    continue
-                del positions[oid]
-            elif old == target:
-                continue
-            else:
-                positions[oid] = target
-            oids.append(oid)
-            olds.append(old)
-            news.append(target)
-        appear = bytearray(map(is_, olds, repeat(None)))
-        disappear = bytearray(map(is_, news, repeat(None)))
-        old_xs, old_ys = _columns(olds, 1 in appear)
-        new_xs, new_ys = _columns(news, 1 in disappear)
+        if type(object_targets) is not Targets:
+            object_targets = Targets.from_pairs(object_targets)
+        oids = object_targets.oids
+        new_xs = object_targets.xs
+        new_ys = object_targets.ys
+        gone = object_targets.gone
+        table = self._rows
+        xs = self._xs
+        ys = self._ys
+        rows = list(map(table.get, oids, repeat(0)))
+        old_xs = array("d", map(xs.__getitem__, rows))
+        old_ys = array("d", map(ys.__getitem__, rows))
+        differ = bytearray(map(or_, map(ne, old_xs, new_xs), map(ne, old_ys, new_ys)))
+        if 0 not in rows and 1 not in gone:
+            # Plain moves only: a row survives iff its target differs.
+            keep = differ
+            appear = disappear = None
+        else:
+            known = bytearray(map(bool, rows))
+            appear = bytearray(map(not_, map(or_, known, gone)))
+            disappear = bytearray(map(and_, known, gone))
+            moved = bytearray(map(and_, map(gt, known, gone), differ))
+            keep = bytearray(map(or_, map(or_, appear, disappear), moved))
+        n = len(oids)
+        kept = keep.count(1)
+        if kept < n:
+            oids = array("q", compress(oids, keep))
+            old_xs = array("d", compress(old_xs, keep))
+            old_ys = array("d", compress(old_ys, keep))
+            out_xs = array("d", compress(new_xs, keep))
+            out_ys = array("d", compress(new_ys, keep))
+        else:
+            out_xs = new_xs
+            out_ys = new_ys
+        if appear is None:
+            appear_col = bytearray(kept)
+            disappear_col = bytearray(kept)
+            if kept < n:
+                rows = list(compress(rows, keep))
+            _consume(map(xs.__setitem__, rows, out_xs))
+            _consume(map(ys.__setitem__, rows, out_ys))
+        else:
+            appear_col = bytearray(compress(appear, keep))
+            disappear_col = bytearray(compress(disappear, keep))
+            self._commit(object_targets, rows, moved, appear, disappear)
         batch = FlatUpdateBatch(
             timestamp,
-            array("q", oids),
+            oids,
             old_xs,
             old_ys,
-            new_xs,
-            new_ys,
-            appear,
-            disappear,
+            out_xs,
+            out_ys,
+            appear_col,
+            disappear_col,
             tuple(query_updates),
         )
-        return batch, len(object_targets) - len(oids)
+        return batch, n - kept
 
-
-def _columns(points: list[Point | None], absent: bool) -> tuple[array, array]:
-    """The x and y columns of ``points``, ``0.0`` where a point is
-    ``None`` (the placeholder of an appearance's old or a
-    disappearance's new side)."""
-    if not points:
-        return array("d"), array("d")
-    if absent:
-        points = [(0.0, 0.0) if p is None else p for p in points]
-    xs, ys = zip(*points)
-    return array("d", xs), array("d", ys)
+    def _commit(
+        self,
+        targets: Targets,
+        rows: list[int],
+        moved: bytearray,
+        appear: bytearray,
+        disappear: bytearray,
+    ) -> None:
+        """Write a cycle with appearances or disappearances back into the
+        shadow table: free the rows of the objects gone off-line, move
+        the moved, then place the appeared (reusing freed rows first)."""
+        table = self._rows
+        xs = self._xs
+        ys = self._ys
+        free = self._free
+        if 1 in disappear:
+            _consume(map(table.pop, compress(targets.oids, disappear)))
+            free.extend(compress(rows, disappear))
+        _consume(map(xs.__setitem__, compress(rows, moved), compress(targets.xs, moved)))
+        _consume(map(ys.__setitem__, compress(rows, moved), compress(targets.ys, moved)))
+        n_new = appear.count(1)
+        if n_new:
+            reused = free[len(free) - min(n_new, len(free)) :]
+            del free[len(free) - len(reused) :]
+            grow = n_new - len(reused)
+            base = len(xs)
+            xs.frombytes(bytes(8 * grow))
+            ys.frombytes(bytes(8 * grow))
+            placed = reused + list(range(base, base + grow))
+            _consume(map(xs.__setitem__, placed, compress(targets.xs, appear)))
+            _consume(map(ys.__setitem__, placed, compress(targets.ys, appear)))
+            table.update(zip(compress(targets.oids, appear), placed))

@@ -23,16 +23,22 @@ Query updates ride in a side FIFO, uncoalesced and unbounded: they are
 orders of magnitude rarer than object updates and each one changes
 monitor state (terminate/move/insert are not idempotent).
 
-Rows arrive one at a time (:meth:`IngestBuffer.offer` /
-:meth:`~IngestBuffer.try_offer`) or as a *chunk*, the columns of one
-wire frame (:meth:`~IngestBuffer.offer_rows` /
+**Staging is columnar.**  The buffer owns three columns (target x,
+target y, off-line flag) plus one dict from oid to the column row of
+its latest target, whose insertion order is first-arrival order.  Rows
+arrive one at a time (:meth:`IngestBuffer.offer` /
+:meth:`~IngestBuffer.try_offer` append one row) or as a *chunk*, the
+columns of one wire frame (:meth:`~IngestBuffer.offer_rows` /
 :meth:`~IngestBuffer.try_offer_rows`), staged under one lock
 acquisition.  A chunk that cannot fill the buffer or reach the caller's
-size limit is one ``dict.update`` plus counter arithmetic; any other
-chunk runs the per-row logic every offer shares, row by row, and
-reports the first row it did not stage so the caller can carry the rest.
-Either way the counters and the staged state equal those of offering the
-rows one by one.
+size limit extends the columns and updates the dict once, with no Python
+value per row; any other chunk runs the per-row logic every offer
+shares, row by row, and reports the first row it did not stage so the
+caller can carry the rest.  Either way the counters and the staged state
+equal those of offering the rows one by one.  :meth:`IngestBuffer.drain`
+gathers the live rows into :class:`Targets` columns (no gather at all
+when nothing coalesced or dropped), which the batcher assembles column
+by column.
 
 All operations are thread-safe; one lock guards both directions.
 """
@@ -40,8 +46,12 @@ All operations are thread-safe; one lock guards both directions.
 from __future__ import annotations
 
 import threading
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice, repeat
+from operator import is_
 
 from repro.geometry.points import Point
 from repro.updates import FlatUpdateBatch, ObjectUpdate, QueryUpdate
@@ -92,30 +102,73 @@ class BufferCounters:
         )
 
 
+class Targets:
+    """Drained object targets as columns: row ``i`` is object
+    ``oids[i]`` with target ``(xs[i], ys[i])``, or off-line (a
+    disappearance) where ``gone[i]`` is 1, in which case ``xs[i]`` and
+    ``ys[i]`` are ``0.0``.  Each oid occurs at most once.
+
+    Iterated, it is the per-row view: ``(oid, target)`` pairs with
+    ``target is None`` for an off-line object; it compares equal to a
+    list or tuple of the same pairs.
+    """
+
+    __slots__ = ("oids", "xs", "ys", "gone")
+
+    def __init__(
+        self,
+        oids: array | None = None,
+        xs: array | None = None,
+        ys: array | None = None,
+        gone: bytearray | None = None,
+    ) -> None:
+        self.oids = array("q") if oids is None else oids
+        self.xs = array("d") if xs is None else xs
+        self.ys = array("d") if ys is None else ys
+        self.gone = bytearray() if gone is None else gone
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, Point | None]]) -> "Targets":
+        """Columnarize ``(oid, target)`` pairs (each oid at most once)."""
+        pairs = list(pairs)
+        if not pairs:
+            return cls()
+        oids, points = zip(*pairs)
+        oids = array("q", oids)
+        if len(set(oids)) != len(oids):
+            raise ValueError("an oid occurs twice among the targets")
+        gone = bytearray(map(is_, points, repeat(None)))
+        if 1 in gone:
+            points = [(0.0, 0.0) if p is None else p for p in points]
+        xs, ys = zip(*points)
+        return cls(oids, array("d", xs), array("d", ys), gone)
+
+    def __len__(self) -> int:
+        return len(self.oids)
+
+    def __iter__(self) -> Iterator[tuple[int, Point | None]]:
+        for oid, x, y, gone in zip(self.oids, self.xs, self.ys, self.gone):
+            yield oid, None if gone else (x, y)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Targets, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Targets({list(self)!r})"
+
+
 @dataclass(slots=True)
 class DrainedCycle:
     """One drain's worth of buffered work plus the accounting delta."""
 
-    #: ``(oid, target)`` pairs in first-arrival order; ``target is None``
-    #: means the object's latest known state is *off-line* (disappear).
-    object_targets: list[tuple[int, Point | None]] = field(default_factory=list)
+    #: the staged targets in first-arrival order, as columns (iterating
+    #: yields ``(oid, target)`` pairs; ``target is None`` means the
+    #: object's latest known state is *off-line*, a disappearance).
+    object_targets: Targets = field(default_factory=Targets)
     query_updates: list[QueryUpdate] = field(default_factory=list)
     counters: BufferCounters = field(default_factory=BufferCounters)
-
-
-def _targets(batch: FlatUpdateBatch, start: int) -> list[Point | None]:
-    """The target of each row of ``batch[start:]``: its new position, or
-    ``None`` for a disappearance."""
-    if start:
-        targets = list(zip(batch.new_xs[start:], batch.new_ys[start:]))
-    else:
-        targets = list(zip(batch.new_xs, batch.new_ys))
-    gone = batch.disappear
-    row = gone.find(1, start)
-    while row >= 0:
-        targets[row - start] = None
-        row = gone.find(1, row + 1)
-    return targets
 
 
 class IngestBuffer:
@@ -130,9 +183,14 @@ class IngestBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.policy = policy
-        #: oid -> latest target position (None = off-line); insertion
-        #: order is first-arrival order, which DROP_OLDEST evicts from.
-        self._targets: dict[int, Point | None] = {}
+        #: oid -> row of its latest target in the staged columns;
+        #: insertion order is first-arrival order, which DROP_OLDEST
+        #: evicts from.  Rows a later write or an eviction superseded
+        #: stay in the columns until the next drain.
+        self._slots: dict[int, int] = {}
+        self._xs = array("d")
+        self._ys = array("d")
+        self._gone = bytearray()
         self._query_updates: list[QueryUpdate] = []
         self._cond = threading.Condition()
         self._counters = BufferCounters()
@@ -156,8 +214,12 @@ class IngestBuffer:
         the batcher against what the monitor actually saw, so coalescing
         and drops can never desynchronize the stream.
         """
+        new = update.new
         with self._cond:
-            pending = self._place(update.oid, update.new, True, timeout)
+            if new is None:
+                pending = self._place(update.oid, 0.0, 0.0, 1, True, timeout)
+            else:
+                pending = self._place(update.oid, new[0], new[1], 0, True, timeout)
             if pending:
                 self._cond.notify_all()
             return pending
@@ -171,8 +233,11 @@ class IngestBuffer:
         counts exactly once).  Returns the staged count, or ``0`` when
         the update could not be staged.
         """
+        new = update.new
         with self._cond:
-            return self._place(update.oid, update.new, False, None)
+            if new is None:
+                return self._place(update.oid, 0.0, 0.0, 1, False, None)
+            return self._place(update.oid, new[0], new[1], 0, False, None)
 
     def offer_rows(
         self, batch: FlatUpdateBatch, start: int = 0, timeout: float | None = None
@@ -208,26 +273,38 @@ class IngestBuffer:
         timeout: float | None,
     ) -> tuple[int, int]:
         n = len(batch)
-        oids = batch.oids[start:] if start else batch.oids
-        targets = _targets(batch, start)
+        if start:
+            oids = batch.oids[start:]
+            xs = batch.new_xs[start:]
+            ys = batch.new_ys[start:]
+            gone = batch.disappear[start:]
+        else:
+            oids = batch.oids
+            xs = batch.new_xs
+            ys = batch.new_ys
+            gone = batch.disappear
         cond = self._cond
         with cond:
-            staged = self._targets
-            pending = len(staged)
+            slots = self._slots
+            pending = len(slots)
             room = self.capacity if limit is None else min(self.capacity, limit)
             if pending + len(oids) <= room:
                 # Even if every row is a new object, no row meets a full
                 # buffer or a limit before the last: stage them at once.
-                staged.update(zip(oids, targets))
+                base = len(self._xs)
+                self._xs.extend(xs)
+                self._ys.extend(ys)
+                self._gone.extend(gone)
+                slots.update(zip(oids, range(base, base + len(oids))))
                 counters = self._counters
                 counters.offered += len(oids)
-                counters.coalesced += len(oids) - (len(staged) - pending)
+                counters.coalesced += len(oids) - (len(slots) - pending)
                 cond.notify_all()
-                return n, len(staged)
+                return n, len(slots)
             row = start
             place = self._place
-            for oid, target in zip(oids, targets):
-                staged_now = place(oid, target, block, timeout)
+            for oid, x, y, off in zip(oids, xs, ys, gone):
+                staged_now = place(oid, x, y, off, block, timeout)
                 if not staged_now:
                     break
                 pending = staged_now
@@ -239,30 +316,35 @@ class IngestBuffer:
             return row, pending
 
     def _place(
-        self, oid: int, target: Point | None, block: bool, timeout: float | None
+        self,
+        oid: int,
+        x: float,
+        y: float,
+        gone: int,
+        block: bool,
+        timeout: float | None,
     ) -> int:
         """Stage one target with the lock held: the per-row logic every
         offer shares.  Returns the staged count, or ``0`` when the row
         was not staged (a full BLOCK buffer: at once unless ``block``,
         else after a wait that timed out or met a closed buffer)."""
-        targets = self._targets
+        slots = self._slots
         counters = self._counters
-        if oid in targets:
-            # Last write wins; the slot (and its arrival rank) is kept.
-            targets[oid] = target
+        if oid in slots:
+            # Last write wins; the key (and its arrival rank) is kept.
             counters.offered += 1
             counters.coalesced += 1
-            return len(targets)
-        if len(targets) >= self.capacity:
+        elif len(slots) >= self.capacity:
             if self.policy is BackPressurePolicy.DROP_OLDEST:
-                del targets[next(iter(targets))]
+                del slots[next(iter(slots))]
                 counters.dropped += 1
+                counters.offered += 1
             elif not block:
                 return 0
             else:
                 # A blocking offer counts once, staged or rejected.
                 counters.offered += 1
-                while len(targets) >= self.capacity:
+                while len(self._slots) >= self.capacity:
                     if self._closed:
                         # Nobody will drain a closed buffer: waiting
                         # would hang the producer forever.  Reject.
@@ -275,11 +357,15 @@ class IngestBuffer:
                     if not self._cond.wait(timeout):
                         counters.rejected += 1
                         return 0
-                targets[oid] = target
-                return len(targets)
-        counters.offered += 1
-        targets[oid] = target
-        return len(targets)
+                # The drain that made room replaced the dict and columns.
+                slots = self._slots
+        else:
+            counters.offered += 1
+        slots[oid] = len(self._xs)
+        self._xs.append(x)
+        self._ys.append(y)
+        self._gone.append(gone)
+        return len(slots)
 
     def offer_query(self, update: QueryUpdate) -> None:
         """Stage one query update (FIFO, never coalesced or dropped)."""
@@ -302,7 +388,7 @@ class IngestBuffer:
     def pending(self) -> int:
         """Distinct objects currently staged."""
         with self._cond:
-            return len(self._targets)
+            return len(self._slots)
 
     @property
     def pending_queries(self) -> int:
@@ -331,7 +417,7 @@ class IngestBuffer:
         with self._cond:
             while True:
                 if (
-                    len(self._targets) >= count
+                    len(self._slots) >= count
                     or self._query_updates
                     or self._closed
                 ):
@@ -341,7 +427,7 @@ class IngestBuffer:
                 else:
                     remaining = deadline - clk()
                     if remaining <= 0 or not self._cond.wait(remaining):
-                        return bool(self._targets or self._query_updates)
+                        return bool(self._slots or self._query_updates)
 
     def wait(self, timeout: float) -> None:
         """Sleep on the buffer's condition for up to ``timeout`` seconds.
@@ -359,21 +445,60 @@ class IngestBuffer:
         accounting delta since the previous drain; wakes blocked
         producers."""
         with self._cond:
-            targets = self._targets
-            if max_objects is None or max_objects >= len(targets):
-                object_targets = list(targets.items())
-                targets.clear()
+            slots = self._slots
+            xs = self._xs
+            ys = self._ys
+            gone = self._gone
+            if max_objects is None or max_objects >= len(slots):
+                oids = array("q", slots)
+                if len(xs) != len(slots):
+                    # Rows were superseded (coalesced or dropped): keep
+                    # each object's latest one.
+                    rows = list(slots.values())
+                    xs, ys, gone = _gather(xs, ys, gone, rows)
+                kept = {}
             else:
-                object_targets = []
-                for oid in list(targets)[:max_objects]:
-                    object_targets.append((oid, targets.pop(oid)))
+                taken = list(islice(slots, max_objects))
+                rows = list(map(slots.pop, taken))
+                oids = array("q", taken)
+                kept = slots
+                xs, ys, gone = _gather(self._xs, self._ys, self._gone, rows)
+            # The staged columns restart empty; what stays staged is
+            # re-gathered into them in arrival order.
+            if kept:
+                rest = list(kept.values())
+                self._xs, self._ys, self._gone = _gather(
+                    self._xs, self._ys, self._gone, rest
+                )
+                self._slots = dict(zip(kept, range(len(rest))))
+            else:
+                self._xs = array("d")
+                self._ys = array("d")
+                self._gone = bytearray()
+                self._slots = {}
+            row = gone.find(1)
+            while row >= 0:
+                # An off-line target's coordinates are placeholders.
+                xs[row] = ys[row] = 0.0
+                row = gone.find(1, row + 1)
             query_updates = self._query_updates
             self._query_updates = []
             counters = self._counters.delta(self._drained)
             self._drained = self._counters.snapshot()
             self._cond.notify_all()
             return DrainedCycle(
-                object_targets=object_targets,
+                object_targets=Targets(oids, xs, ys, gone),
                 query_updates=query_updates,
                 counters=counters,
             )
+
+
+def _gather(
+    xs: array, ys: array, gone: bytearray, rows: list[int]
+) -> tuple[array, array, bytearray]:
+    """The staged columns' ``rows``, in that order, as fresh columns."""
+    return (
+        array("d", map(xs.__getitem__, rows)),
+        array("d", map(ys.__getitem__, rows)),
+        bytearray(map(gone.__getitem__, rows)),
+    )

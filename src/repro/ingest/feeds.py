@@ -325,7 +325,8 @@ def write_jsonl_trace(
 class SocketFeed(UpdateFeed):
     """A live update source speaking the ndjson wire protocol.
 
-    Reads frames (:mod:`repro.api.wire`) off a connected socket and
+    Reads frames (:mod:`repro.api.wire`) off a connected socket, one
+    line of at most :data:`repro.api.wire.MAX_LINE_BYTES` at a time, and
     yields the feed vocabulary: :meth:`chunks` yields each ``updates``
     frame as the one :class:`repro.updates.FlatUpdateBatch` it decodes
     to (:meth:`events`, the per-row view, streams its rows as
@@ -454,12 +455,14 @@ class SocketFeed(UpdateFeed):
         marks = 0
         frame_seq = 0
         while True:
-            reader = self.sock.makefile("r", encoding="utf-8", newline="\n")
+            reader = self.sock.makefile("rb")
             failure: BaseException | None = None
             try:
                 while True:
                     try:
-                        line = reader.readline()
+                        line = wire.read_line(reader)
+                    except wire.WireError:
+                        raise  # an over-long line is bad data, not loss
                     except (OSError, ValueError) as exc:
                         # ValueError: reading a file object whose socket
                         # an injected fault closed under it.
@@ -520,18 +523,18 @@ def push_feed_to_socket(feed: UpdateFeed, sock, *, updates_per_frame: int = 256)
     """Stream a feed's events to a socket as wire frames (the producer
     half of :class:`SocketFeed`; used by tests and demos).
 
-    Object updates are packed ``updates_per_frame`` to an ``updates``
-    frame (flushed at every cycle boundary), query updates and cycle
-    marks are sent as they come, and the stream ends with ``bye``.
+    Object updates are packed ``updates_per_frame`` (at most
+    :data:`repro.api.wire.MAX_UPDATE_ROWS`) to an ``updates`` frame
+    (flushed at every cycle boundary), query updates and cycle marks are
+    sent as they come, and the stream ends with ``bye``.
 
     Pending updates accumulate in the buffer-backed columns of a
     :class:`repro.updates.FlatUpdateBatch` and each frame is encoded
-    straight from those columns (``wire.encode_updates_flat``) — same
-    bytes on the wire as packing :class:`Updates` row objects, without
-    materializing them.
+    straight from those columns (``wire.encode_updates_flat``).
     """
     from repro.api import wire
 
+    updates_per_frame = min(updates_per_frame, wire.MAX_UPDATE_ROWS)
     pending = FlatUpdateBatch(timestamp=0)
 
     def send_line(line: str) -> None:

@@ -9,8 +9,9 @@ crosses the pipe every timestamp.
 
 Because the batch columns are buffer-backed (``array('q')`` /
 ``array('d')`` / ``bytearray``), they can instead be written into one
-``multiprocessing.shared_memory`` block — a single memcpy per column on
-the parent side, a single attach + memcpy on the worker side — while only
+``multiprocessing.shared_memory`` block — the packed column block of
+:meth:`repro.updates.FlatUpdateBatch.column_bytes` on the parent side, a
+single attach + memcpy per column on the worker side — while only
 a fixed-size :class:`ShmBatchHandle` (segment name, row count, timestamp
 and the rare query updates) travels through the pipe.
 
@@ -64,12 +65,8 @@ def pack_flat_batch(
     """
     n = len(batch)
     shm = shared_memory.SharedMemory(create=True, size=max(1, ROW_BYTES * n))
-    buf = shm.buf
-    offset = 0
-    for view in batch.column_buffers():
-        nbytes = view.nbytes
-        buf[offset : offset + nbytes] = view
-        offset += nbytes
+    block = batch.column_bytes()
+    shm.buf[: len(block)] = block
     handle = ShmBatchHandle(shm.name, n, batch.timestamp, batch.query_updates)
     return handle, shm
 

@@ -28,12 +28,17 @@ Conversion between the two is lossless in both directions.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.geometry.points import Point
+
+#: the packed column block (:meth:`FlatUpdateBatch.column_bytes`) is
+#: little-endian; on a big-endian host its 8-byte columns are swapped.
+_SWAP = sys.byteorder != "little"
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,9 +132,11 @@ class FlatUpdateBatch:
     coordinate columns are ``array('d')`` and the two masks are
     ``bytearray`` (one byte per row, 0/1).  Each column therefore exposes
     its raw bytes through the buffer protocol — :meth:`column_buffers` —
-    which is what lets ``ProcessShardExecutor`` ship a batch to a shard as
-    one ``multiprocessing.shared_memory`` block and the wire encoder read
-    rows without building :class:`ObjectUpdate` objects.  The constructor
+    and the seven columns pack into one little-endian block
+    (:meth:`column_bytes` / :meth:`from_column_bytes`), which is what
+    ``ProcessShardExecutor`` ships to a shard as one
+    ``multiprocessing.shared_memory`` block and what an ``updates`` wire
+    frame carries in base64.  The constructor
     coerces plain lists, so literal construction in tests keeps working.
 
     Query updates ride along untouched — they are orders of magnitude
@@ -166,12 +173,14 @@ class FlatUpdateBatch:
                 )
 
     def column_buffers(self) -> tuple[memoryview, ...]:
-        """Raw little-endian byte views of the seven columns, in field
-        order (``oids``, the four coordinate columns, the two masks).
+        """Raw byte views of the seven columns, in field order (``oids``,
+        the four coordinate columns, the two masks), in the host's
+        *native* byte order.
 
         Zero-copy: the views alias the live column buffers, so they must
         not be held across appends (an append may realloc the backing
-        buffer).
+        buffer).  For bytes that leave the process use
+        :meth:`column_bytes`, which is little-endian on every host.
         """
         return (
             memoryview(self.oids).cast("B"),
@@ -183,6 +192,21 @@ class FlatUpdateBatch:
             memoryview(self.disappear),
         )
 
+    def column_bytes(self) -> bytes:
+        """The packed column block: the seven columns back to back in
+        :meth:`column_buffers` order, ``42 * n`` bytes (``oids`` as i64,
+        the four coordinate columns as f64, the two masks as one byte
+        per row), little-endian on every host.  The inverse of
+        :meth:`from_column_bytes`."""
+        if not _SWAP:
+            return b"".join(self.column_buffers())
+        swapped = []
+        for col in (self.oids, self.old_xs, self.old_ys, self.new_xs, self.new_ys):
+            col = array(col.typecode, col)
+            col.byteswap()
+            swapped.append(col)
+        return b"".join([*swapped, self.appear, self.disappear])
+
     @classmethod
     def from_column_bytes(
         cls,
@@ -191,13 +215,9 @@ class FlatUpdateBatch:
         timestamp: int = 0,
         query_updates: tuple[QueryUpdate, ...] = (),
     ) -> "FlatUpdateBatch":
-        """Rebuild a batch from the packed column bytes of ``n`` rows.
-
-        ``buffer`` holds the seven columns back to back in
-        :meth:`column_buffers` order (``42 * n`` bytes: five 8-byte
-        columns plus two 1-byte masks); this is the inverse of writing
-        those views contiguously, e.g. into a shared-memory block.
-        """
+        """Rebuild a batch from the packed column block of ``n`` rows
+        (:meth:`column_bytes`: ``42 * n`` little-endian bytes), one
+        ``frombytes`` per column."""
         view = memoryview(buffer)
         w = 8 * n
         cols = []
@@ -205,6 +225,8 @@ class FlatUpdateBatch:
         for typecode in ("q", "d", "d", "d", "d"):
             col = array(typecode)
             col.frombytes(view[off : off + w])
+            if _SWAP:
+                col.byteswap()
             cols.append(col)
             off += w
         appear = bytearray(view[off : off + n])
@@ -223,6 +245,31 @@ class FlatUpdateBatch:
 
     def __len__(self) -> int:
         return len(self.oids)
+
+    def rows(self, start: int, stop: int) -> "FlatUpdateBatch":
+        """The rows ``[start:stop)`` as a new batch (same timestamp, no
+        query updates)."""
+        return FlatUpdateBatch(
+            self.timestamp,
+            self.oids[start:stop],
+            self.old_xs[start:stop],
+            self.old_ys[start:stop],
+            self.new_xs[start:stop],
+            self.new_ys[start:stop],
+            self.appear[start:stop],
+            self.disappear[start:stop],
+        )
+
+    def extend(self, other: "FlatUpdateBatch") -> None:
+        """Append ``other``'s rows, column by column (its timestamp and
+        query updates are not taken)."""
+        self.oids.extend(other.oids)
+        self.old_xs.extend(other.old_xs)
+        self.old_ys.extend(other.old_ys)
+        self.new_xs.extend(other.new_xs)
+        self.new_ys.extend(other.new_ys)
+        self.appear.extend(other.appear)
+        self.disappear.extend(other.disappear)
 
     @property
     def size(self) -> int:

@@ -350,9 +350,12 @@ class TestPoisonedFrames:
             assert type(wire.read_frame(reader)) is wire.Welcome
             # Two good rows around a poisoned one, then the tick that
             # would apply them.
+            poisoned = FlatUpdateBatch(0)
+            poisoned.append_move(1, 0.45, 0.5, 0.5, 0.5)
+            poisoned.append_move(2, 0.6, 0.5, float("inf"), 0.5)
+            poisoned.append_appear(3, 0.5, 0.51)
             sock.sendall(
-                b'{"v":4,"t":"updates","rows":[[1,[0.45,0.5],[0.5,0.5]],'
-                b'[2,[0.6,0.5],[Infinity,0.5]],[3,null,[0.5,0.51]]]}\n'
+                wire.frame_bytes(wire.Updates(poisoned))
                 + wire.frame_bytes(wire.Tick(timestamp=1))
             )
             reply = wire.read_frame(reader)
@@ -372,7 +375,7 @@ class TestPoisonedFrames:
             (poisoned_delta_record(), "non-finite distance"),
             (misframed_delta_record(), "does not hold its"),
             (
-                b'{"v":4,"t":"delta","ts":1,"qid":7,"in":[],"out":[],'
+                b'{"v":5,"t":"delta","ts":1,"qid":7,"in":[],"out":[],'
                 b'"reordered":false,"result":[],"terminated":false}\n',
                 "unknown frame type 'delta'",
             ),
@@ -413,10 +416,12 @@ class TestPoisonedFrames:
             feed_sock, _addr = listener.accept()
         feed = SocketFeed(feed_sock)
         good = ObjectUpdate(1, None, (0.5, 0.5))
+        poisoned = FlatUpdateBatch(0)
+        poisoned.append_appear(2, 0.1, 0.2)
+        poisoned.append_appear(3, float("-inf"), 0.2)
         producer.sendall(
             wire.frame_bytes(wire.Updates(FlatUpdateBatch.from_updates((good,))))
-            + b'{"v":4,"t":"updates","rows":[[2,null,[0.1,0.2]],'
-            b'[3,null,[-Infinity,0.2]]]}\n'
+            + wire.frame_bytes(wire.Updates(poisoned))
             + wire.frame_bytes(wire.Tick(timestamp=0))
         )
         events = feed.events()

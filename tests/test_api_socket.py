@@ -260,10 +260,11 @@ class TestEndToEnd:
         finally:
             raw.close()
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_peers_are_refused_at_the_welcome(self, endpoint, version):
-        """A v1–v3 client's first frame is refused, and a v4 client
-        refuses a v1–v3 server's welcome, before any delta record."""
+        """A v1–v4 client's first frame is refused, and a v5 client
+        refuses a v1–v4 server's welcome, before any delta record or
+        ``updates`` frame."""
         _session, _server, host, port = endpoint
         raw = socket.create_connection((host, port), timeout=10.0)
         try:
@@ -326,7 +327,7 @@ class TestEndToEnd:
                             )
                         )
                     )
-                    + b'{"v":4,"t":"tick","ts":%d}\n' % 2**63
+                    + b'{"v":5,"t":"tick","ts":%d}\n' % 2**63
                 )
                 reply = wire.read_frame(reader)
                 assert type(reply) is wire.Error
@@ -342,8 +343,8 @@ class TestEndToEnd:
             assert handle.snapshot() == session.snapshot(handle.qid)
 
     def test_a_non_finite_coordinate_costs_only_its_sender(self, endpoint):
-        """``1e999`` is a JSON float that parses to ``inf``: the whole
-        ``updates`` frame is refused at decode, so the sender draws an
+        """A packed ``updates`` frame whose second row carries ``inf``
+        bits is refused whole at decode, so the sender draws an
         ``error`` and loses its connection, none of the frame's rows is
         staged for the tick that follows, and another connection keeps
         streaming."""
@@ -356,10 +357,12 @@ class TestEndToEnd:
             try:
                 reader = raw.makefile("rb")
                 assert type(wire.read_frame(reader)) is wire.Welcome
+                poisoned = FlatUpdateBatch(0)
+                poisoned.append_appear(9001, 0.5, 0.5)
+                poisoned.append_appear(9003, float("inf"), 0.5)
                 raw.sendall(
-                    b'{"v":4,"t":"updates","rows":[[9001,null,[0.5,0.5]],'
-                    b'[9003,null,[1e999,0.5]]]}\n'
-                    b'{"v":4,"t":"tick","ts":1}\n'
+                    wire.frame_bytes(wire.Updates(poisoned))
+                    + b'{"v":5,"t":"tick","ts":1}\n'
                 )
                 reply = wire.read_frame(reader)
                 assert type(reply) is wire.Error
@@ -374,6 +377,67 @@ class TestEndToEnd:
             watcher.tick(timestamp=2)
             assert seen == [(2, 9002)]
             assert handle.snapshot() == session.snapshot(handle.qid)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            b'{"type":"knn","point":[1e999,0.5],"k":1}',
+            b'{"type":"knn","point":[0.5,0.5],"k":2.9}',
+            b'{"type":"range","region":[0,0,1e999,1]}',
+        ],
+        ids=["inf-point", "float-k", "inf-bound"],
+    )
+    def test_a_bad_register_spec_costs_only_its_sender(self, endpoint, spec):
+        """A spec no engine may install (an infinite point or bound, a
+        ``k`` that is not a positive integer) is refused at decode: the
+        sender draws an ``error`` and loses its connection, nothing is
+        installed, and another connection keeps streaming."""
+        session, server, host, port = endpoint
+        with Client.connect(host, port) as watcher:
+            seen = []
+            handle = watcher.register(KnnSpec(point=(0.5, 0.5), k=2))
+            handle.subscribe(lambda ts, d: seen.append((ts, d.result[0][1])))
+            with server.lock:
+                installed = set(session.query_ids())
+            raw = socket.create_connection((host, port), timeout=10.0)
+            try:
+                reader = raw.makefile("rb")
+                assert type(wire.read_frame(reader)) is wire.Welcome
+                raw.sendall(
+                    b'{"v":5,"t":"register","spec":%s,"qid":null,"watch":true}\n'
+                    % spec
+                )
+                reply = wire.read_frame(reader)
+                assert type(reply) is wire.Error
+                assert "bad 'register' frame" in reply.message
+                assert wire.read_frame(reader) is None
+            finally:
+                raw.close()
+            with server.lock:
+                assert set(session.query_ids()) == installed
+            watcher.send_updates([ObjectUpdate(9002, None, (0.5, 0.5))])
+            watcher.tick(timestamp=2)
+            assert seen == [(2, 9002)]
+            assert handle.snapshot() == session.snapshot(handle.qid)
+
+    def test_send_updates_splits_a_batch_over_the_row_limit(
+        self, endpoint, monkeypatch
+    ):
+        """More rows than one ``updates`` frame may carry go as several
+        frames, and the tick applies all of them."""
+        session, server, host, port = endpoint
+        monkeypatch.setattr(wire, "MAX_UPDATE_ROWS", 3)
+        sent = []
+        with Client.connect(host, port) as client:
+            send = client._send
+            client._send = lambda frame: (sent.append(frame), send(frame))
+            rows = [ObjectUpdate(9100 + i, None, (0.1 * i, 0.5)) for i in range(7)]
+            client.send_updates(rows)
+            client.tick(timestamp=1)
+        assert [len(f.batch) for f in sent if type(f) is wire.Updates] == [3, 3, 1]
+        with server.lock:
+            objects = dict(session.service.monitor.iter_objects())
+        assert all(objects[u.oid] == u.new for u in rows)
 
     def test_a_delta_id_that_does_not_fit_cuts_after_the_frames_before_it(self):
         """``encode_delta`` refuses a qid or oid outside ``i64`` with a
@@ -735,6 +799,40 @@ class TestSocketFeed:
         finally:
             a.close()
             b.close()
+
+    def test_socket_feed_refuses_an_over_long_line(self, monkeypatch):
+        """A peer that never ends its line costs the feed at most
+        ``MAX_LINE_BYTES`` of reading, then a ``WireError``."""
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", 4096)
+        a, b = socket.socketpair()
+        try:
+            a.sendall(wire.frame_bytes(wire.Tick(timestamp=3)) + b"x" * 10_000)
+            a.shutdown(socket.SHUT_WR)  # an unbounded read ends, not hangs
+            events = SocketFeed(b).events()
+            assert next(events).timestamp == 3
+            with pytest.raises(wire.WireError, match="exceeds 4096"):
+                next(events)
+        finally:
+            a.close()
+            b.close()
+
+    def test_server_refuses_an_over_long_line(self, endpoint, monkeypatch):
+        _session, _server, host, port = endpoint
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", 4096)
+        raw = socket.create_connection((host, port), timeout=10.0)
+        try:
+            reader = raw.makefile("rb")
+            assert type(wire.read_frame(reader)) is wire.Welcome
+            raw.sendall(b"{" * 10_000)
+            reply = wire.read_frame(reader)
+            assert type(reply) is wire.Error
+            assert "exceeds 4096" in reply.message
+            assert wire.read_frame(reader) is None
+        finally:
+            raw.close()
+        with Client.connect(host, port) as client:
+            handle = client.register(KnnSpec(point=(0.5, 0.5), k=2))
+            assert len(handle.snapshot()) == 2
 
     def test_socket_feed_carries_initial_populations(self):
         feed = SocketFeed(

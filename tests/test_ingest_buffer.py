@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.ingest.batcher import CycleBatcher
 from repro.ingest.buffer import BackPressurePolicy, IngestBuffer
 from repro.updates import (
     FlatUpdateBatch,
@@ -110,6 +111,24 @@ class TestDrain:
         assert [oid for oid, _ in first.object_targets] == [1, 2]
         assert buf.pending == 1
         assert [oid for oid, _ in buf.drain().object_targets] == [3]
+
+    def test_an_off_line_target_drains_with_zero_placeholders(self):
+        """A chunk's disappearance rows may carry anything in their new
+        columns (a wire frame says nothing about them); the drained
+        targets, and the batch assembled from them, hold ``0.0``."""
+        # oid 1 appears at (0.25, 0.5); oid 2 leaves, new side (0.7, 0.8).
+        chunk = FlatUpdateBatch(
+            0, [1, 2], [0.0, 0.1], [0.0, 0.1], [0.25, 0.7], [0.5, 0.8], [1, 0], [0, 1]
+        )
+        buf = IngestBuffer(capacity=8)
+        assert buf.try_offer_rows(chunk) == (2, 2)
+        targets = buf.drain().object_targets
+        assert targets == [(1, (0.25, 0.5)), (2, None)]
+        assert (list(targets.xs), list(targets.ys)) == ([0.25, 0.0], [0.5, 0.0])
+        batcher = CycleBatcher()
+        batcher.prime([(2, (0.1, 0.1))])
+        batch, _noops = batcher.assemble(targets)
+        assert (list(batch.new_xs), list(batch.new_ys)) == ([0.25, 0.0], [0.5, 0.0])
 
     def test_counter_deltas_reset_per_drain(self):
         buf = IngestBuffer(capacity=8)

@@ -1,7 +1,12 @@
 """Unit tests for the update feed adapters (workload, live generator,
 JSONL trace) and the cycle batcher."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.ingest.batcher import CycleBatcher
+from repro.ingest.buffer import IngestBuffer
 from repro.ingest.feeds import (
     CycleMark,
     GeneratorFeed,
@@ -109,6 +114,10 @@ class TestJsonlTraceFeed:
         assert list(feed.events()) == list(feed.events())
 
 
+#: targets that collide: equal coordinates, signed zeros.
+TARGETS = [(0.0, 0.5), (-0.0, 0.5), (0.25, 0.5), (0.5, 0.5), (0.5, -0.0)]
+
+
 class TestCycleBatcher:
     def test_rebases_old_positions_against_applied_state(self):
         batcher = CycleBatcher()
@@ -149,6 +158,75 @@ class TestCycleBatcher:
         qu = QueryUpdate(5, QueryUpdateKind.INSERT, (0.5, 0.5), 2)
         batch, _ = batcher.assemble([], [qu], timestamp=1)
         assert batch.query_updates == (qu,)
+
+    def test_repeated_oid_is_refused(self):
+        with pytest.raises(ValueError, match="twice"):
+            CycleBatcher().assemble([(1, (0.1, 0.1)), (1, (0.2, 0.2))])
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=12),
+                    st.one_of(st.none(), st.sampled_from(TARGETS)),
+                ),
+                max_size=14,
+            ),
+            max_size=6,
+        ),
+        st.sampled_from(["pairs", "drained"]),
+    )
+    def test_columns_equal_the_row_reference_over_cycles(self, cycles, source):
+        """Cycle after cycle — appearances into freed table rows,
+        disappearances, annihilations, no-ops (``-0.0`` against ``0.0``
+        included) — the columnar batcher emits exactly the rows the
+        per-row reference emits and keeps the same shadow table, whether
+        the targets come as pairs or as a drain's columns."""
+        batcher = CycleBatcher()
+        primed = [(oid, (oid / 16, 0.5)) for oid in range(0, 12, 2)]
+        batcher.prime(primed)
+        shadow = dict(primed)
+        for cycle in cycles:
+            targets = list(dict(cycle).items())  # each oid once
+            if source == "drained":
+                buf = IngestBuffer(capacity=64)
+                for oid, target in cycle:
+                    buf.try_offer(ObjectUpdate(oid, (0.0, 0.0), target))
+                drained = buf.drain().object_targets
+                assert drained == list(dict(cycle).items())
+                batch, noops = batcher.assemble(drained, (), 3)
+            else:
+                batch, noops = batcher.assemble(targets, (), 3)
+            expected, expected_noops = reference_assemble(shadow, targets)
+            assert batch.to_object_updates() == expected
+            assert (list(batch.old_xs), list(batch.new_xs)) == (
+                [u.old[0] if u.old else 0.0 for u in expected],
+                [u.new[0] if u.new else 0.0 for u in expected],
+            )
+            assert noops == expected_noops
+            assert batcher.positions == shadow
+            assert all(
+                repr(batcher.positions[oid]) == repr(shadow[oid]) for oid in shadow
+            )
+
+
+def reference_assemble(shadow: dict, targets) -> tuple[tuple, int]:
+    """The per-row batcher the columnar one replaced, on a dict shadow
+    table (mutated in place)."""
+    rows = []
+    for oid, target in targets:
+        old = shadow.get(oid)
+        if target is None:
+            if old is None:
+                continue
+            del shadow[oid]
+        elif old == target:
+            continue
+        else:
+            shadow[oid] = target
+        rows.append(ObjectUpdate(oid, old, target))
+    return tuple(rows), len(targets) - len(rows)
 
 
 def test_feed_events_typecheck():

@@ -9,6 +9,7 @@ decode, and the binary delta record is pinned twice — by golden bytes
 and by an independent little-endian reference packer.
 """
 
+import base64
 import copy
 import json
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.api import wire
 from repro.service.deltas import ResultDelta
-from repro.updates import FlatUpdateBatch, ObjectUpdate
+from repro.updates import FlatUpdateBatch
 from tests.test_api_wire import frames, json_frames, object_updates
 
 # ----------------------------------------------------------------------
@@ -79,6 +80,74 @@ binary_deltas = st.builds(
 binary_timestamps = st.one_of(st.none(), i64)
 
 
+def reference_block(rows) -> bytes:
+    """The packed column block spelled out independently of ``wire`` and
+    :meth:`FlatUpdateBatch.column_bytes`: rows ``(oid, ox, oy, nx, ny,
+    appear, disappear)``, each column packed little-endian in turn."""
+    n = len(rows)
+    cols = list(zip(*rows)) if rows else [()] * 7
+    return b"".join(
+        [
+            struct.pack(f"<{n}q", *cols[0]),
+            *(struct.pack(f"<{n}d", *col) for col in cols[1:5]),
+            bytes(cols[5]),
+            bytes(cols[6]),
+        ]
+    )
+
+
+def packed_line(block: bytes, **fields) -> str:
+    """An ``updates`` line carrying ``block``; ``fields`` override ``n``
+    or ``cols`` as they are."""
+    obj = {
+        "v": 5,
+        "t": "updates",
+        "n": len(block) // 42,
+        "cols": base64.b64encode(block).decode(),
+    }
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def two_rows_with(column: int, value) -> bytes:
+    """Two good rows, the second with ``column`` set to ``value``."""
+    rows = [[5, 0.1, 0.2, 0.3, 0.4, 0, 0], [6, 0.5, 0.6, 0.7, 0.8, 0, 0]]
+    rows[1][column] = value
+    return reference_block(rows)
+
+
+GOOD_BLOCK = two_rows_with(5, 1)
+GOOD_COLS = base64.b64encode(GOOD_BLOCK).decode()
+
+#: one packed ``updates`` line per way to damage the frame; each must
+#: raise WireError and nothing else.
+PACKED_ESCAPES = [
+    packed_line(GOOD_BLOCK, cols="*" + GOOD_COLS[1:]),            # bad alphabet
+    packed_line(GOOD_BLOCK, cols=GOOD_COLS[:-8] + "\u00e9" + GOOD_COLS[-7:]),
+    packed_line(GOOD_BLOCK, cols=GOOD_COLS[:-2] + "=="),          # stray padding
+    packed_line(GOOD_BLOCK, cols=GOOD_COLS[:50] + "=" + GOOD_COLS[51:]),
+    packed_line(GOOD_BLOCK, cols=GOOD_COLS[:-4]),                 # length != 56n
+    packed_line(GOOD_BLOCK, cols=GOOD_COLS + "AAAA"),
+    packed_line(GOOD_BLOCK, n=3),
+    packed_line(GOOD_BLOCK, n=-2),                                # n not a count
+    packed_line(GOOD_BLOCK, n=2.0),
+    packed_line(GOOD_BLOCK, n="2"),
+    packed_line(GOOD_BLOCK, n=True),
+    packed_line(GOOD_BLOCK, n=None),
+    packed_line(GOOD_BLOCK, cols=7),
+    '{"v":5,"t":"updates","n":2}',
+    '{"v":5,"t":"updates","rows":[[1,null,[0.5,0.5]]]}',          # the v4 shape
+    packed_line(two_rows_with(5, 2)),                              # mask byte 2
+    packed_line(two_rows_with(6, 2)),
+    packed_line(reference_block([[5, 0.1, 0.2, 0.3, 0.4, 1, 1]])),  # both masks
+    *(
+        packed_line(two_rows_with(column, value))                 # each coordinate
+        for column in (1, 2, 3, 4)
+        for value in (math.nan, math.inf, -math.inf)
+    ),
+]
+
+
 def paths(value, prefix=()):
     """Every position in a JSON value, as key/index tuples."""
     found = []
@@ -122,7 +191,8 @@ class TestDecodeRaisesOnlyWireError:
             st.sampled_from(
                 ["ts", "qid", "rows", "result", "in", "out", "spec", "point",
                  "op", "k", "changed", "versions", "message", "dropped",
-                 "reordered", "terminated", "queries", "objects", "value"]
+                 "reordered", "terminated", "queries", "objects", "value",
+                 "n", "cols"]
             ),
             json_values,
             max_size=8,
@@ -158,16 +228,20 @@ class TestDecodeRaisesOnlyWireError:
     @pytest.mark.parametrize(
         "line",
         [
-            '{"v":4,"t":"tick","ts":1e999}',          # int(inf)
-            '{"v":4,"t":"move","qid":1e999,"point":[0,0]}',
-            '{"v":4,"t":"move","qid":1,"point":[' + "9" * 400 + ',0]}',
-            '{"v":4,"t":"tick","ts":' + "9" * 5000 + "}",  # digit limit
-            '{"v":4,"t":"register","spec":7,"qid":null,"watch":true}',
+            '{"v":5,"t":"tick","ts":1e999}',          # int(inf)
+            '{"v":5,"t":"move","qid":1e999,"point":[0,0]}',
+            '{"v":5,"t":"move","qid":1,"point":[' + "9" * 400 + ',0]}',
+            '{"v":5,"t":"tick","ts":' + "9" * 5000 + "}",  # digit limit
+            '{"v":5,"t":"register","spec":7,"qid":null,"watch":true}',
             "[" * 100_000,                                # parser stack
             b"\xff\xfe{}",                                # not utf-8
             # 1e999 is a JSON float literal that parses to inf.
-            '{"v":4,"t":"updates","rows":[[7,[0.5,0.5],[1e999,0.5]]]}',
-            '{"v":4,"t":"move","qid":1,"point":[1e999,0.5]}',
+            '{"v":5,"t":"move","qid":1,"point":[1e999,0.5]}',
+            '{"v":5,"t":"register","spec":{"type":"knn","point":[1e999,0.5],'
+            '"k":1},"qid":null,"watch":true}',
+            '{"v":5,"t":"register","spec":{"type":"knn","point":[0.5,0.5],'
+            '"k":2.9},"qid":null,"watch":true}',
+            *PACKED_ESCAPES,
         ],
     )
     def test_known_escape_routes_are_closed(self, line):
@@ -184,98 +258,113 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_constant_in_any_numeric_position(self, constant):
         for line in (
-            '{"v":4,"t":"updates","rows":[[1,null,[%s,0.5]]]}',
-            '{"v":4,"t":"move","qid":1,"point":[0.5,%s]}',
-            '{"v":4,"t":"metrics","ts":%s,"rows":[]}',
-            '{"v":4,"t":"bye","extra":%s}',
+            '{"v":5,"t":"updates","n":%s,"cols":""}',
+            '{"v":5,"t":"move","qid":1,"point":[0.5,%s]}',
+            '{"v":5,"t":"metrics","ts":%s,"rows":[]}',
+            '{"v":5,"t":"bye","extra":%s}',
         ):
             with pytest.raises(wire.WireError, match="non-finite"):
                 wire.decode_frame(line.replace("%s", constant))
 
 
 # ----------------------------------------------------------------------
-# Inbound: updates rows decode column by column
+# Inbound: the packed updates frame
 # ----------------------------------------------------------------------
 
 
-def reference_number(raw) -> float:
-    if not isinstance(raw, (int, float)):
-        raise TypeError(f"not a JSON number: {raw!r}")
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("non-finite coordinate")
-    return value
+def reference_updates(n, cols) -> FlatUpdateBatch:
+    """The packed frame's decode and checks, restated with ``struct``
+    and per-value loops: raises ``ValueError`` wherever the frame must
+    be refused."""
+    if type(n) is not int or not 0 <= n <= wire.MAX_UPDATE_ROWS:
+        raise ValueError("row count")
+    if type(cols) is not str or len(cols) != 56 * n:
+        raise ValueError("length")
+    if any(c not in B64_ALPHABET for c in cols):
+        raise ValueError("alphabet or padding")
+    block = base64.b64decode(cols)
+    oids = struct.unpack_from(f"<{n}q", block)
+    coords = [struct.unpack_from(f"<{n}d", block, 8 * n * (1 + i)) for i in range(4)]
+    appear = block[40 * n : 41 * n]
+    disappear = block[41 * n :]
+    for a, d in zip(appear, disappear):
+        if a > 1 or d > 1 or a and d:
+            raise ValueError("mask")
+    for col in coords:
+        for value in col:
+            if not math.isfinite(value):
+                raise ValueError("non-finite")
+    return FlatUpdateBatch(0, oids, *coords, appear, disappear)
 
 
-def reference_point(raw):
-    if raw is None:
-        return None
-    x, y = raw
-    return (reference_number(x), reference_number(y))
-
-
-def reference_updates(rows) -> FlatUpdateBatch:
-    """The per-row decode the columnar one replaced — one
-    ``ObjectUpdate`` per row — with its ``int()`` / ``float()`` narrowed
-    to JSON numbers and the finiteness check added."""
-    updates = []
-    for oid, old, new in rows:
-        if not isinstance(oid, int):
-            raise TypeError(f"not a JSON integer: {oid!r}")
-        if not -(2**63) <= oid <= 2**63 - 1:
-            raise ValueError("oid outside i64")
-        updates.append(
-            ObjectUpdate(oid, reference_point(old), reference_point(new))
-        )
-    return FlatUpdateBatch.from_updates(updates)
-
-
-#: JSON spellings the stdlib encoder cannot produce, planted by marker.
-RAW_NUMBERS = {"@big@": "1e999", "@-big@": "-1e999", "@huge@": "9" * 400}
-
-row_numbers = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.sampled_from(list(RAW_NUMBERS)),
-    st.booleans(),
-    st.sampled_from(["0.5", "nan", "x"]),
-)
-row_points = st.one_of(
-    st.none(),
-    st.lists(row_numbers, min_size=2, max_size=2),
-    st.lists(row_numbers, min_size=0, max_size=3),
-    st.dictionaries(st.text(max_size=2), row_numbers, max_size=2),
-    row_numbers,
-)
-row_oids = st.one_of(
-    st.integers(min_value=-(2**63) - 2, max_value=2**63 + 1),
-    st.sampled_from([2**63, -(2**63) - 1, 2**63 - 1, -(2**63)]),
-    row_numbers,
-)
-update_rows = st.one_of(
-    st.tuples(row_oids, row_points, row_points).map(list),
-    st.lists(st.one_of(row_oids, row_points), max_size=4),
+B64_ALPHABET = set(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 )
 
+#: every 64-bit pattern a coordinate cell can hold, NaN and ±inf included.
+any_f64 = st.floats(allow_nan=True, allow_infinity=True)
+packed_rows = st.tuples(
+    i64, any_f64, any_f64, any_f64, any_f64,
+    st.sampled_from([0, 0, 0, 1, 2, 255]), st.sampled_from([0, 0, 0, 1, 2]),
+)
+finite_rows = st.tuples(
+    i64, distances, distances, distances, distances,
+    st.integers(0, 1), st.integers(0, 1),
+).filter(lambda row: not (row[5] and row[6]))
 
-def raw_line(rows) -> str:
-    line = json.dumps({"v": 4, "t": "updates", "rows": rows})
-    for marker, spelling in RAW_NUMBERS.items():
-        line = line.replace(json.dumps(marker), spelling)
-    return line
 
-
-class TestUpdatesDecodeAgreesWithRows:
-    @given(st.lists(update_rows, max_size=6))
-    def test_columnar_decode_equals_the_row_reference(self, rows):
-        line = raw_line(rows)
+class TestPackedUpdatesDecode:
+    @given(st.lists(packed_rows, max_size=6))
+    def test_decode_equals_the_reference_on_any_block(self, rows):
+        """Any 42n bytes: the frame decodes to exactly the reference
+        columns, or both refuse it (masks other than 0/1, a row with
+        both masks, a non-finite coordinate anywhere)."""
+        line = packed_line(reference_block(rows))
+        obj = json.loads(line)
         try:
-            expected = reference_updates(json.loads(line)["rows"])
-        except (ValueError, TypeError, OverflowError):
+            expected = reference_updates(obj["n"], obj["cols"])
+        except ValueError:
             with pytest.raises(wire.WireError):
                 wire.decode_frame(line)
             return
         assert wire.decode_frame(line).batch == expected
+
+    @given(
+        st.lists(finite_rows, max_size=4),
+        st.one_of(
+            st.integers(min_value=-3, max_value=10**13),
+            st.floats(allow_nan=False),
+            st.text(max_size=3),
+            st.none(),
+        ),
+        st.one_of(st.none(), st.text(max_size=240)),
+    )
+    def test_count_and_cols_agree_with_the_reference(self, rows, n, cols):
+        """A valid block under a wrong ``n``, or ``cols`` replaced by
+        arbitrary text: the decoder refuses exactly what the reference
+        refuses."""
+        fields = {"n": n} if cols is None else {"n": n, "cols": cols}
+        line = packed_line(reference_block(rows), **fields)
+        obj = json.loads(line)
+        try:
+            expected = reference_updates(obj["n"], obj["cols"])
+        except (ValueError, struct.error):
+            with pytest.raises(wire.WireError):
+                wire.decode_frame(line)
+            return
+        assert wire.decode_frame(line).batch == expected
+
+    @given(st.lists(finite_rows, max_size=8))
+    def test_round_trip_of_any_batch(self, rows):
+        """``decode_frame(encode_updates_flat(b)).batch == b`` and the
+        line re-encodes byte for byte; the encoder's block is the
+        reference block."""
+        batch = FlatUpdateBatch(0, *map(list, zip(*rows))) if rows else FlatUpdateBatch(0)
+        line = wire.encode_updates_flat(batch)
+        assert line == packed_line(reference_block(rows)).replace(" ", "")
+        assert line == wire.encode_frame(wire.Updates(batch))
+        assert wire.decode_frame(line).batch == batch
+        assert wire.encode_frame(wire.decode_frame(line)) == line
 
     @given(st.lists(object_updates, max_size=8))
     def test_decode_inverts_encode_updates_flat(self, updates):
@@ -283,6 +372,12 @@ class TestUpdatesDecodeAgreesWithRows:
         line = wire.encode_updates_flat(batch)
         assert line == wire.encode_frame(wire.Updates(batch))
         assert wire.decode_frame(line).batch == batch
+        assert wire.decode_frame(line).batch.to_object_updates() == tuple(updates)
+
+    def test_finite_coordinates_whose_sum_overflows_still_decode(self):
+        rows = [[1, 1e308, 0.0, 1e308, 0.0, 0, 0], [2, 1e308, 0.0, 1e308, 0.0, 0, 0]]
+        line = packed_line(reference_block(rows))
+        assert list(wire.decode_frame(line).batch.old_xs) == [1e308, 1e308]
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +484,7 @@ def reference_record(timestamp, delta) -> bytes:
     )
     body = b"".join(
         [
-            bytes([4, 1, flags]),
+            bytes([5, 1, flags]),
             (timestamp or 0).to_bytes(8, "little", signed=True),
             delta.qid.to_bytes(8, "little", signed=True),
             *(
@@ -413,16 +508,16 @@ GOLDEN_FRAMES = [
     wire.Lagged(dropped=2),
 ]
 GOLDEN_BYTES = bytes.fromhex(
-    "ff" "2f000000" "04" "01" "04"          # marker, length 47, v4, delta, term
+    "ff" "2f000000" "05" "01" "04"          # marker, length 47, v5, delta, term
     "0000000000000000" "0500000000000000"   # ts (absent), qid 5
     "00000000" "01000000" "00000000"        # |in| 0, |out| 1, |result| 0
     "000000000000d03f" "0900000000000000"   # 0.25, oid 9
-    "ff" "3f000000" "04" "01" "03"          # marker, length 63, ts + reordered
+    "ff" "3f000000" "05" "01" "03"          # marker, length 63, ts + reordered
     "0700000000000000" "0200000000000000"   # ts 7, qid 2
     "00000000" "00000000" "02000000"        # |in| 0, |out| 0, |result| 2
     "000000000000e03f" "000000000000f83f"   # 0.5, 1.5
     "0300000000000000" "fcffffffffffffff"   # oids 3, -4
-) + b'{"v":4,"t":"lagged","dropped":2}\n'
+) + b'{"v":5,"t":"lagged","dropped":2}\n'
 
 
 class TestCanonicalBytes:
