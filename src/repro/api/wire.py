@@ -798,7 +798,8 @@ def read_frame(stream) -> Frame | None:
 
     The first byte picks the framing: :data:`BINARY_MARK` reads the
     length prefix and exactly that many bytes more, anything else reads
-    one line (blank lines are skipped).  A record cut short by the end
+    one line (blank and whitespace-only lines, such as a CRLF
+    keep-alive, are skipped).  A record cut short by the end
     of the stream, a record longer than :data:`MAX_RECORD_BYTES` or a
     line longer than :data:`MAX_LINE_BYTES` raises :class:`WireError`
     like any other undecodable frame.
@@ -819,7 +820,9 @@ def read_frame(stream) -> Frame | None:
                 record += stream.read(length)
             return _decode_delta(record)
         if first != b"\n":
-            return decode_frame(read_line(stream, first))
+            line = read_line(stream, first)
+            if not line.isspace():
+                return decode_frame(line)
 
 
 def decode_frame(line: str | bytes) -> Frame:

@@ -30,8 +30,7 @@ no-op, appearance, disappearance and annihilation masks are C-level
 maps of ``operator`` functions over those columns, the batch's columns
 are cut out of them with ``itertools.compress``, and the table is
 written back by mapping ``array.__setitem__`` — no Python value per row
-and no per-row loop.  A cycle of plain moves (the common case) skips the
-appearance/disappearance masks altogether.  The assembled batches are
+and no per-row loop.  The assembled batches are
 buffer-backed (``FlatUpdateBatch`` columns are ``array``/``bytearray``),
 so downstream consumers — ``process_flat``, the shared-memory shard
 transport, ``wire.encode_updates_flat`` — read the rows without any
@@ -94,9 +93,10 @@ class CycleBatcher:
         """Build one columnar batch; returns ``(batch, n_noops)``.
 
         ``object_targets`` is a drain's :class:`repro.ingest.buffer.Targets`
-        or ``(oid, target)`` pairs naming each oid at most once.  Rows keep its order (first arrival).  Commits the shadow
-        table — callers apply the batch to the monitor immediately (the
-        driver does), keeping both in step.
+        or ``(oid, target)`` pairs naming each oid at most once.  Rows
+        keep its order (first arrival).  Commits the shadow table —
+        callers apply the batch to the monitor immediately (the driver
+        does), keeping both in step.
         """
         if type(object_targets) is not Targets:
             object_targets = Targets.from_pairs(object_targets)
@@ -110,17 +110,12 @@ class CycleBatcher:
         rows = list(map(table.get, oids, repeat(0)))
         old_xs = array("d", map(xs.__getitem__, rows))
         old_ys = array("d", map(ys.__getitem__, rows))
-        differ = bytearray(map(or_, map(ne, old_xs, new_xs), map(ne, old_ys, new_ys)))
-        if 0 not in rows and 1 not in gone:
-            # Plain moves only: a row survives iff its target differs.
-            keep = differ
-            appear = disappear = None
-        else:
-            known = bytearray(map(bool, rows))
-            appear = bytearray(map(not_, map(or_, known, gone)))
-            disappear = bytearray(map(and_, known, gone))
-            moved = bytearray(map(and_, map(gt, known, gone), differ))
-            keep = bytearray(map(or_, map(or_, appear, disappear), moved))
+        known = bytearray(map(bool, rows))
+        appear = bytearray(map(not_, map(or_, known, gone)))
+        disappear = bytearray(map(and_, known, gone))
+        differ = map(or_, map(ne, old_xs, new_xs), map(ne, old_ys, new_ys))
+        moved = bytearray(map(and_, map(gt, known, gone), differ))
+        keep = bytearray(map(or_, map(or_, appear, disappear), moved))
         n = len(oids)
         kept = keep.count(1)
         if kept < n:
@@ -132,17 +127,6 @@ class CycleBatcher:
         else:
             out_xs = new_xs
             out_ys = new_ys
-        if appear is None:
-            appear_col = bytearray(kept)
-            disappear_col = bytearray(kept)
-            if kept < n:
-                rows = list(compress(rows, keep))
-            _consume(map(xs.__setitem__, rows, out_xs))
-            _consume(map(ys.__setitem__, rows, out_ys))
-        else:
-            appear_col = bytearray(compress(appear, keep))
-            disappear_col = bytearray(compress(disappear, keep))
-            self._commit(object_targets, rows, moved, appear, disappear)
         batch = FlatUpdateBatch(
             timestamp,
             oids,
@@ -150,10 +134,11 @@ class CycleBatcher:
             old_ys,
             out_xs,
             out_ys,
-            appear_col,
-            disappear_col,
+            bytearray(compress(appear, keep)),
+            bytearray(compress(disappear, keep)),
             tuple(query_updates),
         )
+        self._commit(object_targets, rows, moved, appear, disappear)
         return batch, n - kept
 
     def _commit(
@@ -164,9 +149,9 @@ class CycleBatcher:
         appear: bytearray,
         disappear: bytearray,
     ) -> None:
-        """Write a cycle with appearances or disappearances back into the
-        shadow table: free the rows of the objects gone off-line, move
-        the moved, then place the appeared (reusing freed rows first)."""
+        """Write a cycle back into the shadow table: free the rows of the
+        objects gone off-line, move the moved, then place the appeared
+        (reusing freed rows first)."""
         table = self._rows
         xs = self._xs
         ys = self._ys

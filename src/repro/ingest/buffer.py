@@ -35,7 +35,11 @@ size limit extends the columns and updates the dict once, with no Python
 value per row; any other chunk runs the per-row logic every offer
 shares, row by row, and reports the first row it did not stage so the
 caller can carry the rest.  Either way the counters and the staged state
-equal those of offering the rows one by one.  :meth:`IngestBuffer.drain`
+equal those of offering the rows one by one.  A row a later offer
+supersedes (a coalesced write, a DROP_OLDEST eviction) stays in the
+columns until the next drain, or until the columns pass twice the
+capacity and are compacted to the live rows: the columns never hold
+more than ``2 * capacity`` rows.  :meth:`IngestBuffer.drain`
 gathers the live rows into :class:`Targets` columns (no gather at all
 when nothing coalesced or dropped), which the batcher assembles column
 by column.
@@ -186,7 +190,8 @@ class IngestBuffer:
         #: oid -> row of its latest target in the staged columns;
         #: insertion order is first-arrival order, which DROP_OLDEST
         #: evicts from.  Rows a later write or an eviction superseded
-        #: stay in the columns until the next drain.
+        #: stay in the columns until the next drain, or until the
+        #: columns pass twice the capacity and are compacted.
         self._slots: dict[int, int] = {}
         self._xs = array("d")
         self._ys = array("d")
@@ -299,6 +304,8 @@ class IngestBuffer:
                 counters = self._counters
                 counters.offered += len(oids)
                 counters.coalesced += len(oids) - (len(slots) - pending)
+                if len(self._xs) > 2 * self.capacity:
+                    self._compact()
                 cond.notify_all()
                 return n, len(slots)
             row = start
@@ -365,7 +372,18 @@ class IngestBuffer:
         self._xs.append(x)
         self._ys.append(y)
         self._gone.append(gone)
+        if len(self._xs) > 2 * self.capacity:
+            self._compact()
         return len(slots)
+
+    def _compact(self) -> None:
+        """Drop the superseded rows from the staged columns, with the
+        lock held: the live rows are re-gathered in arrival order."""
+        rows = list(self._slots.values())
+        self._xs, self._ys, self._gone = _gather(
+            self._xs, self._ys, self._gone, rows
+        )
+        self._slots = dict(zip(self._slots, range(len(rows))))
 
     def offer_query(self, update: QueryUpdate) -> None:
         """Stage one query update (FIFO, never coalesced or dropped)."""
@@ -456,26 +474,17 @@ class IngestBuffer:
                     # each object's latest one.
                     rows = list(slots.values())
                     xs, ys, gone = _gather(xs, ys, gone, rows)
-                kept = {}
+                self._slots = {}
+                self._xs = array("d")
+                self._ys = array("d")
+                self._gone = bytearray()
             else:
                 taken = list(islice(slots, max_objects))
                 rows = list(map(slots.pop, taken))
                 oids = array("q", taken)
-                kept = slots
-                xs, ys, gone = _gather(self._xs, self._ys, self._gone, rows)
-            # The staged columns restart empty; what stays staged is
-            # re-gathered into them in arrival order.
-            if kept:
-                rest = list(kept.values())
-                self._xs, self._ys, self._gone = _gather(
-                    self._xs, self._ys, self._gone, rest
-                )
-                self._slots = dict(zip(kept, range(len(rest))))
-            else:
-                self._xs = array("d")
-                self._ys = array("d")
-                self._gone = bytearray()
-                self._slots = {}
+                xs, ys, gone = _gather(xs, ys, gone, rows)
+                # What stays staged restarts the columns.
+                self._compact()
             row = gone.find(1)
             while row >= 0:
                 # An off-line target's coordinates are placeholders.

@@ -342,6 +342,28 @@ class TestEndToEnd:
             assert seen == [(1, 9002)]
             assert handle.snapshot() == session.snapshot(handle.qid)
 
+    def test_whitespace_only_lines_are_skipped(self, endpoint):
+        """A CRLF keep-alive or a line of spaces between frames is not a
+        frame: the server skips it and answers the next one."""
+        _session, _server, host, port = endpoint
+        with Client.connect(host, port) as client:
+            handle = client.register(KnnSpec(point=(0.5, 0.5), k=2))
+            raw = socket.create_connection((host, port), timeout=10.0)
+            try:
+                reader = raw.makefile("rb")
+                assert type(wire.read_frame(reader)) is wire.Welcome
+                raw.sendall(
+                    b"\r\n \n\t\r\n"
+                    + wire.frame_bytes(wire.GetSnapshot(qid=handle.qid))[:-1]
+                    + b"\r\n"
+                )
+                reply = wire.read_frame(reader)
+                assert reply == wire.Snapshot(
+                    qid=handle.qid, result=tuple(handle.snapshot())
+                )
+            finally:
+                raw.close()
+
     def test_a_non_finite_coordinate_costs_only_its_sender(self, endpoint):
         """A packed ``updates`` frame whose second row carries ``inf``
         bits is refused whole at decode, so the sender draws an

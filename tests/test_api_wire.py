@@ -338,11 +338,13 @@ class TestDeltaFrames:
                 wire.frame_bytes(delta)
                 + b"\n"  # a blank line between frames is skipped
                 + wire.frame_bytes(lagged)
+                + b"\r\n \t\n"  # and so are whitespace-only lines
                 + wire.frame_bytes(delta)
+                + b" " + wire.frame_bytes(lagged)[:-1] + b"\r\n"
             )
         )
-        assert [wire.read_frame(stream) for _ in range(4)] == [
-            delta, lagged, delta, None
+        assert [wire.read_frame(stream) for _ in range(5)] == [
+            delta, lagged, delta, lagged, None
         ]
 
     def test_read_frame_refuses_a_record_cut_short_or_oversized(self):

@@ -287,3 +287,55 @@ class TestChunks:
         assert not producer.is_alive()
         assert staged == [5] and drained == [0, 1, 2, 3, 4]
         assert time.monotonic() - t0 < 2.0
+
+
+class TestStagedColumnsStayBounded:
+    """Superseded rows (coalesced writes, DROP_OLDEST evictions) are
+    compacted away once the staged columns pass twice the capacity, so
+    a hot set of oids or a stalled consumer cannot grow the buffer."""
+
+    def test_coalescing_offers(self):
+        buf = IngestBuffer(capacity=4)
+        widest = 0
+        for i in range(1000):
+            buf.offer(move_update(i % 3, (0, 0), (i / 1000, 0.5)))
+            widest = max(widest, len(buf._xs))
+        assert widest <= 8
+        assert buf.drain().object_targets == [
+            (0, (0.999, 0.5)),
+            (1, (0.997, 0.5)),
+            (2, (0.998, 0.5)),
+        ]
+
+    def test_coalescing_chunks(self):
+        """Every chunk fits the room left, so each is staged at once."""
+        buf = IngestBuffer(capacity=8)
+        widest = 0
+        for i in range(500):
+            chunk = FlatUpdateBatch.from_updates(
+                [move_update(oid, (0, 0), (oid / 8, i / 500)) for oid in range(4)]
+            )
+            assert buf.try_offer_rows(chunk) == (4, 4)
+            widest = max(widest, len(buf._xs))
+        assert widest <= 16
+        drained = buf.drain()
+        assert drained.object_targets == [(oid, (oid / 8, 499 / 500)) for oid in range(4)]
+        assert drained.counters.coalesced == 4 * 499
+
+    def test_drop_oldest_with_a_stalled_consumer(self):
+        buf = IngestBuffer(capacity=4, policy=BackPressurePolicy.DROP_OLDEST)
+        widest = 0
+        for start in range(0, 3000, 3):
+            chunk = FlatUpdateBatch.from_updates(
+                [move_update(oid, (0, 0), (oid / 3000, 0.5)) for oid in range(start, start + 3)]
+            )
+            assert buf.offer_rows(chunk) == 3
+            widest = max(widest, len(buf._xs))
+        assert widest <= 8
+        first = buf.drain(max_objects=2)
+        assert [oid for oid, _ in first.object_targets] == [2996, 2997]
+        assert first.counters.dropped == 3000 - 4
+        assert buf.drain().object_targets == [
+            (2998, (2998 / 3000, 0.5)),
+            (2999, (2999 / 3000, 0.5)),
+        ]
