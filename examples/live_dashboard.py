@@ -32,8 +32,8 @@ from repro.obs.health import AlertEvent, DropRateSpike, HealthPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.scrape import ScrapeServer, parse_prometheus, scrape_text
 from repro.service.deltas import ResultDelta, diff_results
+from repro.service.partition import PartitionedMonitor
 from repro.service.service import MonitoringService
-from repro.service.sharding import ShardedMonitor
 
 
 def describe(timestamp: int | None, delta: ResultDelta) -> str:
@@ -72,7 +72,7 @@ def main() -> None:
     workload = SkewedGenerator(spec).generate()
 
     registry = MetricsRegistry()
-    monitor = ShardedMonitor(2, cells_per_axis=32)
+    monitor = PartitionedMonitor(2, cells_per_axis=32)
     service = MonitoringService(monitor, metrics=registry)
 
     # Watch three of the queries on the dashboard.  Subscribing to their

@@ -67,8 +67,8 @@ from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import Workload, WorkloadSpec
 from repro.monitor import ContinuousMonitor
 from repro.service.deltas import ResultDelta, diff_results
+from repro.service.partition import PartitionedMonitor, ShardPlan
 from repro.service.service import MonitoringService
-from repro.service.sharding import ShardedMonitor, ShardPlan
 from repro.service.subscriptions import (
     FanoutQueue,
     SlowConsumerPolicy,
@@ -113,6 +113,7 @@ __all__ = [
     "MonitorSocketServer",
     "MonitoringService",
     "ObjectUpdate",
+    "PartitionedMonitor",
     "PointNNStrategy",
     "QueryHandle",
     "QueryStrategy",
@@ -127,7 +128,6 @@ __all__ = [
     "Session",
     "ShardPlan",
     "SlowConsumerPolicy",
-    "ShardedMonitor",
     "SocketFeed",
     "SubscriptionHub",
     "UniformGenerator",

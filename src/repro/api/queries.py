@@ -35,8 +35,8 @@ Monitoring for Location-aware Pub/Sub* — treats each as one topic):
 
 The strategy-backed specs install on any strategy-capable engine — the
 CPM core directly, or the sharded service tier, which routes them to the
-shard owning the spec's anchor cell (every shard maintains the full
-object view, so anchor routing is a pure load-balancing choice).
+shard owning the spec's anchor cell (a search past that shard's cells
+pulls them from the coordinator, so any shard answers exactly).
 
 All specs expose ``anchor`` (the representative point used for shard
 routing and ``move``) and ``moved_to(point)`` (the same spec re-anchored

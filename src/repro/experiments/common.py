@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.metrics import RunReport
 from repro.api.session import replay_workload
+from repro.baselines.sea import SeaCnnMonitor
+from repro.baselines.ypk import YpkCnnMonitor
+from repro.core.cpm import CPMMonitor
+from repro.engine.metrics import RunReport
 from repro.mobility.brinkhoff import BrinkhoffGenerator
 from repro.mobility.network import RoadNetwork, grid_network
 from repro.mobility.workload import Workload, WorkloadSpec
 from repro.monitor import ContinuousMonitor
-from repro.service.sharding import ShardEngineFactory
 
 #: default downscaling of the paper's experiment sizes (see EXPERIMENTS.md).
 DEFAULT_SCALE = 0.05
@@ -41,7 +43,10 @@ PAPER_DEFAULTS = WorkloadSpec(
 #: paper default grid granularity (cells per axis).
 DEFAULT_GRID = 128
 
-ALGORITHMS = ("CPM", "YPK-CNN", "SEA-CNN")
+#: the monitoring algorithms by report name.
+_ENGINES = {"CPM": CPMMonitor, "YPK-CNN": YpkCnnMonitor, "SEA-CNN": SeaCnnMonitor}
+
+ALGORITHMS = tuple(_ENGINES)
 
 
 def scaled_spec(scale: float = DEFAULT_SCALE, **overrides) -> WorkloadSpec:
@@ -87,13 +92,11 @@ def make_workload(spec: WorkloadSpec, network: RoadNetwork | None = None) -> Wor
 def build_monitor(
     algorithm: str, cells_per_axis: int, bounds=(0.0, 0.0, 1.0, 1.0)
 ) -> ContinuousMonitor:
-    """Instantiate a monitoring algorithm by name.
-
-    Delegates to :class:`repro.service.sharding.ShardEngineFactory` so the
-    experiment drivers and the shard service share one name-to-engine
-    mapping.
-    """
-    return ShardEngineFactory(cells_per_axis, bounds, algorithm)()
+    """Instantiate a monitoring algorithm by name (one of ``ALGORITHMS``)."""
+    engine = _ENGINES.get(algorithm)
+    if engine is None:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return engine(cells_per_axis, bounds=bounds)
 
 
 @dataclass(slots=True)

@@ -1,11 +1,11 @@
 """Grid-walk primitives: enumerating cells by ring and by square.
 
 Both grid baselines (YPK-CNN's expanding-square search, SEA-CNN's answer
-regions) and the service-layer shard router walk cells in simple spatial
-patterns around a center cell.  The iteration logic lives here — on the
-grid package, next to :class:`repro.grid.grid.Grid` — so every consumer
-shares one implementation (``repro.baselines.common`` re-exports these
-names for backward compatibility).
+regions) walk cells in simple spatial patterns around a center cell.
+The iteration logic lives here — on the grid package, next to
+:class:`repro.grid.grid.Grid` — so every consumer shares one
+implementation (``repro.baselines.common`` re-exports these names for
+backward compatibility).
 """
 
 from __future__ import annotations

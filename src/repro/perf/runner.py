@@ -8,7 +8,7 @@ methodology) and replays it once into a fresh monitor per algorithm:
   counters;
 * ``objects_scanned`` / ``results_changed`` — secondary counters;
 * ``deltas_delivered`` (subscribed cases) and the ``partition_*`` traffic
-  counters (partitioned cases).
+  counters (sharded cases).
 
 Every one is deterministic for a given workload, so a single replay is
 the measurement and the values are byte-exact regression signals.  The
@@ -33,9 +33,8 @@ from repro.perf.schema import BenchCase, BenchReport, environment_info
 from repro.perf.suite import ALGORITHMS, SuiteCase, build_suite
 from repro.service.partition import PartitionedMonitor
 from repro.service.service import MonitoringService
-from repro.service.sharding import ShardedMonitor
 
-#: the partition traffic counters a partitioned case records (keys of
+#: the partition traffic counters a sharded case records (keys of
 #: ``PartitionedMonitor.partition_stats()``, prefixed ``partition_``).
 PARTITION_COUNTERS = (
     "fanout_rows",
@@ -51,16 +50,12 @@ PARTITION_COUNTERS = (
 def _case_monitor(
     case: SuiteCase, algorithm: str, bounds: tuple[float, float, float, float]
 ) -> ContinuousMonitor:
-    """The monitor under test: bare algorithm, or a sharded or partitioned
-    service tier on the serial executor."""
-    if case.partitioned:
-        # The partitioned tier is CPM-specific (run_suite only sweeps
-        # CPM over service-layer cases).
-        return PartitionedMonitor(case.shards, case.grid, bounds=bounds)
+    """The monitor under test: bare algorithm, or the sharded service tier
+    on the serial executor."""
     if case.shards:
-        return ShardedMonitor(
-            case.shards, case.grid, bounds=bounds, algorithm=algorithm
-        )
+        # The sharded tier is CPM-specific (run_suite only sweeps CPM over
+        # service-layer cases).
+        return PartitionedMonitor(case.shards, case.grid, bounds=bounds)
     return build_monitor(algorithm, case.grid, bounds=bounds)
 
 
@@ -142,7 +137,7 @@ def _replay_subscribed(
     """Replay one case through the delta-streaming service path; returns
     its counters and the row's extra params.
 
-    The default shape (``subscription_routing`` and the shard tiers): a
+    The default shape (``subscription_routing`` and the shard tier): a
     quarter of the queries (at least one) get per-query topic
     subscriptions and one firehose listens to everything — a small
     ``repro.api`` deployment.  With ``case.subscribers > 0``
@@ -196,11 +191,10 @@ def run_case(
         else:
             metrics = _report_counters(replay_workload(monitor, workload))
             params = {}
-        if case.partitioned:
+        if case.shards:
             partition = monitor.partition_stats()
             for key in PARTITION_COUNTERS:
                 metrics[f"partition_{key}"] = partition[key]
-            params["partitioned"] = True
     finally:
         close = getattr(monitor, "close", None)
         if close is not None:

@@ -19,17 +19,15 @@ Table 6.1 sizes):
   gate in the regime where the numpy cell-scan kernel engages (when
   numpy imports; the counters are the same with and without it by the
   byte-identity contract of ``repro.grid.kernels``);
-* ``shard_scaling`` — the Figure 6.2 defaults workload replayed into a
-  ``repro.service`` sharded CPM monitor at S ∈ {1, 2, 4, 8} shards
-  (serial executor; S=1 is the pure adapter), through the same
-  delta-streaming service as ``subscription_routing``, so
-  ``deltas_delivered`` pins the merge of the shards' changes;
-* ``partition_scaling`` — the same sweep on the *partitioned* service
-  tier (``repro.service.partition``): each shard owns a column block
-  plus a halo instead of replicating the object table.  The tier is
-  counter-exact against the single engine, so the gate pins the engine's
-  own values, plus the partition traffic counters (fan-out rows, halo
-  sync rows, pulls, migrations);
+* ``partition_scaling`` — the Figure 6.2 defaults workload replayed
+  into the sharded service tier (``repro.service.partition``: each shard
+  owns a column block plus a halo) at S ∈ {1, 2, 4, 8} shards (serial
+  executor; S=1 is the pure adapter), through the same delta-streaming
+  service as ``subscription_routing``, so ``deltas_delivered`` pins the
+  merge of the shards' changes.  The tier is counter-exact against the
+  single engine, so the gate pins the engine's own values, plus the
+  partition traffic counters (fan-out rows, halo sync rows, pulls,
+  migrations);
 * ``streaming_ingest`` — the defaults workload pushed through the full
   ``repro.ingest`` pipeline (feed → buffer → batcher →
   ``MonitoringService.tick_flat``) instead of the direct replay loop.
@@ -91,8 +89,8 @@ class SuiteCase:
     """One workload case (replayed once per algorithm).
 
     ``shards > 0`` marks a service-layer case: the workload is replayed
-    into a :class:`repro.service.sharding.ShardedMonitor` with that many
-    shards (CPM engines, serial executor) instead of a bare algorithm;
+    into a :class:`repro.service.partition.PartitionedMonitor` with that
+    many shards (serial executor) instead of a bare algorithm;
     ``subscribed`` composes with it.
     ``ingest`` routes the replay through the ``repro.ingest`` pipeline
     (mark-honoring, columnar fast path) instead of the direct loop.
@@ -109,10 +107,6 @@ class SuiteCase:
     ingest: bool = False
     subscribed: bool = False
     subscribers: int = 0
-    #: replay into a :class:`repro.service.partition.PartitionedMonitor`
-    #: (owned column blocks + halo sync) instead of the replicated
-    #: ``ShardedMonitor``.  Only meaningful with ``shards > 0``.
-    partitioned: bool = False
 
     def materialize(self) -> Workload:
         if self.workload == "network":
@@ -250,27 +244,24 @@ def build_suite(
             grid=dense_grid,
         )
     )
-    # Service-layer shard scaling over the defaults workload, replicated
-    # then partitioned (owned column blocks + halo sync; counter-exact
-    # against the single engine, plus the partition traffic counters).
-    # Both stream deltas, so ``deltas_delivered`` gates the tiers' merge
-    # of their shards' changes.
+    # Service-layer shard scaling over the defaults workload (owned column
+    # blocks + halo sync; counter-exact against the single engine, plus
+    # the partition traffic counters).  It streams deltas, so
+    # ``deltas_delivered`` gates the tier's merge of its shards' changes.
     # The shard count is clamped to the grid's column count (tiny smoke
     # grids).
     shard_counts = SHARD_SCALING if suite == "full" else SHARD_SCALING_SMOKE
-    for family, partitioned in (("shard_scaling", False), ("partition_scaling", True)):
-        for n_shards in shard_counts:
-            if n_shards > grid:
-                continue
-            cases.append(
-                SuiteCase(
-                    key=f"{family}/S={n_shards}",
-                    workload="network",
-                    spec=default,
-                    grid=grid,
-                    shards=n_shards,
-                    subscribed=True,
-                    partitioned=partitioned,
-                )
+    for n_shards in shard_counts:
+        if n_shards > grid:
+            continue
+        cases.append(
+            SuiteCase(
+                key=f"partition_scaling/S={n_shards}",
+                workload="network",
+                spec=default,
+                grid=grid,
+                shards=n_shards,
+                subscribed=True,
             )
+        )
     return _dedup(cases)

@@ -6,11 +6,10 @@ the baselines), this package scales the library toward a serving system:
 * :mod:`repro.service.deltas` — structured per-query result deltas (the
   incremental contract extension of :class:`repro.monitor.ContinuousMonitor`);
 * :mod:`repro.service.subscriptions` — callback-based delta streaming;
-* :mod:`repro.service.sharding` — the space-partitioned multi-shard
-  monitor (``ShardPlan`` + ``ShardedMonitor``);
-* :mod:`repro.service.partition` — true object partitioning
-  (``PartitionedMonitor``: halo cells, cell-sync fan-out, on-demand
-  pulls, live query migration);
+* :mod:`repro.service.partition` — the sharded monitor: a ``ShardPlan``
+  splits the grid into column blocks, and ``PartitionedMonitor`` runs one
+  CPM engine per block (halo cells, cell-sync fan-out, on-demand pulls,
+  live query migration);
 * :mod:`repro.service.executor` — pluggable shard executors (serial and
   ``multiprocessing``-backed);
 * :mod:`repro.service.service` — the cycle-driven facade the replay
@@ -27,12 +26,9 @@ _EXPORTS = {
     "diff_results": "repro.service.deltas",
     "Subscription": "repro.service.subscriptions",
     "SubscriptionHub": "repro.service.subscriptions",
-    "ShardPlan": "repro.service.sharding",
-    "ShardedMonitor": "repro.service.sharding",
-    "ShardEngineFactory": "repro.service.sharding",
+    "ShardPlan": "repro.service.partition",
     "PartitionedMonitor": "repro.service.partition",
     "PartitionShardEngine": "repro.service.partition",
-    "PartitionShardFactory": "repro.service.partition",
     "SerialShardExecutor": "repro.service.executor",
     "ProcessShardExecutor": "repro.service.executor",
     "ShardWorkerError": "repro.service.executor",

@@ -1,6 +1,6 @@
 """Pluggable shard executors.
 
-A :class:`repro.service.sharding.ShardedMonitor` drives its per-shard
+A :class:`repro.service.partition.PartitionedMonitor` drives its per-shard
 engines through an executor.  The executor owns the engine *instances*
 (they may live in worker processes) and exposes a uniform command surface:
 ``call`` (one shard) and ``call_all`` (every shard, one argument tuple
@@ -9,9 +9,8 @@ each).  Every command returns ``(payload, stats)`` where ``stats`` is the
 while executing the command — the sharded monitor folds these into its
 aggregate counters so the engine-facing accounting (cell scans etc.) stays
 exact regardless of where the shards run.  Both block until every reply
-is in: nothing pipelines one command behind another, and a partitioned
-cycle (:mod:`repro.service.partition`) is a single ``call_all`` of
-``partition_cycle``.
+is in: nothing pipelines one command behind another, and a cycle is a
+single ``call_all`` of ``partition_cycle``.
 
 Two implementations:
 

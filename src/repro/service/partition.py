@@ -1,9 +1,14 @@
-"""True object partitioning: halo cells, cell-sync fan-out, pulls, migration.
+"""The sharded monitor: owned column blocks, halo cells, cell-sync
+fan-out, pulls and live query migration.
 
-The replicated tier (:mod:`repro.service.sharding`) keeps shards
-byte-identical to a single engine by replaying *every* object update on
-*every* shard — correct, but the cores buy nothing on object
-maintenance.  This module is the partitioned alternative:
+A :class:`ShardPlan` splits the grid's column space into ``S``
+contiguous blocks; :class:`PartitionedMonitor` runs one CPM engine per
+block behind the single-monitor contract, on a pluggable executor
+(:mod:`repro.service.executor`) that can put the shards on separate
+cores.  Queries are placed on the shard owning their anchor cell, so
+per-query work (influence probes, incremental repair, re-computation:
+the dominant cost of the paper's workloads) is partitioned; objects are
+partitioned too:
 
 * **Ownership + halo** — each :class:`PartitionShardEngine` runs over
   the *full* workspace grid (identical packed cell ids everywhere) but
@@ -22,50 +27,139 @@ maintenance.  This module is the partitioned alternative:
   ``CPMMonitor._apply_flat_rows``), so there is nothing else to probe.
   Each shard then gets exactly one command per cycle,
   ``partition_cycle``.
-* **Pull path** — when CPM re-computation expands past the halo, the
-  first attribute access on a sentinel fetches the cell's rows from the
-  coordinator store, synchronously over the shard's command pipe.  The
-  protocol guarantees consistency without per-cell versions: the
-  coordinator sends ``partition_cycle`` only after it has applied the
-  *whole* batch to its store, so pulled data always equals the
-  post-cycle truth the single engine would see.  Every pull registers
-  dynamic interest so later cycles fan rows to the copy; the tail of
-  ``partition_cycle`` evicts pulled cells no influence region marks
-  anymore and releases the interest.
+* **Pull path** — CPM re-computation scans cells in ascending
+  ``mindist`` order and may expand past the query's previous influence
+  region into any cell of the workspace.  When it expands past the
+  halo, the first attribute access on a sentinel fetches the cell's
+  rows from the coordinator store, synchronously over the shard's
+  command pipe.  The protocol guarantees consistency without per-cell
+  versions: the coordinator sends ``partition_cycle`` only after it has
+  applied the *whole* batch to its store, so pulled data always equals
+  the post-cycle truth the single engine would see.  Every pull
+  registers dynamic interest so later cycles fan rows to the copy; the
+  tail of ``partition_cycle`` evicts pulled cells no influence region
+  marks anymore and releases the interest.
 * **Live query migration** — a cross-boundary query MOVE carries the
   query's bookkeeping (result list, influence marks, Figure 3.6 visit
-  list) to the new owner via ``migrate_out_query``/``migrate_in_query``
-  instead of the replicated tier's terminate+reinstall split.  See the
-  method docstrings for what is reused and why the counters still match
-  the single engine exactly.
+  list) to the new owner via ``migrate_out_query``/``migrate_in_query``;
+  a query with several updates in one batch crosses as a termination
+  on the old shard plus an insertion on the new one (Figure 3.9).  See
+  the method docstrings for what is reused and why the counters still
+  match the single engine exactly.
 
 Byte-identity contract (property-pinned): results, changed sets,
 deltas **and all five deterministic counters** equal the single
 engine's — inserts/deletes come from the one coordinator store, and
 search/probe/mark work happens exactly once, on the hosting shard.
-This is *stronger* than the replicated tier, whose aggregate
-inserts/deletes are ``n_shards``-fold.
 """
 
 from __future__ import annotations
 
 import pickle
 from array import array
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
+from math import ceil
 
 from repro.core.bookkeeping import CycleScratch, QueryState
 from repro.core.cpm import CPMMonitor
 from repro.core.strategies import FilteredStrategy
 from repro.geometry.points import Point
 from repro.geometry.rects import Rect
+from repro.grid.cell import cell_index
 from repro.grid.grid import Grid
 from repro.grid.stats import GridStats
-from repro.monitor import CycleChanges
+from repro.monitor import ContinuousMonitor, CycleChanges, ResultEntry
 from repro.service.executor import SerialShardExecutor, ShardExecutor
-from repro.service.sharding import ShardedMonitor, ShardPlan, row_error
 from repro.updates import FlatUpdateBatch, QueryUpdate, QueryUpdateKind
+
+
+@dataclass(frozen=True, slots=True)
+class ShardPlan:
+    """Partition of a grid's column space into contiguous blocks.
+
+    Column addressing mirrors :class:`repro.grid.grid.Grid` exactly (same
+    ``delta`` derivation, same clamped ``cell_index`` decision), so the
+    shard owning a point is the shard owning the point's grid cell.
+    """
+
+    n_shards: int
+    cols: int
+    x0: float
+    delta: float
+    #: first owned column of each shard, ascending; shard ``s`` owns
+    #: columns ``[col_starts[s], col_starts[s+1])``.
+    col_starts: tuple[int, ...]
+
+    @classmethod
+    def build(
+        cls,
+        n_shards: int,
+        cells_per_axis: int,
+        bounds: Rect | tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
+    ) -> "ShardPlan":
+        """Balanced plan over the column space of a ``cells_per_axis`` grid."""
+        if not isinstance(bounds, Rect):
+            bounds = Rect(*bounds)
+        if cells_per_axis <= 0:
+            raise ValueError("cells_per_axis must be positive")
+        # Same derivation as Grid.__init__ (square cells over the extent).
+        extent = max(bounds.width, bounds.height)
+        delta = extent / cells_per_axis
+        cols = max(1, ceil(bounds.width / delta - 1e-9))
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        if n_shards > cols:
+            raise ValueError(
+                f"cannot split {cols} grid columns into {n_shards} shards"
+            )
+        base, extra = divmod(cols, n_shards)
+        starts = []
+        start = 0
+        for s in range(n_shards):
+            starts.append(start)
+            start += base + (1 if s < extra else 0)
+        return cls(
+            n_shards=n_shards,
+            cols=cols,
+            x0=bounds.x0,
+            delta=delta,
+            col_starts=tuple(starts),
+        )
+
+    def shard_of_column(self, i: int) -> int:
+        """Owning shard of grid column ``i`` (clamped to the grid)."""
+        if i < 0:
+            i = 0
+        elif i >= self.cols:
+            i = self.cols - 1
+        return bisect_right(self.col_starts, i) - 1
+
+    def shard_of_cell(self, i: int, j: int) -> int:
+        """Owning shard of cell ``c_{i,j}`` (column-block partition)."""
+        return self.shard_of_column(i)
+
+    def shard_of_point(self, x: float, y: float) -> int:
+        """Owning shard of the point ``(x, y)``."""
+        return self.shard_of_column(cell_index(x, self.x0, self.delta, self.cols))
+
+    def owned_columns(self, shard: int) -> range:
+        """The contiguous column block owned by ``shard``."""
+        lo = self.col_starts[shard]
+        hi = (
+            self.col_starts[shard + 1]
+            if shard + 1 < self.n_shards
+            else self.cols
+        )
+        return range(lo, hi)
+
+
+#: routing-table entry of a query terminated by the batch being routed.
+_GONE = -1
 
 
 def _require_dense(grid: Grid) -> Grid:
@@ -102,26 +196,6 @@ class _HaloCell:
         if cell is None:
             cell = self._cell = self._engine._materialize(self._cid)
         return getattr(cell, name)
-
-
-@dataclass(frozen=True)
-class PartitionShardFactory:
-    """Picklable constructor spec for one partitioned shard engine."""
-
-    cells_per_axis: int
-    bounds: tuple[float, float, float, float]
-    shard: int
-    track_lo: int
-    track_hi: int
-
-    def __call__(self) -> "PartitionShardEngine":
-        return PartitionShardEngine(
-            self.cells_per_axis,
-            bounds=self.bounds,
-            shard=self.shard,
-            track_lo=self.track_lo,
-            track_hi=self.track_hi,
-        )
 
 
 class PartitionShardEngine(CPMMonitor):
@@ -290,6 +364,16 @@ class PartitionShardEngine(CPMMonitor):
             strategy.bind_tags(self.tag_table)
         self._register_query(QueryState.adopt(record, self._grid))
 
+    def materialized_cells(self) -> dict[int, tuple[tuple, tuple, tuple]]:
+        """``{cid: (oids, xs, ys)}`` of every real cell slot — the tracked
+        block and the pulled or prefetched cells (invariant checks)."""
+        grid = self._grid
+        return {
+            cid: grid.cell_rows(cid)
+            for cid, cell in enumerate(grid._cells)
+            if not isinstance(cell, _HaloCell)
+        }
+
     # ------------------------------------------------------------------
     # Checkpoint contract (supervisor)
     # ------------------------------------------------------------------
@@ -366,15 +450,29 @@ def _gather(
     )
 
 
-class PartitionedMonitor(ShardedMonitor):
-    """Sharded CPM with true object partitioning (see module docstring).
+class PartitionedMonitor(ContinuousMonitor):
+    """A fleet of partitioned CPM shards behind the single-monitor
+    contract (see module docstring).
+
+    Args:
+        n_shards: number of shards ``S`` (1 measures pure service overhead).
+        cells_per_axis: grid granularity of the store and every shard.
+        bounds: workspace rectangle.
+        halo: border columns each shard tracks beyond its owned block.
+        executor: a started-on-demand :class:`ShardExecutor`; defaults to
+            :class:`SerialShardExecutor`.  Pass a
+            :class:`repro.service.executor.ProcessShardExecutor` to run
+            shards on separate cores.
+        metrics: optional :class:`repro.obs.metrics.MetricsRegistry` for
+            the migration, pull and sync-row counters.
 
     The coordinator owns the authoritative object store (a plain dense
     :class:`Grid` — its insert/delete tallies *are* the canonical
-    counters) and per-cell shard-interest masks; shards receive only the
-    rows they track.  Public surface and byte-identity contract match
-    :class:`~repro.service.sharding.ShardedMonitor`; counters are
-    additionally exact (not ``n_shards``-fold) on inserts/deletes.
+    counters), per-cell shard-interest masks and the query routing table;
+    shards receive only the rows they track.  Every query type is
+    routable: point k-NN queries go to the shard owning their point's
+    cell, strategy-backed queries (constrained, range, aggregate,
+    filtered) to the shard owning their strategy's *reference point*.
     """
 
     def __init__(
@@ -391,7 +489,6 @@ class PartitionedMonitor(ShardedMonitor):
             raise ValueError(f"halo must be >= 0, got {halo}")
         rect = bounds if isinstance(bounds, Rect) else Rect(*bounds)
         self.plan = ShardPlan.build(n_shards, cells_per_axis, rect)
-        self.algorithm = "CPM"
         self.name = f"CPM-P{n_shards}"
         self.halo = halo
         cols = self.plan.cols
@@ -411,9 +508,18 @@ class PartitionedMonitor(ShardedMonitor):
         self._store_cell: dict[int, int] = {}
         self._executor = executor if executor is not None else SerialShardExecutor()
         bounds_t = (rect.x0, rect.y0, rect.x1, rect.y1)
+        # Picklable factories: process-backed executors build the engines
+        # in their workers.
         self._executor.start(
             [
-                PartitionShardFactory(cells_per_axis, bounds_t, s, lo, hi)
+                partial(
+                    PartitionShardEngine,
+                    cells_per_axis,
+                    bounds=bounds_t,
+                    shard=s,
+                    track_lo=lo,
+                    track_hi=hi,
+                )
                 for s, (lo, hi) in enumerate(self._static_track)
             ]
         )
@@ -446,8 +552,48 @@ class PartitionedMonitor(ShardedMonitor):
             self._m_migrations = self._m_pulls = self._m_sync = None
 
     # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+
+    @property
+    def executor(self) -> ShardExecutor:
+        return self._executor
+
+    @property
+    def n_shards(self) -> int:
+        return self.plan.n_shards
+
+    def close(self) -> None:
+        """Shut the executor down (required for process-backed shards)."""
+        self._executor.close()
+
+    def __enter__(self) -> "PartitionedMonitor":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
     # Stats: canonical inserts/deletes come from the coordinator store
     # ------------------------------------------------------------------
+
+    @property
+    def stats(self) -> GridStats:
+        """Aggregate counters folded from every shard command and the
+        coordinator store."""
+        return self._stats
+
+    def _call(self, shard: int, method: str, *args):
+        payload, stats = self._executor.call(shard, method, *args)
+        self._absorb(stats)
+        return payload
+
+    def _call_all(self, method: str, args_per_shard: Sequence[tuple]) -> list:
+        payloads = []
+        for payload, stats in self._executor.call_all(method, args_per_shard):
+            self._absorb(stats)
+            payloads.append(payload)
+        return payloads
 
     def _absorb(self, delta: GridStats) -> None:
         """Fold shard counters, *excluding* storage maintenance.
@@ -472,10 +618,6 @@ class PartitionedMonitor(ShardedMonitor):
     # ------------------------------------------------------------------
     # Interest masks + pull service
     # ------------------------------------------------------------------
-
-    def _tracked_mask(self, cid: int) -> int:
-        rows = self._store.rows
-        return self._col_mask[cid // rows] | self._dyn_mask.get(cid, 0)
 
     def _serve_pull(self, shard: int, cid: int):
         """Serve one cell to a shard and register its fan-out interest.
@@ -554,40 +696,84 @@ class PartitionedMonitor(ShardedMonitor):
         for oid in sorted(store_cell):
             yield oid, cells[store_cell[oid]].position(oid)
 
+    def set_object_tags(self, tags) -> None:
+        """Merge attribute tags into the local table and every shard's.
+
+        Each shard engine keeps its own synchronized copy backing the
+        filtered queries it hosts (a migrated query rebinds to its new
+        shard's copy).
+        """
+        mapping = {
+            int(oid): frozenset(str(t) for t in tag_set) if tag_set else frozenset()
+            for oid, tag_set in tags.items()
+        }
+        super().set_object_tags(mapping)
+        self._call_all("set_object_tags", [(mapping,)] * self.n_shards)
+
+    # ------------------------------------------------------------------
+    # Query management
+    # ------------------------------------------------------------------
+
+    def install_query(self, qid: int, point: Point, k: int = 1) -> list[ResultEntry]:
+        if qid in self._query_shard:
+            raise KeyError(f"query {qid} is already installed")
+        shard = self.plan.shard_of_point(point[0], point[1])
+        result = self._call(shard, "install_query", qid, point, k)
+        self._query_shard[qid] = shard
+        return result
+
+    def install_strategy_query(
+        self, qid: int, strategy, k: int = 1
+    ) -> list[ResultEntry]:
+        """Install a strategy-backed query, routed by its reference point.
+
+        Correct on any shard (a search past the shard's cells pulls
+        them); the anchor cell's owner is chosen so co-located queries
+        cluster where their updates land.  Strategy objects must pickle
+        for process-backed executors — engine-bound state (the filtered
+        tag table) is rebound by the shard engine at install.
+        """
+        if qid in self._query_shard:
+            raise KeyError(f"query {qid} is already installed")
+        x, y = strategy.reference_point()
+        shard = self.plan.shard_of_point(x, y)
+        result = self._call(shard, "install_strategy_query", qid, strategy, k)
+        self._query_shard[qid] = shard
+        return result
+
+    def remove_query(self, qid: int) -> None:
+        shard = self._query_shard.pop(qid)
+        self._call(shard, "remove_query", qid)
+
+    def result(self, qid: int) -> list[ResultEntry]:
+        return self._call(self._query_shard[qid], "result", qid)
+
+    def result_table(self) -> dict[int, list[ResultEntry]]:
+        merged: dict[int, list[ResultEntry]] = {}
+        for table in self._call_all("result_table", [()] * self.n_shards):
+            merged.update(table)
+        return merged
+
+    def query_ids(self) -> list[int]:
+        return list(self._query_shard)
+
+    def query_k(self, qid: int) -> int:
+        return self._call(self._query_shard[qid], "query_k", qid)
+
+    def query_shard(self, qid: int) -> int:
+        """Shard currently hosting a query (diagnostics)."""
+        return self._query_shard[qid]
+
+    def shard_query_counts(self) -> list[int]:
+        """Number of queries per shard (load-balance diagnostics)."""
+        counts = [0] * self.n_shards
+        for shard in self._query_shard.values():
+            counts[shard] += 1
+        return counts
+
     # ------------------------------------------------------------------
     # Live query migration (coordinator side)
     # ------------------------------------------------------------------
-
-    def _plan_migrations(
-        self, query_updates: Sequence[QueryUpdate]
-    ) -> dict[int, tuple[int, int]]:
-        """Select the MOVEs served by live migration: ``{qid: (src, dst)}``.
-
-        A query migrates when it is already committed to a shard, this
-        batch carries exactly one update for it, that update is a MOVE,
-        and the new anchor cell belongs to a different shard.  Anything
-        more exotic (install-then-move in one batch, stacked updates)
-        falls back to the inherited TERMINATE+INSERT split, which is
-        byte-identical too — migration is the fast path, not a special
-        semantic.
-        """
-        if not query_updates:
-            return {}
-        counts: dict[int, int] = {}
-        for qu in query_updates:
-            counts[qu.qid] = counts.get(qu.qid, 0) + 1
-        migrations: dict[int, tuple[int, int]] = {}
-        for qu in query_updates:
-            if qu.kind is not QueryUpdateKind.MOVE or counts[qu.qid] != 1:
-                continue
-            src = self._query_shard.get(qu.qid)
-            if src is None:
-                continue
-            assert qu.point is not None
-            dst = self.plan.shard_of_point(qu.point[0], qu.point[1])
-            if dst != src:
-                migrations[qu.qid] = (src, dst)
-        return migrations
 
     def _build_prefetch(self, carried: dict, dst: int) -> list[tuple]:
         """Cells around the carried influence region, for the destination.
@@ -635,7 +821,6 @@ class PartitionedMonitor(ShardedMonitor):
             carried = self._call(src, "migrate_out_query", qid)
             prefetch = self._build_prefetch(carried, dst)
             self._call(dst, "migrate_in_query", carried, prefetch)
-            self._query_shard[qid] = dst
             self._n_migrations += 1
             if self._m_migrations is not None:
                 self._m_migrations.inc()
@@ -644,26 +829,118 @@ class PartitionedMonitor(ShardedMonitor):
     # The partitioned cycle
     # ------------------------------------------------------------------
 
+    def _route_query_updates(
+        self, query_updates: Sequence[QueryUpdate]
+    ) -> tuple[list[list[QueryUpdate]], dict[int, tuple[int, int]], dict[int, int]]:
+        """Validate and route a cycle's query updates, touching nothing.
+
+        Returns ``(per_shard, migrations, routing)``: each shard's
+        updates, the MOVEs served by live migration (``{qid: (src,
+        dst)}``) and the routing-table entries to commit (``_GONE`` for a
+        terminated query).  A bad update (unknown qid, duplicate insert)
+        raises ``KeyError`` before any shard, the routing table or a
+        fan-out mask has been touched.
+
+        A query migrates when it is committed to a shard, this batch
+        carries exactly one update for it, that update is a MOVE, and the
+        new anchor cell belongs to a different shard; the MOVE then runs
+        on the destination.  Any other cross-shard MOVE (install-then-move
+        in one batch, stacked updates) is split as Figure 3.9 handles a
+        moving query — a TERMINATE on the old shard and an INSERT on the
+        new one — which is byte-identical too: migration is the fast
+        path, not a special semantic.
+        """
+        per_shard: list[list[QueryUpdate]] = [[] for _ in range(self.n_shards)]
+        migrations: dict[int, tuple[int, int]] = {}
+        routing: dict[int, int] = {}
+        committed = self._query_shard
+        n_updates = Counter(qu.qid for qu in query_updates)
+        # k set by this batch's own updates: a k-less MOVE keeps the
+        # query's k, which a cross-shard split must carry to the new shard.
+        batch_k: dict[int, int] = {}
+        # (shard, position) of split INSERTs that take the committed
+        # query's k, read from its shard once the whole batch is valid.
+        need_k: list[tuple[int, int]] = []
+
+        def lookup(qid: int) -> int:
+            shard = routing.get(qid)
+            if shard is None:
+                shard = committed.get(qid, _GONE)
+            if shard == _GONE:
+                raise KeyError(f"query {qid} is not installed")
+            return shard
+
+        for qu in query_updates:
+            qid = qu.qid
+            if qu.kind is QueryUpdateKind.TERMINATE:
+                per_shard[lookup(qid)].append(qu)
+                routing[qid] = _GONE
+                continue
+            assert qu.point is not None
+            new_shard = self.plan.shard_of_point(qu.point[0], qu.point[1])
+            if qu.kind is QueryUpdateKind.MOVE:
+                old_shard = lookup(qid)
+                if qu.k is not None:
+                    batch_k[qid] = qu.k
+                if old_shard == new_shard:
+                    per_shard[new_shard].append(qu)
+                elif n_updates[qid] == 1:
+                    migrations[qid] = (old_shard, new_shard)
+                    per_shard[new_shard].append(qu)
+                else:
+                    per_shard[old_shard].append(
+                        QueryUpdate(qid, QueryUpdateKind.TERMINATE)
+                    )
+                    k = batch_k.get(qid)
+                    if not k:
+                        need_k.append((new_shard, len(per_shard[new_shard])))
+                    per_shard[new_shard].append(
+                        QueryUpdate(qid, QueryUpdateKind.INSERT, qu.point, k)
+                    )
+            else:
+                if routing.get(qid, committed.get(qid, _GONE)) != _GONE:
+                    # Match the single-engine failure mode (install_query
+                    # raises KeyError on a duplicate insert).
+                    raise KeyError(f"query {qid} is already installed")
+                per_shard[new_shard].append(qu)
+                batch_k[qid] = qu.k or 1
+            routing[qid] = new_shard
+        for shard, pos in need_k:
+            qu = per_shard[shard][pos]
+            per_shard[shard][pos] = QueryUpdate(
+                qu.qid, qu.kind, qu.point, self.query_k(qu.qid)
+            )
+        return per_shard, migrations, routing
+
     def _cycle(
         self,
         batch: FlatUpdateBatch,
         query_updates: Sequence[QueryUpdate],
         keep_before: bool,
     ) -> CycleChanges:
-        """One partitioned cycle (replaces the replicated fan-out): row
-        validation, live migrations, query routing, the translation into
-        the store and per-shard rows, one ``partition_cycle`` per shard,
-        then the inherited merge.
+        """One partitioned cycle: row validation, query routing, live
+        migrations, the translation into the store and per-shard rows,
+        one ``partition_cycle`` per shard, then the merge.
 
-        This is the tier's public boundary for object rows, and it checks
-        them all before anything mutates (:meth:`_check_rows`): a rejected
-        row leaves the store, the routing table and every shard as they
-        were.  A migrated query reports only from its destination, whose
-        MOVE finds the carried result — its true pre-cycle one.
+        This is the tier's public boundary: it checks every object row
+        (:meth:`_check_rows`) and every query update
+        (:meth:`_route_query_updates`) before anything mutates, so a
+        rejected batch leaves the store, the routing table, the fan-out
+        masks and every shard as they were.  A migrated query reports
+        only from its destination, whose MOVE finds the carried result —
+        its true pre-cycle one.
         """
         self._check_rows(batch)
-        self._migrate(self._plan_migrations(query_updates))
-        per_shard_qu = self._split_query_updates(query_updates)
+        per_shard_qu, migrations, routing = self._route_query_updates(query_updates)
+        self._migrate(migrations)
+        committed = self._query_shard
+        for qid, shard in routing.items():
+            if shard == _GONE:
+                # pop, not del: a query inserted and terminated within the
+                # same batch was never committed to the routing table.
+                committed.pop(qid, None)
+            else:
+                committed[qid] = shard
         per_shard_rows = self._translate(batch)
         self._fold_store_stats()
         replies = self._call_all(
@@ -681,17 +958,39 @@ class PartitionedMonitor(ShardedMonitor):
             shard_changes.append(changes)
         return self._merge_changes(shard_changes)
 
+    @staticmethod
+    def _merge_changes(shard_changes: Sequence[CycleChanges]) -> CycleChanges:
+        """Merge per-shard changes into the single-engine view.
+
+        A query reported by several shards crossed shards this cycle.
+        Only the shard that held it at the start of the cycle reports a
+        ``before`` (the others saw it appear out of nowhere), and only
+        the shard it ended on an ``after`` other than ``None`` (the
+        others terminated it).
+        """
+        before: dict[int, list[ResultEntry]] = {}
+        after: dict[int, list[ResultEntry] | None] = {}
+        for shard_before, shard_after in shard_changes:
+            before.update(shard_before)
+            for qid, result in shard_after.items():
+                if result is not None or qid not in after:
+                    after[qid] = result
+        return before, after
+
     def _check_rows(self, batch: FlatUpdateBatch) -> None:
-        """Raise ``KeyError`` (:func:`row_error`) for a row that disagrees
-        with the store: an appearance of an on-line object, a move or a
-        disappearance of an off-line one.  ``online`` overlays the rows
-        already checked, for oids that repeat within the batch."""
+        """Raise ``KeyError`` for a row that disagrees with the store: an
+        appearance of an on-line object, a move or a disappearance of an
+        off-line one.  ``online`` overlays the rows already checked, for
+        oids that repeat within the batch."""
         store_cell = self._store_cell
         online: dict[int, bool] = {}
         for oid, ap, dis in zip(batch.oids, batch.appear, batch.disappear):
             known = online[oid] if oid in online else oid in store_cell
             if ap == known or ap & dis:
-                raise row_error(oid, known)
+                raise KeyError(
+                    f"object {oid} "
+                    + ("appeared twice" if known else "is not on-line")
+                )
             online[oid] = not dis
 
     def _translate(self, batch: FlatUpdateBatch) -> list[FlatUpdateBatch]:
@@ -761,8 +1060,38 @@ class PartitionedMonitor(ShardedMonitor):
         return [_gather(batch, p, g) for p, g in zip(picked, gone)]
 
     # ------------------------------------------------------------------
-    # Traffic accounting
+    # Invariants and traffic accounting
     # ------------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Test hook: raise ``AssertionError`` unless every shard passes its
+        own :meth:`CPMMonitor.check_invariants` and every shard's copy of
+        the workspace agrees with the coordinator.  Valid between cycles.
+
+        Per shard: the real (non-sentinel) cells are exactly the ones the
+        coordinator fans rows to — its static column block plus the
+        cells whose dynamic interest names the shard — and each holds the
+        same ``(oid, x, y)`` rows as the store's cell.
+        """
+        no_args = [()] * self.n_shards
+        self._call_all("check_invariants", no_args)
+        store = self._store
+        for shard, cells in enumerate(self._call_all("materialized_cells", no_args)):
+            lo, hi = self._static_track[shard]
+            tracked = set(range(lo * store.rows, hi * store.rows))
+            tracked.update(cid for cid, m in self._dyn_mask.items() if m >> shard & 1)
+            if tracked != cells.keys():
+                raise AssertionError(
+                    f"shard {shard} materializes {sorted(cells.keys() - tracked)} "
+                    f"untracked and lacks tracked {sorted(tracked - cells.keys())}"
+                )
+            for cid, rows in cells.items():
+                expect = store.cell_rows(cid)
+                if set(zip(*rows)) != set(zip(*expect)):
+                    raise AssertionError(
+                        f"shard {shard} cell {store.unpack(cid)} holds "
+                        f"{sorted(zip(*rows))}, the store {sorted(zip(*expect))}"
+                    )
 
     def partition_stats(self) -> dict[str, int]:
         """Cross-partition traffic counters (all monotone, process-local)."""

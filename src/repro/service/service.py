@@ -1,7 +1,7 @@
 """The cycle-driven monitoring service facade.
 
 A :class:`MonitoringService` couples one monitor — single-engine or
-:class:`repro.service.sharding.ShardedMonitor` — with a
+:class:`repro.service.partition.PartitionedMonitor` — with a
 :class:`repro.service.subscriptions.SubscriptionHub`.  Callers feed it
 update batches in either encoding (:meth:`tick`, :meth:`tick_flat`); the
 service normalises to columns once, decides per cycle whether the plain

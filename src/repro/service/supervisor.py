@@ -32,11 +32,11 @@ cycle made are answered from a pull log during the rebuild.
 it by capturing each engine's logical state
 (:meth:`repro.monitor.ContinuousMonitor.capture_state`) and truncating
 the log, after which a rebuild restores the snapshot and replays only the
-tail.  A snapshot-based rebuild is *results*-exact but not necessarily
-counter-exact going forward (re-installation resets CPM's evolved visit
-lists to the fresh-search prefix), so leave checkpoints off where
-byte-exact counter accounting across a crash matters — the default
-full-log replay preserves it.
+tail.  A partitioned shard's capture records cells and query bookkeeping
+verbatim (:meth:`repro.service.partition.PartitionShardEngine.capture_state`),
+so its rebuild stays counter-exact; a plain engine's
+:class:`repro.monitor.MonitorState` re-installs queries with fresh
+searches, which is *results*-exact only.
 
 The failed command itself is assumed not to have mutated the engine: a
 worker that died mid-command never applied it (engines apply commands
@@ -102,6 +102,7 @@ _READ_ONLY = frozenset(
         "iter_objects",
         "capture_state",
         "check_invariants",
+        "materialized_cells",
     }
 )
 
@@ -110,7 +111,7 @@ class SupervisedShardExecutor(ProcessShardExecutor):
     """A :class:`ProcessShardExecutor` that survives worker failures.
 
     Drop-in replacement: pass it as ``executor=`` to
-    :class:`repro.service.sharding.ShardedMonitor`.  With no faults the
+    :class:`repro.service.partition.PartitionedMonitor`.  With no faults the
     only added work per command is one log append, so supervision
     overhead is negligible (measured in PR 8, see CHANGES.md).
 

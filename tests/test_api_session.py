@@ -13,8 +13,8 @@ from repro.core.range_monitor import GridRangeMonitor
 from repro.geometry.rects import Rect
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import WorkloadSpec
+from repro.service.partition import PartitionedMonitor
 from repro.service.service import MonitoringService
-from repro.service.sharding import ShardedMonitor
 from repro.updates import ObjectUpdate, QueryUpdate, QueryUpdateKind
 
 SPEC = WorkloadSpec(n_objects=150, n_queries=4, k=3, timestamps=6, seed=31)
@@ -253,7 +253,7 @@ class TestTypedSpecs:
 
 class TestShardedSession:
     def test_knn_session_over_sharded_monitor(self, workload):
-        monitor = ShardedMonitor(2, cells_per_axis=16)
+        monitor = PartitionedMonitor(2, cells_per_axis=16)
         session = Session(monitor)
         session.load_objects(workload.initial_objects.items())
         handles = [
@@ -275,8 +275,8 @@ class TestShardedSession:
 
     def test_strategy_specs_install_on_sharded(self):
         # Every typed spec is routable on the sharded tier (anchor-cell
-        # routing over full-workspace replicas).
-        session = Session(ShardedMonitor(2, cells_per_axis=16))
+        # routing; a search past the shard's cells pulls them).
+        session = Session(PartitionedMonitor(2, cells_per_axis=16))
         session.load_objects([(1, (0.2, 0.5)), (2, (0.6, 0.5)), (3, (0.8, 0.5))])
         handle = session.register(ConstrainedKnnSpec(
             point=(0.5, 0.5), region=(0.0, 0.0, 1.0, 1.0), k=2

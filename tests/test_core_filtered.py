@@ -2,7 +2,7 @@
 
 The acceptance criterion: a filtered query over a mixed population is
 byte-identical to a plain kNN over the tagged-only sub-population, on
-every engine (CPM, brute force, sharded), across moving workloads.
+every engine (CPM, brute force, partitioned shards), across moving workloads.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.core.cpm import CPMMonitor
 from repro.core.strategies import FilteredStrategy, PointNNStrategy
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import WorkloadSpec
-from repro.service.sharding import ShardedMonitor
+from repro.service.partition import PartitionedMonitor
 from repro.updates import ObjectUpdate
 
 
@@ -62,7 +62,7 @@ class TestFilteredSemantics:
         return {
             "cpm": CPMMonitor(cells_per_axis=8),
             "brute": BruteForceMonitor(),
-            "sharded": ShardedMonitor(2, cells_per_axis=8),
+            "partitioned": PartitionedMonitor(2, cells_per_axis=8),
         }
 
     def test_filter_equals_knn_over_tagged_subpopulation(self):

@@ -5,18 +5,14 @@ collapsing to zero, duplicate coordinates, boundary positions, queries on
 cell corners, empty batches, malformed streams.
 """
 
-import math
-
 import pytest
 
 from repro.baselines.sea import SeaCnnMonitor
 from repro.baselines.ypk import YpkCnnMonitor
 from repro.core.cpm import CPMMonitor
 from repro.service.partition import PartitionedMonitor
-from repro.service.sharding import ShardedMonitor
 from repro.updates import (
     FlatUpdateBatch,
-    ObjectUpdate,
     QueryUpdate,
     QueryUpdateKind,
     appear_update,
@@ -34,8 +30,10 @@ ALL_MONITORS = [
 #: the public boundaries that validate object rows, by tier.
 ROW_BOUNDARIES = {
     "cpm": lambda: CPMMonitor(cells_per_axis=8),
-    "sharded": lambda: ShardedMonitor(2, cells_per_axis=8),
     "partitioned": lambda: PartitionedMonitor(2, cells_per_axis=8),
+    # No halo columns: each row reaches only its owning shard, and the
+    # two loaded objects sit on different shards.
+    "partitioned-4-halo0": lambda: PartitionedMonitor(4, cells_per_axis=8, halo=0),
 }
 
 #: the four ways one cycle's object rows reach an engine.
@@ -56,7 +54,8 @@ ENTRY_POINTS = {
 class TestObjectRowsMeanTheSameEverywhere:
     """A row whose kind disagrees with whether the object is on-line is
     rejected with ``KeyError`` — through the row names and the columnar
-    names alike, on the single engine and on both tiers."""
+    names alike, on the single engine and on the shard tier, with and
+    without halo columns."""
 
     @pytest.fixture()
     def monitor(self, tier):

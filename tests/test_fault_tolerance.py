@@ -18,6 +18,7 @@ fast at these workload sizes).
 import socket
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.api.retry import ReconnectPolicy
 from repro.api.server import MonitorSocketServer
 from repro.api.session import Session, replay_workload
 from repro.core.cpm import CPMMonitor
+from repro.experiments.common import build_monitor
 from repro.ingest.buffer import IngestBuffer
 from repro.ingest.driver import IngestDriver, ThreadedFeedPump
 from repro.ingest.feeds import CycleMark, SocketFeed, UpdateFeed
@@ -40,7 +42,6 @@ from repro.service.executor import (
 )
 from repro.service.partition import PartitionedMonitor
 from repro.service.service import MonitoringService
-from repro.service.sharding import ShardedMonitor, ShardEngineFactory
 from repro.service.supervisor import SupervisedShardExecutor, SupervisorPolicy
 from repro.testing import FaultPlan, ScheduledFault
 from repro.updates import FlatUpdateBatch, ObjectUpdate
@@ -67,7 +68,7 @@ def supervised_replay(workload, plan, **executor_kwargs):
         fault_hook=None if plan is None else plan.executor_hook(),
         **executor_kwargs,
     )
-    monitor = ShardedMonitor(2, cells_per_axis=CELLS, executor=executor)
+    monitor = PartitionedMonitor(2, cells_per_axis=CELLS, executor=executor)
     try:
         report, log = replay(monitor, workload)
     finally:
@@ -87,9 +88,7 @@ class TestSupervisedRecovery:
         replay) must converge to the fault-free serial run, counters
         included — the ISSUE's headline acceptance criterion."""
         workload = small_workload(query_agility=0.5)
-        ref_report, ref_log = replay(
-            ShardedMonitor(2, cells_per_axis=CELLS), workload
-        )
+        ref_report, ref_log = replay(CPMMonitor(cells_per_axis=CELLS), workload)
         plan = FaultPlan(seed=7).kill_worker(shard=1, at_command=6)
         report, log, executor = supervised_replay(workload, plan)
         assert [f.kind for f in plan.fired] == ["kill"]
@@ -102,7 +101,7 @@ class TestSupervisedRecovery:
 
     def test_degrade_to_serial_is_byte_identical(self):
         workload = small_workload()
-        _, ref_log = replay(ShardedMonitor(2, cells_per_axis=CELLS), workload)
+        _, ref_log = replay(CPMMonitor(cells_per_axis=CELLS), workload)
         plan = FaultPlan().kill_worker(shard=0, at_command=9)
         report, log, executor = supervised_replay(
             workload, plan, policy=SupervisorPolicy.DEGRADE_TO_SERIAL
@@ -123,7 +122,7 @@ class TestSupervisedRecovery:
         """A wedged (SIGSTOPped) worker never closes its pipe — only the
         recv deadline can see it; the restart path must still converge."""
         workload = small_workload(timestamps=6)
-        _, ref_log = replay(ShardedMonitor(2, cells_per_axis=CELLS), workload)
+        _, ref_log = replay(CPMMonitor(cells_per_axis=CELLS), workload)
         plan = FaultPlan().stop_worker(shard=0, at_command=7)
         report, log, executor = supervised_replay(
             workload, plan, recv_timeout=1.0
@@ -146,10 +145,10 @@ class TestSupervisedRecovery:
         """A checkpoint truncates the replay log; recovery = restore the
         snapshot, then replay only the tail — results still converge."""
         workload = small_workload(query_agility=0.4)
-        _, ref_log = replay(ShardedMonitor(2, cells_per_axis=CELLS), workload)
+        _, ref_log = replay(CPMMonitor(cells_per_axis=CELLS), workload)
         plan = FaultPlan().kill_worker(shard=1, at_command=14)
         executor = SupervisedShardExecutor(fault_hook=plan.executor_hook())
-        monitor = ShardedMonitor(2, cells_per_axis=CELLS, executor=executor)
+        monitor = PartitionedMonitor(2, cells_per_axis=CELLS, executor=executor)
         try:
             log: list = []
             cycles = 0
@@ -175,27 +174,25 @@ class TestSupervisedRecovery:
 
     def test_no_faults_means_no_recovery_overhead_in_counters(self):
         """Supervision must be invisible when nothing fails: counters and
-        results byte-identical to the plain sharded run (the wall-clock
+        results byte-identical to the single engine (the wall-clock
         price was measured once, in PR 8 — see CHANGES.md — and is not
         asserted here: CI timing is noise)."""
         workload = small_workload(timestamps=5)
-        ref_report, ref_log = replay(
-            ShardedMonitor(2, cells_per_axis=CELLS), workload
-        )
+        ref_report, ref_log = replay(CPMMonitor(cells_per_axis=CELLS), workload)
         report, log, executor = supervised_replay(workload, None)
         assert not executor.events
         assert log == ref_log
         assert report.total_cell_scans == ref_report.total_cell_scans
 
     def test_invariant_probe_is_not_logged(self):
-        """``check_invariants`` reads engine state only, so it stays out
-        of the replay log a RESTART re-runs."""
+        """``check_invariants`` reads engine state only, so its shard
+        commands stay out of the replay log a RESTART re-runs."""
         executor = SupervisedShardExecutor()
-        monitor = ShardedMonitor(2, cells_per_axis=CELLS, executor=executor)
+        monitor = PartitionedMonitor(2, cells_per_axis=CELLS, executor=executor)
         try:
             replay(monitor, small_workload(timestamps=3))
             lengths = [executor.log_length(s) for s in range(2)]
-            monitor._call_all("check_invariants", [()] * 2)
+            monitor.check_invariants()
             assert [executor.log_length(s) for s in range(2)] == lengths
         finally:
             monitor.close()
@@ -212,7 +209,7 @@ class TestPartitionedRecovery:
     rebuilds *partitioned* state (sentinel columns, pulled cells, carried
     query bookkeeping) from the command log + pull log, byte-identical —
     and since the partitioned tier is counter-exact, the reference here
-    is the **single engine**, not a replicated sharded run."""
+    is the **single engine**."""
 
     def _run(self, workload, plan, n_shards=2, checkpoint_at=None):
         executor = SupervisedShardExecutor(
@@ -302,7 +299,7 @@ class TestPartitionedRecovery:
 class TestProcessExecutorFaults:
     def test_killed_worker_raises_typed_error_and_peers_survive(self):
         executor = ProcessShardExecutor()
-        factory = ShardEngineFactory(CELLS)
+        factory = partial(CPMMonitor, CELLS)
         executor.start([factory, factory])
         try:
             executor.call_all(
@@ -328,7 +325,7 @@ class TestProcessExecutorFaults:
         import signal
 
         executor = ProcessShardExecutor(recv_timeout=0.5)
-        factory = ShardEngineFactory(CELLS)
+        factory = partial(CPMMonitor, CELLS)
         executor.start([factory])
         try:
             os.kill(executor.worker_pid(0), signal.SIGSTOP)
@@ -350,7 +347,7 @@ class TestCaptureRestore:
             from repro.baselines.brute import BruteForceMonitor
 
             return BruteForceMonitor()
-        return ShardEngineFactory(CELLS, algorithm=algorithm)()
+        return build_monitor(algorithm, CELLS)
 
     @pytest.mark.parametrize("algorithm", ["CPM", "YPK-CNN", "SEA-CNN", "BRUTE"])
     def test_round_trip_preserves_results(self, algorithm):

@@ -12,8 +12,8 @@ from repro.api import wire
 from repro.core.cpm import CPMMonitor
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import WorkloadSpec
+from repro.service.partition import PartitionedMonitor
 from repro.service.service import MonitoringService
-from repro.service.sharding import ShardedMonitor
 from repro.updates import FlatUpdateBatch
 
 SPEC = WorkloadSpec(n_objects=180, n_queries=5, k=3, timestamps=6, seed=23)
@@ -75,7 +75,7 @@ class TestShardedFlatDeltas:
         single_stream, _ = replay_deltas(
             loaded(CPMMonitor(cells_per_axis=CELLS), workload), workload, flat=True
         )
-        sharded = loaded(ShardedMonitor(2, cells_per_axis=CELLS), workload)
+        sharded = loaded(PartitionedMonitor(2, cells_per_axis=CELLS), workload)
         try:
             sharded_stream, _ = replay_deltas(sharded, workload, flat=True)
         finally:

@@ -47,7 +47,7 @@ from repro.mobility.brinkhoff import BrinkhoffGenerator
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import WorkloadSpec
 from repro.service.executor import ProcessShardExecutor, SerialShardExecutor
-from repro.service.sharding import ShardedMonitor
+from repro.service.partition import PartitionedMonitor
 from repro.service.shm import pack_flat_batch, unpack_flat_batch
 from repro.updates import FlatUpdateBatch
 from tests.conftest import scalar_kernels
@@ -361,11 +361,12 @@ def test_shm_pack_unpack_round_trips_every_column(rows, timestamp):
 def test_process_executor_shm_path_matches_serial():
     """A sharded monitor whose executor ships every batch through shared
     memory (``shm_min_rows=1``) produces the same per-cycle changed sets
-    and results as the in-process serial executor."""
+    and results as the in-process serial executor, and the same counters
+    and partition traffic."""
     spec = WorkloadSpec(n_objects=120, n_queries=4, k=3, timestamps=4, seed=11)
     workload = BrinkhoffGenerator(spec).generate()
-    serial = ShardedMonitor(2, cells_per_axis=8, executor=SerialShardExecutor())
-    shm = ShardedMonitor(
+    serial = PartitionedMonitor(2, cells_per_axis=8, executor=SerialShardExecutor())
+    shm = PartitionedMonitor(
         2, cells_per_axis=8, executor=ProcessShardExecutor(shm_min_rows=1)
     )
     try:
@@ -377,6 +378,8 @@ def test_process_executor_shm_path_matches_serial():
             got = shm.process_flat(flat)
             assert got == expect, batch.timestamp
             assert shm.result_table() == serial.result_table(), batch.timestamp
+        assert shm.stats.snapshot() == serial.stats.snapshot()
+        assert shm.partition_stats() == serial.partition_stats()
     finally:
         serial.close()
         shm.close()

@@ -14,7 +14,6 @@ from repro.mobility.brinkhoff import BrinkhoffGenerator
 from repro.mobility.workload import WorkloadSpec
 from repro.monitor import ContinuousMonitor
 from repro.service.partition import PartitionedMonitor, PartitionShardEngine
-from repro.service.sharding import ShardedMonitor
 from repro.updates import (
     FlatUpdateBatch,
     QueryUpdate,
@@ -31,13 +30,12 @@ ALL = [
     BruteForceMonitor,
 ]
 
-#: the composite tiers and the shard-local engine, behind the same contract.
+#: the shard tier and the shard-local engine, behind the same contract.
 TIERS = [
-    lambda: ShardedMonitor(2, cells_per_axis=8),
     lambda: PartitionedMonitor(2, cells_per_axis=8),
     lambda: PartitionShardEngine(8),
 ]
-IDS = ["cpm", "ypk", "sea", "brute", "sharded", "partitioned", "shard-engine"]
+IDS = ["cpm", "ypk", "sea", "brute", "partitioned", "shard-engine"]
 
 CYCLE_NAMES = {
     "process",
@@ -87,7 +85,6 @@ class TestOneCycleLoop:
             "YpkCnnMonitor",
             "SeaCnnMonitor",
             "BruteForceMonitor",
-            "ShardedMonitor",
             "PartitionedMonitor",
             "PartitionShardEngine",
         }

@@ -273,18 +273,14 @@ class TestSuiteAndRunner:
         full = build_suite(0.01)
         smoke = build_suite(0.01, suite="smoke")
 
-        def shards_of(cases, *, partitioned):
-            return sorted(
-                c.shards for c in cases if c.shards and c.partitioned == partitioned
-            )
+        def shards_of(cases):
+            return sorted(c.shards for c in cases if c.shards)
 
-        for partitioned in (False, True):
-            assert shards_of(full, partitioned=partitioned) == [1, 2, 4, 8]
-            assert shards_of(smoke, partitioned=partitioned) == [1, 4]
+        assert shards_of(full) == [1, 2, 4, 8]
+        assert shards_of(smoke) == [1, 4]
         for case in full:
             if case.shards:
-                family = "partition_scaling" if case.partitioned else "shard_scaling"
-                assert case.key == f"{family}/S={case.shards}"
+                assert case.key == f"partition_scaling/S={case.shards}"
                 assert case.workload == "network"
                 assert case.subscribed
 
@@ -319,7 +315,7 @@ class TestSuiteAndRunner:
                     "partition_migrations"):
             assert key in part_row.metrics
         assert part_row.metrics["partition_sync_rows"] > 0
-        assert part_row.params["partitioned"] is True
+        assert part_row.params["shards"] == 4
         assert "partition_fanout_rows" not in single_row.metrics
 
     def test_shard_case_runs_sharded_monitor(self):
@@ -359,16 +355,15 @@ class TestSuiteAndRunner:
                        "objects_scanned", "results_changed"):
             assert row.metrics[metric] == ref.metrics[metric], metric
 
-    def test_shard_tiers_deliver_the_single_engine_deltas(self):
+    def test_shard_tier_delivers_the_single_engine_deltas(self):
         """The shard cases stream deltas, so ``deltas_delivered`` gates
-        the tiers' merge of their shards' changes."""
+        the tier's merge of its shards' changes."""
         cases = {c.key: c for c in build_suite(0.002, suite="smoke")}
         routing = cases["subscription_routing/default"]
         workload = routing.materialize()
         expected = run_case(routing, workload, "CPM").metrics["deltas_delivered"]
-        for key in ("shard_scaling/S=4", "partition_scaling/S=4"):
-            row = run_case(cases[key], workload, "CPM")
-            assert row.metrics["deltas_delivered"] == expected, key
+        row = run_case(cases["partition_scaling/S=4"], workload, "CPM")
+        assert row.metrics["deltas_delivered"] == expected
 
     def test_subscription_routing_in_both_suites(self):
         for suite in ("smoke", "full"):

@@ -6,7 +6,7 @@ with deterministic accounting — identical cell-access counters.
 Hypothesis sweeps workload shapes (generator family, population, k,
 speed, agility, grid granularity) across every engine: CPM, YPK-CNN and
 SEA-CNN (native columnar loops over batch-addressed cell ids), brute
-(default translating wrapper) and the sharded service (flat routing).
+(default translating wrapper) and the sharded service (flat translation).
 
 The golden acceptance check replays the PR 3 full-replay fixture
 workload through ``process_flat`` and requires the byte-identical stream
@@ -32,7 +32,7 @@ from repro.ingest.batcher import CycleBatcher
 from repro.mobility.brinkhoff import BrinkhoffGenerator
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import WorkloadSpec
-from repro.service.sharding import ShardedMonitor
+from repro.service.partition import PartitionedMonitor
 from repro.updates import FlatUpdateBatch
 
 workload_shapes = st.fixed_dictionaries(
@@ -137,7 +137,7 @@ def test_sharded_process_flat_matches_single_engine(shape, n_shards):
     workload = _workload(shape)
     cells = shape["cells"]
     single = CPMMonitor(cells_per_axis=cells)
-    sharded = ShardedMonitor(n_shards, cells_per_axis=cells)
+    sharded = PartitionedMonitor(n_shards, cells_per_axis=cells)
     _install(single, workload)
     _install(sharded, workload)
     for batch in workload.batches:

@@ -8,9 +8,9 @@ walks through that window more than once: an NN leaves and returns, is
 re-keyed twice, an incomer moves again or goes off-line, more than k
 incomers pile up while NNs leave, distinct objects tie at one distance.
 
-Every script here runs through the single engine, ``ShardedMonitor(2)``
-and ``PartitionedMonitor(2)``.  The three must agree byte for byte
-(results, changed sets, ``GridStats``), satisfy ``check_invariants`` and
+Every script here runs through the single engine and
+``PartitionedMonitor(2)``.  The two must agree byte for byte (results,
+changed sets, ``GridStats``), satisfy ``check_invariants`` and
 match the brute-force oracle's distances (ids may differ from it under
 exact ties, as in ``test_property_cpm``).
 
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.baselines.brute import BruteForceMonitor
 from repro.core.cpm import CPMMonitor
 from repro.service.partition import PartitionedMonitor
-from repro.service.sharding import ShardedMonitor
 from repro.updates import appear_update, disappear_update, move_update
 
 CELLS = 8
@@ -40,17 +39,15 @@ def run_everywhere(initial, queries, batches, halo=1):
     for an off-line oid is an appearance, ``None`` a disappearance.
     """
     single = CPMMonitor(cells_per_axis=CELLS)
-    sharded = ShardedMonitor(N_SHARDS, cells_per_axis=CELLS)
     part = PartitionedMonitor(N_SHARDS, cells_per_axis=CELLS, halo=halo)
     brute = BruteForceMonitor()
-    for monitor in (single, sharded, part, brute):
+    for monitor in (single, part, brute):
         monitor.load_objects(initial.items())
         for qid, (point, k) in queries.items():
             monitor.install_query(qid, point, k)
 
     def check(tag):
         table = single.result_table()
-        assert sharded.result_table() == table, tag
         assert part.result_table() == table, tag
         for qid, entries in table.items():
             assert [d for d, _ in entries] == [d for d, _ in brute.result(qid)], (
@@ -58,15 +55,8 @@ def run_everywhere(initial, queries, batches, halo=1):
                 qid,
             )
         single.check_invariants()
-        for tier in (sharded, part):
-            tier._call_all("check_invariants", [()] * N_SHARDS)
-        stats = single.stats.snapshot()
-        # The partitioned tier is counter-exact; the replicated one does
-        # the grid maintenance once per shard and everything else once.
-        assert part.stats.snapshot() == stats, tag
-        stats.inserts *= N_SHARDS
-        stats.deletes *= N_SHARDS
-        assert sharded.stats.snapshot() == stats, tag
+        part.check_invariants()
+        assert part.stats.snapshot() == single.stats.snapshot(), tag
 
     check("install")
     positions = dict(initial)
@@ -82,7 +72,6 @@ def run_everywhere(initial, queries, batches, halo=1):
             )
             positions[oid] = new
         changed = single.process(updates)
-        assert sharded.process(updates) == changed, t
         assert part.process(updates) == changed, t
         brute.process(updates)
         check(t)

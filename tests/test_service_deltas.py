@@ -18,7 +18,6 @@ from repro.mobility.brinkhoff import BrinkhoffGenerator
 from repro.mobility.workload import Workload, WorkloadSpec
 from repro.service.deltas import ResultDelta, diff_results
 from repro.service.partition import PartitionedMonitor
-from repro.service.sharding import ShardedMonitor
 from repro.updates import (
     QueryUpdate,
     QueryUpdateKind,
@@ -88,9 +87,14 @@ MONITOR_FACTORIES = [
     pytest.param(lambda: YpkCnnMonitor(cells_per_axis=16), id="YPK-CNN"),
     pytest.param(lambda: SeaCnnMonitor(cells_per_axis=16), id="SEA-CNN"),
     pytest.param(BruteForceMonitor, id="BruteForce"),
-    pytest.param(lambda: ShardedMonitor(2, cells_per_axis=16), id="Sharded-2"),
     pytest.param(
         lambda: PartitionedMonitor(2, cells_per_axis=16, halo=1), id="Partitioned-2"
+    ),
+    # Four column blocks and no halo: the scripted moves span several
+    # blocks, and a search near a block edge pulls the neighbour's cells.
+    pytest.param(
+        lambda: PartitionedMonitor(4, cells_per_axis=16, halo=0),
+        id="Partitioned-4-halo0",
     ),
 ]
 

@@ -10,9 +10,9 @@ from repro.service.executor import SerialShardExecutor
 from repro.service.partition import (
     PartitionedMonitor,
     PartitionShardEngine,
+    ShardPlan,
     _HaloCell,
 )
-from repro.service.sharding import ShardPlan
 from repro.updates import ObjectUpdate, QueryUpdate, QueryUpdateKind
 
 CELLS = 8
@@ -227,17 +227,39 @@ class TestPartitionedMonitor:
             assert part.object_position(oid) == single.object_position(oid)
         assert part.object_count == single.object_count == 3
 
+    def test_check_invariants_sees_a_shard_copy_diverge(self):
+        part = PartitionedMonitor(2, CELLS, halo=1)
+        # Column 3 is owned by shard 0 and in shard 1's halo.
+        part.load_objects([(1, (3.5 / CELLS, 0.5)), (2, (0.9, 0.5))])
+        part.install_query(1, (0.1, 0.5), 1)
+        part.check_invariants()
+        engines = part.executor.monitors()
+        halo_cell = engines[1]._grid._cells[engines[1]._object_cells[1]]
+        x = halo_cell.xs[0]
+        halo_cell.xs[0] = x + 1e-9
+        with pytest.raises(AssertionError, match="shard 1 cell"):
+            part.check_invariants()
+        halo_cell.xs[0] = x
+        part.check_invariants()
+        # A real cell the coordinator does not fan rows to.
+        engines[0]._install_cell(7 * CELLS, (), (), ())
+        with pytest.raises(AssertionError, match="shard 0 materializes"):
+            part.check_invariants()
+
 
 # ----------------------------------------------------------------------
 # A rejected batch leaves no trace
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("halo", [0, 1])
 class TestRejectedBatch:
     """The coordinator checks every row against its store before the
     first migration, routing change or store mutation, so a rejected
     batch is as if never sent — in particular no shard is left with a
-    half-done cycle."""
+    half-done cycle.  Without a halo the shards hold no copies of their
+    neighbours' border columns, so the searches pull and register
+    prefetch interest that a rejected batch must not leave behind."""
 
     OBJECTS = [
         (i, ((i % 16) / 16 + 1 / 32, (i // 16) / 4 + 0.1)) for i in range(48)
@@ -257,9 +279,9 @@ class TestRejectedBatch:
     }
 
     @pytest.mark.parametrize("bad", sorted(BAD))
-    def test_next_cycle_matches_an_engine_that_never_saw_it(self, bad):
+    def test_next_cycle_matches_an_engine_that_never_saw_it(self, bad, halo):
         single = CPMMonitor(CELLS)
-        part = PartitionedMonitor(2, CELLS, halo=1)
+        part = PartitionedMonitor(2, CELLS, halo=halo)
         for m in (single, part):
             m.load_objects(self.OBJECTS)
             m.install_query(1, (0.45, 0.5), 3)
@@ -284,7 +306,45 @@ class TestRejectedBatch:
         assert part.result_table() == single.result_table()
         assert part.stats.snapshot() == single.stats.snapshot()
         assert list(part.iter_objects()) == list(single.iter_objects())
-        part._call_all("check_invariants", [()] * part.n_shards)
+        part.check_invariants()
+
+    BAD_QUERIES = {
+        "terminates_unknown": QueryUpdate(99, QueryUpdateKind.TERMINATE),
+        "moves_unknown": QueryUpdate(99, QueryUpdateKind.MOVE, (0.3, 0.3), 1),
+        "inserts_installed": QueryUpdate(2, QueryUpdateKind.INSERT, (0.3, 0.3), 1),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_QUERIES))
+    def test_bad_query_update_after_a_migrating_move(self, bad, halo):
+        """The whole query batch routes, migrations planned in the same
+        pass, before any shard sees a command: a valid cross-shard MOVE
+        ahead of the bad update migrates nothing."""
+        single = CPMMonitor(CELLS)
+        part = PartitionedMonitor(2, CELLS, halo=halo)
+        for m in (single, part):
+            m.load_objects(self.OBJECTS)
+            m.install_query(1, (0.45, 0.5), 3)
+            m.install_query(2, (0.8, 0.3), 2)
+        stats = part.stats.snapshot()
+        traffic = part.partition_stats()
+        results = part.result_table()
+        engines = part.executor.monitors()
+        held = [engine.query_ids() for engine in engines]
+        migrate = QueryUpdate(1, QueryUpdateKind.MOVE, (0.55, 0.5), 3)
+        with pytest.raises(KeyError):
+            part.process([], [migrate, self.BAD_QUERIES[bad]])
+        assert part.query_shard(1) == 0
+        assert part.partition_stats() == traffic
+        assert [engine.query_ids() for engine in engines] == held
+        assert part.result_table() == results
+        assert part.stats.snapshot() == stats
+        part.check_invariants()
+
+        assert part.process([], [migrate]) == single.process([], [migrate])
+        assert part.query_shard(1) == 1
+        assert part.result_table() == single.result_table()
+        assert part.stats.snapshot() == single.stats.snapshot()
+        part.check_invariants()
 
 
 # ----------------------------------------------------------------------

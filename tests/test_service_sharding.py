@@ -2,8 +2,10 @@
 
 The headline equivalence (sharded service == single engine, byte for
 byte) is covered here deterministically and in
-``test_property_sharded.py`` property-style.
+``test_property_partitioned.py`` property-style.
 """
+
+from functools import partial
 
 import pytest
 
@@ -18,8 +20,8 @@ from repro.service.executor import (
     SerialShardExecutor,
     ShardWorkerError,
 )
+from repro.service.partition import PartitionedMonitor, ShardPlan
 from repro.service.service import MonitoringService
-from repro.service.sharding import ShardedMonitor, ShardEngineFactory, ShardPlan
 from repro.service.subscriptions import SubscriptionHub
 from repro.updates import QueryUpdate, QueryUpdateKind, move_update
 
@@ -65,17 +67,6 @@ class TestShardPlan:
         assert plan.shard_of_point(29.9, 0.0) == 1
 
 
-class TestShardEngineFactory:
-    def test_builds_each_algorithm(self):
-        for algorithm in ("CPM", "YPK-CNN", "SEA-CNN"):
-            monitor = ShardEngineFactory(8, algorithm=algorithm)()
-            assert monitor.name == algorithm
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            ShardEngineFactory(8, algorithm="XYZ")()
-
-
 def small_workload(**overrides):
     params = dict(n_objects=120, n_queries=6, k=3, timestamps=8, seed=21)
     params.update(overrides)
@@ -95,7 +86,7 @@ class TestShardedEquivalence:
     def test_byte_identical_results(self, n_shards):
         workload = small_workload(query_agility=0.6, object_speed="fast")
         ref_report, ref_log = replay(CPMMonitor(cells_per_axis=16), workload)
-        sharded = ShardedMonitor(n_shards, cells_per_axis=16)
+        sharded = PartitionedMonitor(n_shards, cells_per_axis=16)
         report, log = replay(sharded, workload)
         assert log == ref_log
         # Search work is partitioned, not duplicated: the deterministic
@@ -107,22 +98,13 @@ class TestShardedEquivalence:
         spec = WorkloadSpec(n_objects=100, n_queries=5, k=4, timestamps=6, seed=9)
         workload = UniformGenerator(spec).generate()
         _, ref_log = replay(CPMMonitor(cells_per_axis=16), workload)
-        _, log = replay(ShardedMonitor(4, cells_per_axis=16), workload)
+        _, log = replay(PartitionedMonitor(4, cells_per_axis=16), workload)
         assert log == ref_log
-
-    def test_sharded_baseline_algorithms(self):
-        workload = small_workload()
-        for algorithm in ("YPK-CNN", "SEA-CNN"):
-            single = ShardEngineFactory(16, algorithm=algorithm)()
-            _, ref_log = replay(single, workload)
-            sharded = ShardedMonitor(2, cells_per_axis=16, algorithm=algorithm)
-            _, log = replay(sharded, workload)
-            assert log == ref_log, algorithm
 
     def test_delta_stream_equivalence_with_cross_shard_moves(self):
         workload = small_workload(query_agility=1.0)
         single = CPMMonitor(cells_per_axis=16)
-        sharded = ShardedMonitor(4, cells_per_axis=16)
+        sharded = PartitionedMonitor(4, cells_per_axis=16)
         for monitor in (single, sharded):
             monitor.load_objects(workload.initial_objects.items())
             for qid, point in workload.initial_queries.items():
@@ -140,21 +122,23 @@ class TestShardedEquivalence:
         assert crossings > 0, "workload exercised no cross-shard moves"
 
     def test_queries_route_to_owning_shards(self):
-        sharded = ShardedMonitor(4, cells_per_axis=16)
+        sharded = PartitionedMonitor(4, cells_per_axis=16)
         sharded.load_objects([(1, (0.1, 0.1)), (2, (0.9, 0.9))])
         sharded.install_query(1, (0.05, 0.5), 1)
         sharded.install_query(2, (0.95, 0.5), 1)
         assert sharded.query_shard(1) == 0
         assert sharded.query_shard(2) == 3
         assert sharded.shard_query_counts() == [1, 0, 0, 1]
-        # Serial executor: only the owning shard holds the query state.
+        # Serial executor: only the owning shard holds the query state,
+        # and each shard holds only the objects of its block plus halo.
         engines = sharded.executor.monitors()
         assert engines[0].query_ids() == [1]
         assert engines[3].query_ids() == [2]
-        assert all(e.object_count == 2 for e in engines)
+        assert [e.object_count for e in engines] == [1, 0, 0, 1]
+        assert sharded.object_count == 2
 
     def test_terminate_and_duplicate_install_match_single_engine(self):
-        sharded = ShardedMonitor(2, cells_per_axis=8)
+        sharded = PartitionedMonitor(2, cells_per_axis=8)
         sharded.load_objects([(1, (0.3, 0.5))])
         sharded.install_query(7, (0.2, 0.5), 1)
         with pytest.raises(KeyError):
@@ -169,7 +153,7 @@ class TestShardedEquivalence:
     def test_bad_query_batch_leaves_router_untouched(self):
         # A batch that fails validation must raise before any routing or
         # shard work happens: the router and the engines stay consistent.
-        sharded = ShardedMonitor(2, cells_per_axis=8)
+        sharded = PartitionedMonitor(2, cells_per_axis=8)
         sharded.load_objects([(1, (0.3, 0.5))])
         sharded.install_query(7, (0.2, 0.5), 1)
         bad_batches = [
@@ -197,7 +181,7 @@ class TestShardedEquivalence:
         # saw only a transient install; the merged delta must still diff
         # against the true pre-cycle result (single-engine view).
         single = CPMMonitor(cells_per_axis=8)
-        sharded = ShardedMonitor(2, cells_per_axis=8)
+        sharded = PartitionedMonitor(2, cells_per_axis=8)
         objs = [(i, (i / 10.0, 0.5)) for i in range(1, 10)]
         for m in (single, sharded):
             m.load_objects(list(objs))
@@ -213,7 +197,7 @@ class TestShardedEquivalence:
         assert sharded.query_shard(7) == 0
         # And the A -> B -> C chain (needs 4 shards for three columns).
         single4 = CPMMonitor(cells_per_axis=8)
-        sharded4 = ShardedMonitor(4, cells_per_axis=8)
+        sharded4 = PartitionedMonitor(4, cells_per_axis=8)
         for m in (single4, sharded4):
             m.load_objects(list(objs))
             m.install_query(7, (0.1, 0.5), 3)
@@ -227,7 +211,7 @@ class TestShardedEquivalence:
 
     def test_insert_then_terminate_same_cycle(self):
         single = CPMMonitor(cells_per_axis=8)
-        sharded = ShardedMonitor(2, cells_per_axis=8)
+        sharded = PartitionedMonitor(2, cells_per_axis=8)
         for m in (single, sharded):
             m.load_objects([(1, (0.3, 0.5))])
         batch = [
@@ -255,7 +239,7 @@ class TestShardedEquivalence:
 
     def test_terminate_then_reinsert_same_cycle(self):
         single = CPMMonitor(cells_per_axis=8)
-        sharded = ShardedMonitor(2, cells_per_axis=8)
+        sharded = PartitionedMonitor(2, cells_per_axis=8)
         for m in (single, sharded):
             m.load_objects([(1, (0.3, 0.5)), (2, (0.8, 0.5))])
             m.install_query(7, (0.2, 0.5), 1)
@@ -268,7 +252,7 @@ class TestShardedEquivalence:
         assert sharded.query_shard(7) == sharded.plan.shard_of_point(0.9, 0.5)
 
     def test_object_accounting(self):
-        sharded = ShardedMonitor(2, cells_per_axis=8)
+        sharded = PartitionedMonitor(2, cells_per_axis=8)
         sharded.load_objects([(1, (0.3, 0.5)), (2, (0.8, 0.5))])
         assert sharded.object_count == 2
         assert sharded.object_position(1) == (0.3, 0.5)
@@ -280,7 +264,7 @@ class TestProcessExecutor:
     def test_equivalence_and_cleanup(self):
         workload = small_workload(timestamps=5)
         _, ref_log = replay(CPMMonitor(cells_per_axis=16), workload)
-        with ShardedMonitor(
+        with PartitionedMonitor(
             2, cells_per_axis=16, executor=ProcessShardExecutor()
         ) as sharded:
             _, log = replay(sharded, workload)
@@ -290,7 +274,7 @@ class TestProcessExecutor:
     def test_worker_errors_propagate(self):
         executor = ProcessShardExecutor()
         try:
-            executor.start([ShardEngineFactory(8), ShardEngineFactory(8)])
+            executor.start([partial(CPMMonitor, 8)] * 2)
             with pytest.raises(ShardWorkerError, match="KeyError"):
                 executor.call(0, "remove_query", 12345)
         finally:
@@ -299,7 +283,7 @@ class TestProcessExecutor:
     def test_call_all_error_does_not_desync_protocol(self):
         executor = ProcessShardExecutor()
         try:
-            executor.start([ShardEngineFactory(8), ShardEngineFactory(8)])
+            executor.start([partial(CPMMonitor, 8)] * 2)
             # Shard 0 fails (k=0 is invalid), shard 1 succeeds; the healthy
             # reply must be drained so the next command still lines up.
             with pytest.raises(ShardWorkerError, match="shard 0"):
@@ -314,9 +298,9 @@ class TestProcessExecutor:
 
     def test_serial_executor_guards(self):
         executor = SerialShardExecutor()
-        executor.start([ShardEngineFactory(8)])
+        executor.start([partial(CPMMonitor, 8)])
         with pytest.raises(RuntimeError):
-            executor.start([ShardEngineFactory(8)])
+            executor.start([partial(CPMMonitor, 8)])
         with pytest.raises(ValueError):
             executor.call_all("result_table", [(), ()])
 
@@ -325,15 +309,17 @@ class TestStatsAggregation:
     def test_sharded_counters_feed_run_report(self):
         workload = small_workload(timestamps=4)
         single_report = replay_workload(CPMMonitor(cells_per_axis=16), workload)
-        sharded_report = replay_workload(ShardedMonitor(2, cells_per_axis=16), workload)
+        sharded_report = replay_workload(
+            PartitionedMonitor(2, cells_per_axis=16), workload
+        )
         assert sharded_report.total_cell_scans == single_report.total_cell_scans
-        # Maintenance is replicated to both shards: insert/delete counters
-        # double while the query-driven scan counters stay identical.
+        # Maintenance is counted once, on the coordinator store: the
+        # insert/delete counters match the single engine's too.
         single_ops = sum(c.stats.inserts + c.stats.deletes for c in single_report.cycles)
         sharded_ops = sum(
             c.stats.inserts + c.stats.deletes for c in sharded_report.cycles
         )
-        assert sharded_ops == 2 * single_ops
+        assert sharded_ops == single_ops
 
 
 class TestSubscriptionHub:
@@ -426,7 +412,7 @@ class TestMonitoringService:
 
     def test_server_streams_while_replaying(self):
         workload = small_workload(timestamps=4)
-        monitor = ShardedMonitor(2, cells_per_axis=16)
+        monitor = PartitionedMonitor(2, cells_per_axis=16)
         service = MonitoringService(monitor)
         timestamps = set()
         service.subscribe(lambda ts, d: timestamps.add(ts))

@@ -1,12 +1,13 @@
 """Property-based equivalence: typed query specs behave identically on
 the sharded service tier and a single CPM engine.
 
-PR 5 left the strategy-backed specs (constrained / range / filtered)
-single-engine only; the sharded tier now routes them to the shard owning
-the spec's anchor cell while replicating object maintenance (and the tag
-table) to every shard.  These tests pin the acceptance criterion: for
+The sharded tier routes the strategy-backed specs (constrained / range /
+filtered) to the shard owning the spec's anchor cell, replicates the tag
+table to every shard, and pulls the cells a search needs past the
+shard's block and halo.  These tests pin the acceptance criterion: for
 S ∈ {1, 2, 4}, installing any typed spec and replaying a moving workload
-produces byte-identical results and delta streams on both paths.
+produces byte-identical results, delta streams and counters on both
+paths.
 """
 
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from repro.core.cpm import CPMMonitor
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import WorkloadSpec
 from repro.service.executor import ProcessShardExecutor
-from repro.service.sharding import ShardedMonitor
+from repro.service.partition import PartitionedMonitor
 
 finite01 = st.floats(min_value=0.05, max_value=0.95)
 
@@ -84,7 +85,7 @@ def test_typed_specs_byte_identical_sharded_vs_single(shape):
     tags = tags_for(workload)
 
     single = CPMMonitor(cells_per_axis=shape["cells"])
-    sharded = ShardedMonitor(shape["n_shards"], cells_per_axis=shape["cells"])
+    sharded = PartitionedMonitor(shape["n_shards"], cells_per_axis=shape["cells"])
     for monitor in (single, sharded):
         monitor.load_objects(workload.initial_objects.items())
         monitor.set_object_tags(tags)
@@ -100,6 +101,8 @@ def test_typed_specs_byte_identical_sharded_vs_single(shape):
         got = sharded.process_deltas(batch.object_updates, [])
         assert got == expect, batch.timestamp
         assert sharded.result_table() == single.result_table(), batch.timestamp
+        assert sharded.stats.snapshot() == single.stats.snapshot(), batch.timestamp
+        sharded.check_invariants()
 
 
 def test_typed_specs_survive_process_shard_pickling():
@@ -122,7 +125,9 @@ def test_typed_specs_survive_process_shard_pickling():
     tags = tags_for(workload)
 
     single = CPMMonitor(cells_per_axis=8)
-    sharded = ShardedMonitor(2, cells_per_axis=8, executor=ProcessShardExecutor())
+    sharded = PartitionedMonitor(
+        2, cells_per_axis=8, executor=ProcessShardExecutor()
+    )
     try:
         for monitor in (single, sharded):
             monitor.load_objects(workload.initial_objects.items())
