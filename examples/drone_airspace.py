@@ -6,6 +6,9 @@ dimensionality".  Here a control tower continuously monitors the 3
 nearest drones in a 1 km x 1 km x 120 m airspace — a genuinely
 3-dimensional problem (vertical separation matters).
 
+The n-dimensional engine is the example package ``examples/ndim/``
+(imported as ``ndim``: a script's own directory is on ``sys.path``).
+
 Run:  python examples/drone_airspace.py
 """
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 
-from repro.ndim.cpm import NdCPMMonitor
+from ndim import NdCPMMonitor
 from repro.updates import ObjectUpdate
 
 AIRSPACE = [(0.0, 1000.0), (0.0, 1000.0), (0.0, 120.0)]  # meters

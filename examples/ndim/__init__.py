@@ -1,9 +1,9 @@
-"""n-dimensional CPM (footnote 3 of the paper).
+"""n-dimensional CPM: the footnote-3 demo behind ``drone_airspace.py``.
 
 "We focus on two-dimensional Euclidean spaces, but the proposed techniques
 can be applied to higher dimensionality and other distance metrics."
 
-This subpackage instantiates the *higher dimensionality* half of that
+This package instantiates the *higher dimensionality* half of that
 claim.  The conceptual partitioning generalizes from the 2D pinwheel to
 ``2d`` directions per level — for each axis ``a`` a positive and a
 negative *slab*.  The level-``l`` slab of axis ``a`` is the box of cells
@@ -17,19 +17,23 @@ perpendicular gap, so Lemma 3.1's ``+δ`` recurrence holds verbatim:
 
 Modules:
 
-* :mod:`repro.ndim.grid` — the d-dimensional regular grid;
-* :mod:`repro.ndim.partition` — the slab partition;
-* :mod:`repro.ndim.cpm` — a correctness-focused d-dimensional CPM monitor
+* :mod:`ndim.grid` — the d-dimensional regular grid;
+* :mod:`ndim.partition` — the slab partition;
+* :mod:`ndim.cpm` — a correctness-focused d-dimensional CPM monitor
   (search, re-computation, batched update handling with the
   incomers / out_count merge).
 
-The 2D package remains the optimized implementation used by the paper's
-experiments; this one trades constant factors for dimensional generality
-and is validated against brute force in 3 and 4 dimensions.
+It is an example, not part of the ``repro`` library: it imports nothing
+from ``repro`` and runs scalar Python only (no numpy path).  The
+library's 2-D engine (``repro.core.cpm``) is the optimized implementation
+used by the paper's experiments; this one trades constant factors for
+dimensional generality and is validated against brute force in 3 and 4
+dimensions.  Scripts in ``examples/`` import it as ``from ndim import
+NdCPMMonitor`` (a script's own directory is on ``sys.path``).
 """
 
-from repro.ndim.cpm import NdCPMMonitor
-from repro.ndim.grid import NdGrid
-from repro.ndim.partition import NdConceptualPartition
+from ndim.cpm import NdCPMMonitor
+from ndim.grid import NdGrid
+from ndim.partition import NdConceptualPartition
 
 __all__ = ["NdCPMMonitor", "NdConceptualPartition", "NdGrid"]

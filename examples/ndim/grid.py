@@ -1,31 +1,43 @@
 """d-dimensional regular grid index.
 
-The direct generalization of :class:`repro.grid.grid.Grid`: cells are
-addressed by integer coordinate tuples, cover half-open boxes of side
-``delta`` per dimension, carry query marks, and charge one *cell access*
-per object-list scan.
+The direct generalization of the library's 2-D grid: cells are addressed
+by integer coordinate tuples, cover half-open boxes of side ``delta`` per
+dimension, carry query marks, and charge one *cell access* per
+object-list scan.
 
-Cell storage is columnar, mirroring the 2-D grid: parallel ``oids`` /
-``pts`` lists plus an ``oid -> slot`` side index (append-insert,
-delete-by-swap, both expected O(1)).  The fused
-:meth:`NdGrid.scan_within` kernel computes every object distance in one
-comprehension; :meth:`NdGrid.scan` remains the dict compatibility view
-with identical accounting.
+Cell storage is columnar: parallel ``oids`` / ``pts`` lists plus an
+``oid -> slot`` side index (append-insert, delete-by-swap, both expected
+O(1)).  :meth:`NdGrid.scan_within` computes every object distance in one
+comprehension; there is no vectorized variant.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
-
-from repro.grid.kernels import VEC_MIN_OCCUPANCY, accelerators, within_nd
-from repro.grid.stats import GridStats
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 
 NdPoint = tuple[float, ...]
 NdCell = tuple[int, ...]
 
 _EMPTY_OBJECTS: dict[int, NdPoint] = {}
 _EMPTY_MARKS: frozenset[int] = frozenset()
+
+
+@dataclass(slots=True)
+class NdGridStats:
+    """Access counters: ``cell_scans`` counts complete object-list scans
+    (the paper's cell accesses), ``objects_scanned`` the objects they met."""
+
+    cell_scans: int = 0
+    objects_scanned: int = 0
+    inserts: int = 0
+    deletes: int = 0
+    mark_ops: int = 0
+
+    def reset(self) -> None:
+        self.cell_scans = self.objects_scanned = 0
+        self.inserts = self.deletes = self.mark_ops = 0
 
 
 class _NdCellColumns:
@@ -37,9 +49,6 @@ class _NdCellColumns:
         self.oids: list[int] = []
         self.pts: list[NdPoint] = []
         self.slot: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.oids)
 
     def insert(self, oid: int, point: NdPoint) -> None:
         self.slot[oid] = len(self.oids)
@@ -54,9 +63,6 @@ class _NdCellColumns:
             self.oids[idx] = last_oid
             self.pts[idx] = last_pt
             self.slot[last_oid] = idx
-
-    def as_dict(self) -> dict[int, NdPoint]:
-        return dict(zip(self.oids, self.pts))
 
 
 class NdGrid:
@@ -79,7 +85,6 @@ class NdGrid:
         "_cells",
         "_marks",
         "_n_objects",
-        "_vec_within_nd",
     )
 
     def __init__(
@@ -106,14 +111,10 @@ class NdGrid:
         self.boundary_epsilon = 1e-12 * (
             1.0 + sum(abs(lo) + abs(hi) for lo, hi in bounds)
         )
-        self.stats = GridStats()
+        self.stats = NdGridStats()
         self._cells: dict[NdCell, _NdCellColumns] = {}
         self._marks: dict[NdCell, set[int]] = {}
         self._n_objects = 0
-        # d-dimensional cells keep rows as point tuples; the optional
-        # numpy kernel (None without numpy) copies them into a matrix, so
-        # it only pays off from the crossover occupancy up.
-        self._vec_within_nd = accelerators().within_nd
 
     # ------------------------------------------------------------------
     # Addressing
@@ -135,9 +136,6 @@ class NdGrid:
                 idx = self.cells_per_axis - 1
             cell.append(idx)
         return tuple(cell)
-
-    def in_bounds(self, cell: NdCell) -> bool:
-        return all(0 <= c < self.cells_per_axis for c in cell)
 
     def cell_extent(self, cell: NdCell, axis: int) -> tuple[float, float]:
         """``(lo, hi)`` extent of a cell along one axis (last cell reaches
@@ -209,54 +207,36 @@ class NdGrid:
         self.stats.deletes += 1
         return coord
 
-    def bulk_load(self, objects: Iterable[tuple[int, NdPoint]]) -> None:
-        for oid, point in objects:
-            self.insert(oid, point)
-
-    def scan(self, cell: NdCell) -> dict[int, NdPoint]:
-        """Scan a cell's object list — charges one cell access.
-
-        Dict compatibility view (a fresh snapshot per call); the hot path
-        is the fused :meth:`scan_within` kernel, which charges
-        identically.
-        """
-        columns = self._cells.get(cell)
-        self.stats.cell_scans += 1
-        if columns is None:
-            return _EMPTY_OBJECTS
-        self.stats.objects_scanned += len(columns.oids)
-        return columns.as_dict()
-
     def peek(self, cell: NdCell) -> dict[int, NdPoint]:
         """Object list of a cell *without* charging a cell access.
 
-        Tests/diagnostics only — algorithm code must go through
-        :meth:`scan` or :meth:`scan_within` (mirrors the 2-D grid).
+        Tests/diagnostics only — the monitor goes through
+        :meth:`scan_within`.
         """
         columns = self._cells.get(cell)
         if columns is None:
             return _EMPTY_OBJECTS
-        return columns.as_dict()
+        return dict(zip(columns.oids, columns.pts))
 
     def scan_within(
         self, cell: NdCell, q: NdPoint, r: float
     ) -> list[tuple[float, int]]:
         """Fused scan-and-filter: ``(dist, oid)`` pairs with ``dist <= r``.
 
-        One charged cell access with the same accounting as :meth:`scan`
-        (the whole cell population counts as scanned; the bound prunes
-        candidates, not cost).  ``r = inf`` returns every object.
+        One charged cell access; the whole cell population counts as
+        scanned (the bound prunes candidates, not cost).  ``r = inf``
+        returns every object.
         """
         columns = self._cells.get(cell)
         self.stats.cell_scans += 1
         if columns is None:
             return []
-        oids = columns.oids
-        self.stats.objects_scanned += len(oids)
-        vec = self._vec_within_nd
-        if vec is not None and len(oids) >= VEC_MIN_OCCUPANCY:
-            return vec(oids, columns.pts, q, r)
-        return within_nd(oids, columns.pts, q, r)
+        self.stats.objects_scanned += len(columns.oids)
+        return [
+            (d, oid)
+            for oid, p in zip(columns.oids, columns.pts)
+            if (d := math.dist(p, q)) <= r
+        ]
 
     def __len__(self) -> int:
         return self._n_objects
@@ -287,15 +267,6 @@ class NdGrid:
     def marks(self, cell: NdCell) -> frozenset[int] | set[int]:
         return self._marks.get(cell, _EMPTY_MARKS)
 
-    def marked_cells(self, qid: int) -> list[NdCell]:
-        return [cell for cell, marks in self._marks.items() if qid in marks]
-
     @property
     def total_marks(self) -> int:
         return sum(len(m) for m in self._marks.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"NdGrid(d={self.dimensions}, {self.cells_per_axis}^d cells, "
-            f"objects={self._n_objects})"
-        )

@@ -184,8 +184,10 @@ class CPMMonitor(ContinuousMonitor):
         Per query: ``nn._entries`` is sorted and is the same oid ->
         distance relation as ``nn._dists`` (the stale window of update
         handling is closed), at most k entries, ``best_dist`` is the k-th
-        distance, and every NN lies in a cell marked for the query (the
-        tie rule of :meth:`_apply_flat_rows`).  Per object: the cell the
+        distance, every NN lies in a cell marked for the query (the
+        tie rule of :meth:`_apply_flat_rows`), and the visit keys are
+        non-decreasing (:meth:`QueryState.reconcile_marks` bisects
+        them).  Per object: the cell the
         object->cell map names holds the object in its slot table, and
         those cells hold no other objects (their slot counts sum to the
         size of the map).
@@ -228,6 +230,13 @@ class CPMMonitor(ContinuousMonitor):
                     raise AssertionError(
                         f"query {qid}: NN {oid} lies in unmarked cell "
                         f"{grid.unpack(object_cells[oid])}"
+                    )
+            keys = state.visit_keys
+            for pos in range(1, len(keys)):
+                if keys[pos] < keys[pos - 1]:
+                    raise AssertionError(
+                        f"query {qid}: visit key {keys[pos]!r} at position "
+                        f"{pos} is below its predecessor {keys[pos - 1]!r}"
                     )
 
     # ------------------------------------------------------------------
@@ -363,7 +372,7 @@ class CPMMonitor(ContinuousMonitor):
             for direction in DIRECTIONS:
                 if partition.exists(direction, 0):
                     heap.push_rect(
-                        strategy.strip_key0(grid, partition, direction), direction, 0
+                        strategy.strip_key(grid, partition, direction, 0), direction, 0
                     )
 
     def _run_search(self, state: QueryState) -> None:
@@ -386,7 +395,6 @@ class CPMMonitor(ContinuousMonitor):
         heap = state.heap
         nn = state.nn
         partition = state.partition
-        step = strategy.level_step(grid)
         is_point = state.is_point
         qx = state.qx
         qy = state.qy
@@ -630,7 +638,13 @@ class CPMMonitor(ContinuousMonitor):
                     if strategy.cell_allowed(grid, i, j):
                         heap.push_cell(strategy.cell_key(grid, i, j), i, j)
                 if partition.exists(direction, level + 1):
-                    heap.push_rect(key + step, direction, level + 1)
+                    # Keyed directly, not by ``key + level_step``: see
+                    # QueryStrategy (the point path's ``gap`` above).
+                    heap.push_rect(
+                        strategy.strip_key(grid, partition, direction, level + 1),
+                        direction,
+                        level + 1,
+                    )
         if n_scans:
             stats.cell_scans += n_scans
             stats.objects_scanned += n_objs

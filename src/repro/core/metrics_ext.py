@@ -98,6 +98,19 @@ class MinkowskiNNStrategy(QueryStrategy):
             dy = self.y - y1
         else:
             dy = 0.0
+        return self._norm(dx, dy)
+
+    def strip_key(
+        self, grid: Grid, partition: ConceptualPartition, direction: int, level: int = 0
+    ) -> float:
+        """The perpendicular gap — metric-independent, since the arm spans
+        the query's projection (one axis gap is zero) — put through the
+        same norm expression as :meth:`cell_key`, so it never exceeds the
+        key of a strip cell (for ``L1``/``L2``/``Linf`` it is the gap)."""
+        gap = _perpendicular_gap(grid, partition, direction, level, self.x, self.y)
+        return self._norm(0.0, max(0.0, gap))
+
+    def _norm(self, dx: float, dy: float) -> float:
         p = self.p
         if p is None:
             return dx if dx > dy else dy
@@ -106,13 +119,6 @@ class MinkowskiNNStrategy(QueryStrategy):
         if p == 2.0:
             return math.hypot(dx, dy)
         return (dx**p + dy**p) ** (1.0 / p)
-
-    def strip_key0(
-        self, grid: Grid, partition: ConceptualPartition, direction: int
-    ) -> float:
-        """The perpendicular gap — metric-independent, since the arm spans
-        the query's projection (one axis gap is zero)."""
-        return max(0.0, _perpendicular_gap(grid, partition, direction, self.x, self.y))
 
     def level_step(self, grid: Grid) -> float:
         return grid.delta

@@ -20,7 +20,7 @@ Hence the *touched-until-finalize* invariant of :mod:`repro.core.cpm`:
 from a query's first touch in a cycle until its finalize, ``_dists`` is
 live and ``_entries`` is still the intact pre-cycle result, so nothing may
 read ``entries()`` / ``kth_dist`` / ``len()`` of a touched query before
-then (membership, ``in`` / ``dist_of``, reads the live map and is fine).
+then (membership, ``in``, reads the live map and is fine).
 """
 
 from __future__ import annotations
@@ -80,17 +80,9 @@ class NeighborList:
             return _INF
         return self._entries[self.k - 1][0]
 
-    def dist_of(self, oid: int) -> float:
-        """Current stored distance of a member (KeyError when absent)."""
-        return self._dists[oid]
-
     def entries(self) -> list[ResultEntry]:
         """Copy of the entries in ascending ``(dist, oid)`` order."""
         return list(self._entries)
-
-    def worst(self) -> ResultEntry:
-        """The current k-th (last) entry (IndexError when empty)."""
-        return self._entries[-1]
 
     # ------------------------------------------------------------------
     # Mutations

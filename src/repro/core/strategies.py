@@ -42,11 +42,17 @@ from repro.grid.grid import Grid
 class QueryStrategy(ABC):
     """Geometry of one continuous query, as seen by the CPM engine.
 
-    All keys returned by :meth:`cell_key` / :meth:`strip_key0` must be
+    All keys returned by :meth:`cell_key` / :meth:`strip_key` must be
     *lower bounds* on :meth:`dist` of any accepted object inside the
     corresponding region, and the level-``l`` strip key must equal
-    ``strip_key0 + l * level_step`` — these two facts are exactly what the
-    correctness proof of Section 3.1 needs.
+    ``strip_key(0) + l * level_step`` — these two facts are exactly what
+    the correctness proof of Section 3.1 needs.
+
+    The engine asks for every level's strip key directly rather than
+    accumulating ``+ level_step``: a strip key computed with the float
+    expressions its cells' keys use never exceeds those keys, so cells
+    leave the heap in key order and the visit list stays sorted (an
+    accumulated key can overshoot its cells by an ulp).
     """
 
     __slots__ = ()
@@ -75,8 +81,10 @@ class QueryStrategy(ABC):
         """Search key of cell ``c_{i,j}`` (``mindist`` / ``amindist``)."""
 
     @abstractmethod
-    def strip_key0(self, grid: Grid, partition: ConceptualPartition, direction: int) -> float:
-        """Search key of the level-0 rectangle of ``direction``."""
+    def strip_key(
+        self, grid: Grid, partition: ConceptualPartition, direction: int, level: int = 0
+    ) -> float:
+        """Search key of the level-``level`` rectangle of ``direction``."""
 
     @abstractmethod
     def level_step(self, grid: Grid) -> float:
@@ -117,17 +125,19 @@ class PointNNStrategy(QueryStrategy):
     def cell_key(self, grid: Grid, i: int, j: int) -> float:
         return grid.mindist_xy(i, j, self.x, self.y)
 
-    def strip_key0(
-        self, grid: Grid, partition: ConceptualPartition, direction: int
+    def strip_key(
+        self, grid: Grid, partition: ConceptualPartition, direction: int, level: int = 0
     ) -> float:
-        """Perpendicular distance from ``q`` to the inner edge of ``DIR_0``.
+        """Perpendicular distance from ``q`` to the inner edge of ``DIR_level``.
 
         Valid because every arm spans the query's projection on its axis
         (see :mod:`repro.core.partition`), hence ``mindist`` degenerates to
         the perpendicular component.  Clamped at zero against floating-point
         jitter when ``q`` sits exactly on a cell edge.
         """
-        return max(0.0, _perpendicular_gap(grid, partition, direction, self.x, self.y))
+        return max(
+            0.0, _perpendicular_gap(grid, partition, direction, level, self.x, self.y)
+        )
 
     def level_step(self, grid: Grid) -> float:
         return grid.delta
@@ -171,19 +181,19 @@ class AggregateNNStrategy(QueryStrategy):
         ``adist(p, Q)`` of any object ``p`` in the cell."""
         return self.fn(grid.mindist_xy(i, j, qx, qy) for qx, qy in self.points)
 
-    def strip_key0(
-        self, grid: Grid, partition: ConceptualPartition, direction: int
+    def strip_key(
+        self, grid: Grid, partition: ConceptualPartition, direction: int, level: int = 0
     ) -> float:
-        """``amindist(DIR_0, Q)`` as the aggregate of perpendicular gaps.
+        """``amindist(DIR_level, Q)`` as the aggregate of perpendicular gaps.
 
         Every arm spans the projection of the whole MBR (hence of every
-        ``q_i``), so each individual ``mindist(DIR_0, q_i)`` is the
+        ``q_i``), so each individual ``mindist(DIR_level, q_i)`` is the
         perpendicular gap of ``q_i``.  For ``min``/``max`` this realizes the
         paper's O(1) observation — the aggregate reduces to the gap of the
         closest/farthest MBR edge — computed here uniformly in O(m).
         """
         return self.fn(
-            max(0.0, _perpendicular_gap(grid, partition, direction, qx, qy))
+            max(0.0, _perpendicular_gap(grid, partition, direction, level, qx, qy))
             for qx, qy in self.points
         )
 
@@ -229,10 +239,10 @@ class ConstrainedStrategy(QueryStrategy):
     def cell_key(self, grid: Grid, i: int, j: int) -> float:
         return self.inner.cell_key(grid, i, j)
 
-    def strip_key0(
-        self, grid: Grid, partition: ConceptualPartition, direction: int
+    def strip_key(
+        self, grid: Grid, partition: ConceptualPartition, direction: int, level: int = 0
     ) -> float:
-        return self.inner.strip_key0(grid, partition, direction)
+        return self.inner.strip_key(grid, partition, direction, level)
 
     def level_step(self, grid: Grid) -> float:
         return self.inner.level_step(grid)
@@ -310,10 +320,10 @@ class FilteredStrategy(QueryStrategy):
     def cell_key(self, grid: Grid, i: int, j: int) -> float:
         return self.inner.cell_key(grid, i, j)
 
-    def strip_key0(
-        self, grid: Grid, partition: ConceptualPartition, direction: int
+    def strip_key(
+        self, grid: Grid, partition: ConceptualPartition, direction: int, level: int = 0
     ) -> float:
-        return self.inner.strip_key0(grid, partition, direction)
+        return self.inner.strip_key(grid, partition, direction, level)
 
     def level_step(self, grid: Grid) -> float:
         return self.inner.level_step(grid)
@@ -338,16 +348,29 @@ class FilteredStrategy(QueryStrategy):
 
 
 def _perpendicular_gap(
-    grid: Grid, partition: ConceptualPartition, direction: int, x: float, y: float
+    grid: Grid,
+    partition: ConceptualPartition,
+    direction: int,
+    level: int,
+    x: float,
+    y: float,
 ) -> float:
-    """Distance from ``(x, y)`` to the inner edge of the level-0 strip of
-    ``direction`` around the partition's core block."""
+    """Distance from ``(x, y)`` to the inner edge of the level-``level``
+    strip of ``direction`` around the partition's core block.
+
+    The edge is spelled exactly as :meth:`Grid.mindist_xy` and
+    :meth:`Grid.cell_rect` spell the strip cells' near edge (a lower row's
+    top edge is ``y0 + delta``), so the gap equals the perpendicular
+    component of those cells' mindist, bit for bit.
+    """
+    bounds = grid.bounds
+    delta = grid.delta
     if direction == UP:
-        return grid.bounds.y0 + (partition.j_hi + 1) * grid.delta - y
+        return bounds.y0 + (partition.j_hi + 1 + level) * delta - y
     if direction == DOWN:
-        return y - (grid.bounds.y0 + partition.j_lo * grid.delta)
+        return y - (bounds.y0 + (partition.j_lo - 1 - level) * delta + delta)
     if direction == RIGHT:
-        return grid.bounds.x0 + (partition.i_hi + 1) * grid.delta - x
+        return bounds.x0 + (partition.i_hi + 1 + level) * delta - x
     if direction == LEFT:
-        return x - (grid.bounds.x0 + partition.i_lo * grid.delta)
+        return x - (bounds.x0 + (partition.i_lo - 1 - level) * delta + delta)
     raise ValueError(f"unknown direction {direction}")

@@ -10,8 +10,8 @@ Byte-identity contract
 
 Every kernel here returns *exactly* what its scalar reference
 (:func:`repro.grid.kernels.within` and friends) returns: same candidate
-set, same ``(dist, oid)`` tuples (distances computed by ``math.hypot`` /
-``math.dist``, not ``numpy.hypot`` — the two may differ in the last ulp),
+set, same ``(dist, oid)`` tuples (distances computed by ``math.hypot``,
+not ``numpy.hypot`` — the two may differ in the last ulp),
 same column order.  The vectorization is a *prefilter*: a squared-distance
 pass with a conservative relative slack selects the survivors (a strict
 superset of the true hits — squared compare in float64 loses at most a few
@@ -28,7 +28,7 @@ backing buffer, so a held view could go stale.
 
 from __future__ import annotations
 
-from math import dist as _dist, hypot as _hypot, inf as _INF, isfinite
+from math import hypot as _hypot
 
 import numpy as np
 
@@ -101,33 +101,3 @@ def batch_cell_ids(
         cids = cids[np.frombuffer(skip, dtype=np.uint8) == 0]
     return cids.tolist()
 
-
-def within_nd(
-    oids, pts, q, r: float
-) -> list[tuple[float, int]]:
-    """Vectorized twin of :func:`repro.grid.kernels.within_nd`.
-
-    The d-dimensional cells store rows as point tuples, so this pass
-    *copies* into a matrix before filtering (not zero-copy like the 2-D
-    kernels); it still wins once the population crosses the crossover
-    because the per-row squared distance runs in one vector expression.
-    """
-    if not oids:
-        return []
-    mat = np.asarray(pts, dtype=np.float64)
-    diff = mat - np.asarray(q, dtype=np.float64)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    if not isfinite(r) or r >= _MAX_SQUARE_BOUND:
-        if r == _INF or r != r or r >= _MAX_SQUARE_BOUND:
-            idx = range(len(oids))
-        else:  # -inf: nothing can match
-            return []
-    else:
-        idx = np.nonzero(d2 <= r * r * _SLACK)[0].tolist()
-    out = []
-    append = out.append
-    for i in idx:
-        d = _dist(pts[i], q)
-        if d <= r:
-            append((d, oids[i]))
-    return out

@@ -20,8 +20,7 @@ Python.
 Three kernel shapes make up the public scan surface:
 
 * :func:`within` — fused distance + radius filter, returning ready-made
-  ``(dist, oid)`` result entries (:func:`within_nd` is its d-dimensional
-  sibling, consumed by ``repro.ndim``);
+  ``(dist, oid)`` result entries;
 * :func:`best_k` — ``within`` plus sort-and-truncate, for callers that
   want a cell's local top-k;
 * the raw columns themselves (``CellColumns`` attributes / the grid's
@@ -43,10 +42,11 @@ numpy acceleration
 
 There is one storage — ``array('d')`` coordinate columns, contiguous
 float64 buffers ``np.frombuffer`` maps zero-copy — and one scalar
-implementation of every scan.  Where numpy imports,
+implementation of every scan, all two-dimensional (the n-dimensional
+CPM example carries its own scalar scan).  Where numpy imports,
 :func:`accelerators` additionally offers vectorized twins
-(:mod:`repro.grid._numpy_kernels`) that the grids bind at construction
-and call only past two measured crossovers: a cell scan from
+(:mod:`repro.grid._numpy_kernels`) that :class:`repro.grid.grid.Grid`
+binds at construction and calls only past two measured crossovers: a cell scan from
 :data:`VEC_MIN_OCCUPANCY` objects, batch cell addressing from
 :data:`VEC_MIN_BATCH` rows.  Nothing selects them but those two sizes
 and whether numpy is importable; their results are byte-identical to the
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cache
-from math import dist as _dist, hypot as _hypot
+from math import hypot as _hypot
 from typing import Callable, NamedTuple, Optional
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "accelerators",
     "within",
     "best_k",
-    "within_nd",
 ]
 
 
@@ -183,8 +182,6 @@ class Accelerators(NamedTuple):
     #: ``batch_cell_ids(xs, ys, x0, y0, delta, cols_1, rows_1, rows,
     #: skip)``: the packed cell id of every row of a coordinate column pair.
     batch_cell_ids: Optional[Callable] = None
-    #: ``within_nd(oids, pts, q, r)``: the d-dimensional ``within``.
-    within_nd: Optional[Callable] = None
 
 
 @cache
@@ -195,7 +192,7 @@ def accelerators() -> Accelerators:
         from repro.grid import _numpy_kernels as nk
     except ImportError:
         return Accelerators()
-    return Accelerators(nk.within_cell, nk.batch_cell_ids, nk.within_nd)
+    return Accelerators(nk.within_cell, nk.batch_cell_ids)
 
 
 def within(
@@ -239,14 +236,3 @@ def best_k(
         hits.sort()
     return hits[:k]
 
-
-def within_nd(
-    oids: list[int],
-    pts: list[tuple[float, ...]],
-    q: tuple[float, ...],
-    r: float,
-) -> list[tuple[float, int]]:
-    """d-dimensional :func:`within` over an ``oids`` / ``pts`` column pair."""
-    return [
-        (d, oid) for oid, p in zip(oids, pts) if (d := _dist(p, q)) <= r
-    ]

@@ -9,7 +9,6 @@ from unittest import mock
 import pytest
 
 import repro.grid.grid as grid_module
-import repro.ndim.grid as ndgrid_module
 from repro.grid.grid import Grid
 from repro.grid.kernels import Accelerators
 
@@ -43,10 +42,7 @@ def scalar_kernels():
     has to cover the constructor call.  This is the one place the scalar
     path is *selected* — nothing under ``src/`` can ask for it.
     """
-    with (
-        mock.patch.object(grid_module, "accelerators", Accelerators),
-        mock.patch.object(ndgrid_module, "accelerators", Accelerators),
-    ):
+    with mock.patch.object(grid_module, "accelerators", Accelerators):
         yield
 
 

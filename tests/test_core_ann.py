@@ -195,3 +195,17 @@ class TestAnnInfluenceRegion:
             assert min(
                 monitor.grid.mindist(i, j, q) for q in points
             ) <= best + 1e-12
+
+
+class TestVisitListOrder:
+    def test_strip_keys_do_not_overshoot_their_cells(self):
+        """Regression: the engine once keyed level ``l + 1`` of a strip as
+        ``key + level_step``; here that sum overshot the strip's cells by
+        an ulp, so a cell left the heap below an earlier key and the visit
+        list that ``reconcile_marks`` bisects came out unsorted."""
+        monitor = CPMMonitor(cells_per_axis=10)
+        monitor.load_objects([(0, (1.0, 0.3)), (1, (0.6, 0.9))])
+        monitor.install_ann_query(0, [(0.8, 0.0)], k=1, fn="max")
+        keys = monitor.query_state(0).visit_keys
+        assert keys == sorted(keys)
+        monitor.check_invariants()

@@ -82,7 +82,7 @@ class TestStrategyValidation:
             for direction in DIRECTIONS:
                 if not part.exists(direction, 0):
                     continue
-                key = s.strip_key0(grid, part, direction)
+                key = s.strip_key(grid, part, direction)
                 level = 0
                 while part.exists(direction, level):
                     for i, j in part.strip_cells(direction, level):

@@ -77,13 +77,8 @@ class TestMembership:
         nn = NeighborList(2)
         nn.add(0.4, 7)
         assert 7 in nn
-        assert nn.dist_of(7) == 0.4
+        assert nn._dists[7] == 0.4
         assert 8 not in nn
-
-    def test_dist_of_missing_raises(self):
-        nn = NeighborList(2)
-        with pytest.raises(KeyError):
-            nn.dist_of(1)
 
     def test_len_and_iter(self):
         nn = NeighborList(3)
@@ -91,12 +86,6 @@ class TestMembership:
         nn.add(0.1, 2)
         assert len(nn) == 2
         assert list(nn) == [(0.1, 2), (0.2, 1)]
-
-    def test_worst(self):
-        nn = NeighborList(3)
-        nn.add(0.2, 1)
-        nn.add(0.9, 2)
-        assert nn.worst() == (0.9, 2)
 
 
 class TestMerge:
@@ -115,7 +104,7 @@ class TestMerge:
         nn._dists[1] = 0.25
         nn.merge({})
         assert nn.entries() == [(0.2, 2), (0.25, 1), (0.3, 3)]
-        assert nn.dist_of(1) == 0.25
+        assert nn._dists[1] == 0.25
 
     def test_entries_stay_pre_cycle_until_merge(self):
         nn = self.filled(2, (0.1, 1), (0.2, 2))

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.metrics_ext import MinkowskiNNStrategy
 from repro.core.partition import DIRECTIONS, DOWN, LEFT, RIGHT, UP
 from repro.core.strategies import (
     AggregateNNStrategy,
@@ -43,19 +44,19 @@ class TestPointNNStrategy:
         # q at (0.30, 0.70): cell (2, 5) covers [0.25,0.375)x[0.625,0.75).
         s = PointNNStrategy(0.30, 0.70)
         part = s.partition(grid)
-        assert s.strip_key0(grid, part, UP) == pytest.approx(0.75 - 0.70)
-        assert s.strip_key0(grid, part, DOWN) == pytest.approx(0.70 - 0.625)
-        assert s.strip_key0(grid, part, RIGHT) == pytest.approx(0.375 - 0.30)
-        assert s.strip_key0(grid, part, LEFT) == pytest.approx(0.30 - 0.25)
+        assert s.strip_key(grid, part, UP) == pytest.approx(0.75 - 0.70)
+        assert s.strip_key(grid, part, DOWN) == pytest.approx(0.70 - 0.625)
+        assert s.strip_key(grid, part, RIGHT) == pytest.approx(0.375 - 0.30)
+        assert s.strip_key(grid, part, LEFT) == pytest.approx(0.30 - 0.25)
 
     def test_opposite_strip_keys_sum_to_delta(self, grid):
         # As in the Figure 3.2a example: U0+D0 = L0+R0 = delta.
         s = PointNNStrategy(0.41, 0.83)
         part = s.partition(grid)
-        up = s.strip_key0(grid, part, UP)
-        down = s.strip_key0(grid, part, DOWN)
-        left = s.strip_key0(grid, part, LEFT)
-        right = s.strip_key0(grid, part, RIGHT)
+        up = s.strip_key(grid, part, UP)
+        down = s.strip_key(grid, part, DOWN)
+        left = s.strip_key(grid, part, LEFT)
+        right = s.strip_key(grid, part, RIGHT)
         assert up + down == pytest.approx(grid.delta)
         assert left + right == pytest.approx(grid.delta)
 
@@ -65,7 +66,7 @@ class TestPointNNStrategy:
         part = s.partition(grid)
         step = s.level_step(grid)
         for direction in DIRECTIONS:
-            key = s.strip_key0(grid, part, direction)
+            key = s.strip_key(grid, part, direction)
             level = 0
             while part.exists(direction, level):
                 for i, j in part.strip_cells(direction, level):
@@ -139,7 +140,7 @@ class TestAggregateNNStrategy:
             for direction in DIRECTIONS:
                 if not part.exists(direction, 0):
                     continue
-                key = s.strip_key0(grid, part, direction)
+                key = s.strip_key(grid, part, direction)
                 level = 0
                 while part.exists(direction, level):
                     for i, j in part.strip_cells(direction, level):
@@ -167,8 +168,8 @@ class TestAggregateNNStrategy:
         assert ann.core_range(grid) == nn.core_range(grid)
         part = ann.partition(grid)
         for direction in DIRECTIONS:
-            assert ann.strip_key0(grid, part, direction) == pytest.approx(
-                nn.strip_key0(grid, part, direction)
+            assert ann.strip_key(grid, part, direction) == pytest.approx(
+                nn.strip_key(grid, part, direction)
             )
 
     def test_reference_point_is_mbr_center(self):
@@ -210,3 +211,38 @@ class TestConstrainedStrategy:
         assert s.accepts(0.4, 0.4)
         assert not s.accepts(0.6, 0.4)
         assert s.level_step(grid) == grid.delta
+
+
+LATTICE = [i / 10 for i in range(11)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x, y: PointNNStrategy(x, y),
+        lambda x, y: AggregateNNStrategy([(x, y), (0.35, 0.6)], "sum"),
+        lambda x, y: AggregateNNStrategy([(x, y), (0.35, 0.6)], "min"),
+        lambda x, y: AggregateNNStrategy([(x, y)], "max"),
+        lambda x, y: MinkowskiNNStrategy(x, y, "l1"),
+        lambda x, y: MinkowskiNNStrategy(x, y, "linf"),
+        lambda x, y: MinkowskiNNStrategy(x, y, 3.0),
+    ],
+    ids=["nn", "ann-sum", "ann-min", "ann-max", "l1", "linf", "l3"],
+)
+def test_strip_keys_never_exceed_their_cells(make):
+    """Every level's strip key lower-bounds its cells' keys *exactly* (no
+    tolerance) for queries on lattice points, where cell edges and query
+    coordinates coincide and rounding decides ties — the order the search
+    heap relies on to keep the visit list sorted."""
+    grid = Grid(10)
+    for x in LATTICE:
+        for y in LATTICE:
+            s = make(x, y)
+            part = s.partition(grid)
+            for direction in DIRECTIONS:
+                level = 0
+                while part.exists(direction, level):
+                    key = s.strip_key(grid, part, direction, level)
+                    for i, j in part.strip_cells(direction, level):
+                        assert s.cell_key(grid, i, j) >= key, (x, y, direction, level)
+                    level += 1

@@ -1,5 +1,6 @@
 """Smoke tests: every example script runs cleanly and verifies itself."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -96,3 +97,43 @@ class TestExamples:
             "remote_dashboard.py",
             "streaming_feed.py",
         } <= present
+
+
+def test_ndim_example_imports_no_engine_module():
+    """``examples/ndim/`` stands alone: importing it — and running a
+    search and a cycle — loads neither the 2-D engine (``repro.core``)
+    nor its scan kernels, even where ``repro`` itself is importable."""
+    code = (
+        "import sys\n"
+        "from types import SimpleNamespace\n"
+        "from ndim import NdCPMMonitor\n"
+        "m = NdCPMMonitor(4, dimensions=3)\n"
+        "m.load_objects([(1, (0.1, 0.2, 0.3))])\n"
+        "m.install_query(0, (0.5, 0.5, 0.5), 1)\n"
+        "m.process([SimpleNamespace(oid=1, old=(0.1, 0.2, 0.3), new=(0.5, 0.5, 0.4))])\n"
+        "assert m.result(0)[0][1] == 1\n"
+        "print(sorted(name for name in sys.modules if name.startswith('repro.core')"
+        " or name in ('repro.grid.kernels', 'repro.grid._numpy_kernels')))\n"
+    )
+    src = EXAMPLES.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(EXAMPLES), str(src)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_ndim_visit_list_stays_sorted():
+    """Regression: the n-dimensional search once keyed slab ``l + 1`` as
+    ``key + δ``; on these queries the sum overshot the slab's cells by an
+    ulp and the visit list its mark reconciliation bisects came out
+    unsorted."""
+    from ndim import NdCPMMonitor
+
+    for d in (2, 3):
+        monitor = NdCPMMonitor(cells_per_axis=10, dimensions=d)
+        monitor.load_objects([(0, (0.9, 0.1, 0.3)[:d])])
+        monitor.install_query(0, (0.4, 0.1, 0.3)[:d], 1)
+        keys = monitor._queries[0].visit_keys
+        assert keys == sorted(keys), d

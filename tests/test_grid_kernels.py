@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.grid.grid import Grid
-from repro.grid.kernels import CellColumns, best_k, within, within_nd
+from repro.grid.kernels import CellColumns, best_k, within
 
 
 class TestCellColumns:
@@ -94,12 +94,6 @@ class TestKernels:
         top = best_k(cell.oids, cell.xs, cell.ys, 0.0, 0.0, 5, 0.1)
         assert top == [(0.0, 1)]
 
-    def test_within_nd(self):
-        oids = [1, 2]
-        pts = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)]
-        hits = within_nd(oids, pts, (0.0, 0.0, 0.0), 0.5)
-        assert hits == [(0.0, 1)]
-
 
 def _run_python(code: str) -> str:
     done = subprocess.run(
@@ -126,10 +120,9 @@ class TestNumpyIsOptional:
             "import sys; sys.modules['numpy'] = None\n"
             "from repro.grid.grid import Grid\n"
             "from repro.grid.kernels import accelerators\n"
-            "from repro.ndim.grid import NdGrid\n"
-            "g, nd = Grid(1), NdGrid(1, dimensions=2)\n"
+            "g = Grid(1)\n"
             "assert set(accelerators()) == {None}\n"
-            "assert g._vec_within is g._vec_cell_ids is nd._vec_within_nd is None\n"
+            "assert g._vec_within is g._vec_cell_ids is None\n"
             "for oid in range(200): g.insert(oid, oid / 200, 0.5)\n"
             "print(len(g.scan_within(0, 0.5, 0.5, 0.25)),"
             " g.batch_cell_ids([0.1] * 200, [0.9] * 200) == [0] * 200)"

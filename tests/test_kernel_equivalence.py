@@ -197,31 +197,25 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 )
 @settings(max_examples=30, deadline=None)
 def test_scan_front_ends_match_scalar_in_a_crowded_cell(pts, q, pick, k):
-    """``Grid.scan_within`` / ``scan_best_k`` and ``NdGrid.scan_within``
-    over one cell holding at least ``VEC_MIN_OCCUPANCY`` objects: same
-    hits, same order and same counters as the scalar construction — at
-    an unbounded radius, at zero, and at a radius *equal* to one object's
-    distance (the closed bound the prefilter's slack must not lose)."""
+    """``Grid.scan_within`` / ``scan_best_k`` over one cell holding at
+    least ``VEC_MIN_OCCUPANCY`` objects: same hits, same order and same
+    counters as the scalar construction — at an unbounded radius, at
+    zero, and at a radius *equal* to one object's distance (the closed
+    bound the prefilter's slack must not lose)."""
     from math import dist, inf
 
-    from repro.ndim.grid import NdGrid
-
-    fast, fast_nd = Grid(1), NdGrid(1, dimensions=2)
+    fast = Grid(1)
     with scalar_kernels():
-        ref, ref_nd = Grid(1), NdGrid(1, dimensions=2)
+        ref = Grid(1)
     for oid, (x, y) in enumerate(pts):
         for grid in (fast, ref):
             grid.insert(oid, x, y)
-        for grid in (fast_nd, ref_nd):
-            grid.insert(oid, (x, y))
     for r in (inf, 0.0, dist(pts[pick], q)):
         assert fast.scan_within(0, q[0], q[1], r) == ref.scan_within(0, q[0], q[1], r)
         assert fast.scan_best_k(0, q[0], q[1], k, r) == ref.scan_best_k(
             0, q[0], q[1], k, r
         )
-        assert fast_nd.scan_within((0, 0), q, r) == ref_nd.scan_within((0, 0), q, r)
     assert fast.stats.snapshot() == ref.stats.snapshot()
-    assert fast_nd.stats.snapshot() == ref_nd.stats.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from repro.ndim.cpm import NdCPMMonitor
-from repro.ndim.grid import NdGrid
-from repro.ndim.partition import NdConceptualPartition
+from ndim.cpm import NdCPMMonitor
+from ndim.grid import NdGrid
+from ndim.partition import NdConceptualPartition
 from repro.updates import ObjectUpdate, appear_update, disappear_update, move_update
 
 

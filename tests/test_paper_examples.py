@@ -43,10 +43,10 @@ class TestFigure32a:
         strategy = PointNNStrategy(QX, QY)
         partition = strategy.partition(monitor.grid)
         keys = {
-            UP: strategy.strip_key0(monitor.grid, partition, UP),
-            LEFT: strategy.strip_key0(monitor.grid, partition, LEFT),
-            RIGHT: strategy.strip_key0(monitor.grid, partition, RIGHT),
-            DOWN: strategy.strip_key0(monitor.grid, partition, DOWN),
+            UP: strategy.strip_key(monitor.grid, partition, UP),
+            LEFT: strategy.strip_key(monitor.grid, partition, LEFT),
+            RIGHT: strategy.strip_key(monitor.grid, partition, RIGHT),
+            DOWN: strategy.strip_key(monitor.grid, partition, DOWN),
         }
         # The paper's heap: U0=0.1, L0=0.2, R0=0.8, D0=0.9.
         assert keys[UP] == pytest.approx(0.1)

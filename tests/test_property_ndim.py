@@ -5,8 +5,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ndim.cpm import NdCPMMonitor
-from repro.ndim.partition import NdConceptualPartition
+from ndim.cpm import NdCPMMonitor
+from ndim.partition import NdConceptualPartition
 from repro.updates import ObjectUpdate
 
 coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)

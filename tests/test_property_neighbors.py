@@ -63,7 +63,7 @@ def test_merge_ranks_live_map_plus_incomers(dists, k, incoming, data):
     assert nn.entries() == expected
     assert {oid: d for d, oid in expected} == nn._dists
     for d, oid in expected:
-        assert nn.dist_of(oid) == d
+        assert nn._dists[oid] == d
 
 
 @given(

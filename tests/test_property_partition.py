@@ -70,7 +70,7 @@ def test_lemma_3_1_key_recurrence(cells, qx, qy):
     for direction in DIRECTIONS:
         if not partition.exists(direction, 0):
             continue
-        key = strategy.strip_key0(grid, partition, direction)
+        key = strategy.strip_key(grid, partition, direction)
         level = 0
         while partition.exists(direction, level):
             # The strip key lower-bounds every cell in the strip, and the
@@ -110,7 +110,7 @@ def test_corollaries_5_1_and_5_2(cells, points, fn):
     for direction in DIRECTIONS:
         if not partition.exists(direction, 0):
             continue
-        key = strategy.strip_key0(grid, partition, direction)
+        key = strategy.strip_key(grid, partition, direction)
         level = 0
         while partition.exists(direction, level):
             cell_keys = [
