@@ -67,11 +67,8 @@ from repro.geometry.aggregates import AggregateFunction
 from repro.geometry.points import Point
 from repro.geometry.rects import Rect
 from repro.grid.grid import Grid
-from repro.grid.kernels import (
-    VEC_MIN_BATCH as _VEC_MIN_BATCH,
-    VEC_MIN_OCCUPANCY as _VEC_MIN_OCCUPANCY,
-    CellColumns,
-)
+from repro.grid.kernels import VEC_MIN_BATCH as _VEC_MIN_BATCH
+from repro.grid.kernels import CellColumns
 from repro.grid.stats import GridStats
 from repro.monitor import ContinuousMonitor, CycleChanges, QueryRecord, ResultEntry
 from repro.updates import FlatUpdateBatch, QueryUpdate
@@ -384,11 +381,11 @@ class CPMMonitor(ContinuousMonitor):
         De-heaped cells run lines 10-12 of Figure 3.4 inline: scan the
         cell, update ``best_NN``, insert the query into the cell's
         influence list, extend the visit list.  For plain point queries the
-        cell scan is the fused :meth:`Grid.scan_within` kernel (distances
-        computed and bounded by the k-th distance in one comprehension)
-        and the best-NN insertion (the semantics of ``NeighborList.add``)
-        is inlined against the live entry/distance containers — this is
-        the hottest loop of the library.
+        cell scan (:meth:`Grid.scan_within` bounded by the live k-th
+        distance) and the best-NN insertion (the semantics of
+        ``NeighborList.add``) are one inlined loop over the cell columns
+        and the live entry/distance containers — the only point-query
+        scan, and the hottest loop of the library.
         """
         grid = self._grid
         strategy = state.strategy
@@ -421,9 +418,6 @@ class CPMMonitor(ContinuousMonitor):
         cells_store = grid._cells
         marks_store = grid._marks
         stats = grid.stats
-        # Vectorized cell-scan kernel (None without numpy).
-        vec_within = grid._vec_within
-        vec_min = _VEC_MIN_OCCUPANCY
         # The NN list identity is stable here: the search only inserts (in
         # place); replace() — which rebinds — never runs during a search.
         heap_list = heap._heap
@@ -451,52 +445,27 @@ class CPMMonitor(ContinuousMonitor):
                 if cell is not None and (coids := cell.oids):
                     n_objs += len(coids)
                     if is_point:
-                        if vec_within is not None and len(coids) >= vec_min:
-                            # Vectorized prefilter bounded by the
-                            # loop-entry kd — a superset of everything
-                            # the scalar loop accepts (kd only shrinks)
-                            # — then the same merge re-applying the
-                            # live kd, so the outcome is identical.
-                            for d, oid in vec_within(cell, qx, qy, kd):
-                                if d <= kd:
-                                    if n_cur < k:
-                                        insort(entries, (d, oid))
+                        # Fused scan-and-merge over the coordinate
+                        # columns; ties resolve by (dist, oid) entry
+                        # order exactly as NeighborList.add.
+                        for oid, x, y in zip(coids, cell.xs, cell.ys):
+                            d = hypot(x - qx, y - qy)
+                            if d <= kd:
+                                if n_cur < k:
+                                    insort(entries, (d, oid))
+                                    dists[oid] = d
+                                    n_cur += 1
+                                    if n_cur == k:
+                                        kd = entries[-1][0]
+                                else:
+                                    entry = (d, oid)
+                                    last = entries[-1]
+                                    if entry < last:
+                                        entries.pop()
+                                        del dists[last[1]]
+                                        insort(entries, entry)
                                         dists[oid] = d
-                                        n_cur += 1
-                                        if n_cur == k:
-                                            kd = entries[-1][0]
-                                    else:
-                                        entry = (d, oid)
-                                        last = entries[-1]
-                                        if entry < last:
-                                            entries.pop()
-                                            del dists[last[1]]
-                                            insort(entries, entry)
-                                            dists[oid] = d
-                                            kd = entries[-1][0]
-                            # (fall through to the mark bookkeeping)
-                        else:
-                            # Fused scan-and-merge over the coordinate
-                            # columns; ties resolve by (dist, oid) entry
-                            # order exactly as NeighborList.add.
-                            for oid, x, y in zip(coids, cell.xs, cell.ys):
-                                d = hypot(x - qx, y - qy)
-                                if d <= kd:
-                                    if n_cur < k:
-                                        insort(entries, (d, oid))
-                                        dists[oid] = d
-                                        n_cur += 1
-                                        if n_cur == k:
-                                            kd = entries[-1][0]
-                                    else:
-                                        entry = (d, oid)
-                                        last = entries[-1]
-                                        if entry < last:
-                                            entries.pop()
-                                            del dists[last[1]]
-                                            insort(entries, entry)
-                                            dists[oid] = d
-                                            kd = entries[-1][0]
+                                        kd = entries[-1][0]
                     else:
                         for oid, x, y in zip(coids, cell.xs, cell.ys):
                             if strategy.accepts(x, y, oid):
@@ -666,8 +635,6 @@ class CPMMonitor(ContinuousMonitor):
         visit_keys = state.visit_keys
         cells_store = grid._cells
         stats = grid.stats
-        vec_within = grid._vec_within
-        vec_min = _VEC_MIN_OCCUPANCY
         qid = state.qid
         is_point = state.is_point
         qx = state.qx
@@ -695,47 +662,24 @@ class CPMMonitor(ContinuousMonitor):
             if cell is not None and (coids := cell.oids):
                 n_objs += len(coids)
                 if is_point:
-                    if vec_within is not None and len(coids) >= vec_min:
-                        # Vectorized prefilter by the loop-entry kd (a
-                        # superset of the scalar accepts — kd only
-                        # shrinks); the merge re-applies the live kd,
-                        # so the outcome is identical (see _run_search).
-                        for d, oid in vec_within(cell, qx, qy, kd):
-                            if d <= kd:
-                                if n_cur < k:
-                                    insort(entries, (d, oid))
+                    for oid, x, y in zip(coids, cell.xs, cell.ys):
+                        d = hypot(x - qx, y - qy)
+                        if d <= kd:
+                            if n_cur < k:
+                                insort(entries, (d, oid))
+                                dists[oid] = d
+                                n_cur += 1
+                                if n_cur == k:
+                                    kd = entries[-1][0]
+                            else:
+                                entry = (d, oid)
+                                last = entries[-1]
+                                if entry < last:
+                                    entries.pop()
+                                    del dists[last[1]]
+                                    insort(entries, entry)
                                     dists[oid] = d
-                                    n_cur += 1
-                                    if n_cur == k:
-                                        kd = entries[-1][0]
-                                else:
-                                    entry = (d, oid)
-                                    last = entries[-1]
-                                    if entry < last:
-                                        entries.pop()
-                                        del dists[last[1]]
-                                        insort(entries, entry)
-                                        dists[oid] = d
-                                        kd = entries[-1][0]
-                    else:
-                        for oid, x, y in zip(coids, cell.xs, cell.ys):
-                            d = hypot(x - qx, y - qy)
-                            if d <= kd:
-                                if n_cur < k:
-                                    insort(entries, (d, oid))
-                                    dists[oid] = d
-                                    n_cur += 1
-                                    if n_cur == k:
-                                        kd = entries[-1][0]
-                                else:
-                                    entry = (d, oid)
-                                    last = entries[-1]
-                                    if entry < last:
-                                        entries.pop()
-                                        del dists[last[1]]
-                                        insort(entries, entry)
-                                        dists[oid] = d
-                                        kd = entries[-1][0]
+                                    kd = entries[-1][0]
                 else:
                     for oid, x, y in zip(coids, cell.xs, cell.ys):
                         if strategy.accepts(x, y, oid):

@@ -16,12 +16,9 @@ lists of the cells are implemented as hash tables so that the deletion of
 an object from its old cell and the insertion into its new one takes
 expected ``Time_ind = 2``", Section 4.1: insert appends a row, delete
 swaps the last row into the freed slot — both expected O(1)), while the
-flat coordinate columns let the scan kernels (:meth:`Grid.scan_within`,
-:meth:`Grid.scan_best_k`, :meth:`Grid.scan_all_flat`) run their
-distance-and-filter loops as single fused comprehensions — or, where
-numpy imports and a cell holds at least
-:data:`repro.grid.kernels.VEC_MIN_OCCUPANCY` objects, as one vectorized
-pass over the same buffers.  Empty cell columns and mark sets are kept in
+flat coordinate columns let the scans (:meth:`Grid.scan_within`,
+:meth:`Grid.scan_all_flat`) run their distance-and-filter loops as
+single fused comprehensions.  Empty cell columns and mark sets are kept in
 place once allocated: cells that repeatedly empty and refill (the common
 case under sustained update streams) reuse their containers instead of
 churning the allocator.
@@ -38,7 +35,7 @@ Two parallel APIs are exposed: the coordinate API (``insert``, ``scan``,
 the packed-id API (``cell_id``, ``insert_at``, ``delete_at``,
 ``relocate_at``, ``add_mark_id`` ...).  The CPM engine inlines this
 module's storage layout directly in its hottest loops — cell addressing,
-columnar mutations, influence probes, scan kernels and mark maintenance;
+columnar mutations, influence probes, scans and mark maintenance;
 any change to the packing scheme, the cell decision or the column layout
 here must be mirrored in ``repro.core.cpm`` and ``repro.core.bookkeeping``
 (the storage-mirror contract — those two modules and no other).  Both
@@ -54,13 +51,8 @@ from math import hypot as _hypot
 from repro.geometry.points import Point
 from repro.geometry.rects import Rect
 from repro.grid.cell import CellCoord, cell_bounds, cell_index
-from repro.grid.kernels import (
-    VEC_MIN_BATCH as _VEC_MIN_BATCH,
-    VEC_MIN_OCCUPANCY as _VEC_MIN_OCCUPANCY,
-    CellColumns,
-    accelerators,
-    best_k,
-)
+from repro.grid.kernels import VEC_MIN_BATCH as _VEC_MIN_BATCH
+from repro.grid.kernels import CellColumns, vec_cell_ids
 from repro.grid.stats import GridStats
 
 _EMPTY_OBJECTS: dict[int, Point] = {}
@@ -112,7 +104,6 @@ class Grid:
         "_n_objects",
         "_occupied",
         "_vec_cell_ids",
-        "_vec_within",
     )
 
     def __init__(
@@ -149,13 +140,10 @@ class Grid:
             + abs(bounds.x1) + abs(bounds.y1)
         )
         self.stats = GridStats()
-        # The optional numpy kernels (None without numpy): the cell scan
-        # the front-ends call from VEC_MIN_OCCUPANCY objects up and the
-        # batch addressing pass from VEC_MIN_BATCH rows up — same results
-        # as the scalar loops either way (see repro.grid.kernels).
-        accel = accelerators()
-        self._vec_within = accel.within_cell
-        self._vec_cell_ids = accel.batch_cell_ids
+        # The optional numpy batch addressing pass (None without numpy),
+        # called from VEC_MIN_BATCH rows up — same cell ids as the scalar
+        # loop either way (see repro.grid.kernels).
+        self._vec_cell_ids = vec_cell_ids()
         n_cells = self.cols * self.rows
         # cid -> CellColumns and cid -> {qid, ...}; dense list backing
         # when the grid fits, sparse fallback otherwise.
@@ -212,7 +200,9 @@ class Grid:
 
         With numpy importable the pass runs vectorized from
         :data:`repro.grid.kernels.VEC_MIN_BATCH` rows up; otherwise a
-        scalar loop produces the same list.
+        scalar loop produces the same list.  Either way an addressed row
+        with a non-finite coordinate raises: ``ValueError``, or
+        ``OverflowError`` from the scalar loop on an infinity.
         """
         bounds = self.bounds
         bx0 = bounds.x0
@@ -505,8 +495,8 @@ class Grid:
         Every call increments the counters that back Figure 6.3b.  This is
         the dict *compatibility view* over the columnar store (a fresh
         ``{oid: (x, y)}`` snapshot per call); hot paths use the fused
-        kernels (:meth:`scan_within`, :meth:`scan_best_k`,
-        :meth:`scan_all_flat`) instead, which charge identically.
+        scans (:meth:`scan_within`, :meth:`scan_all_flat`) instead, which
+        charge identically.
         """
         cell = self._cells[cid]
         stats = self.stats
@@ -532,7 +522,7 @@ class Grid:
             return cell.as_dict()
         return _EMPTY_OBJECTS
 
-    # -- fused scan kernels (see repro.grid.kernels) -------------------
+    # -- fused scans (see repro.grid.kernels) --------------------------
 
     def scan_within(
         self, cid: int, qx: float, qy: float, r: float
@@ -553,41 +543,11 @@ class Grid:
         if not oids:
             return []
         stats.objects_scanned += len(oids)
-        # Vectorized distance+filter pass from the crossover occupancy
-        # up (numpy only; byte-identical to the scalar loop).
-        vec = self._vec_within
-        if vec is not None and len(oids) >= _VEC_MIN_OCCUPANCY:
-            return vec(cell, qx, qy, r)
-        # kernels.within, inlined to spare one frame per scanned cell.
         return [
             (d, oid)
             for oid, x, y in zip(oids, cell.xs, cell.ys)
             if (d := _hypot(x - qx, y - qy)) <= r
         ]
-
-    def scan_best_k(
-        self, cid: int, qx: float, qy: float, k: int, bound: float = math.inf
-    ) -> list[tuple[float, int]]:
-        """The cell's ``k`` best ``(dist, oid)`` within ``bound``, ascending.
-
-        One charged cell access, like :meth:`scan_within`.
-        """
-        cell = self._cells[cid]
-        stats = self.stats
-        stats.cell_scans += 1
-        if cell is None:
-            return []
-        oids = cell.oids
-        if not oids:
-            return []
-        stats.objects_scanned += len(oids)
-        vec = self._vec_within
-        if vec is not None and len(oids) >= _VEC_MIN_OCCUPANCY:
-            hits = vec(cell, qx, qy, bound)
-            if len(hits) > 1:
-                hits.sort()
-            return hits[:k]
-        return best_k(oids, cell.xs, cell.ys, qx, qy, k, bound)
 
     def scan_all_flat(
         self, cid: int
@@ -613,7 +573,7 @@ class Grid:
         """Object list of ``c_{i,j}`` *without* charging a cell access.
 
         Reserved for assertions, tests and size inspection — algorithm code
-        must go through :meth:`scan` or the fused kernels.
+        must go through :meth:`scan` or the fused scans.
         """
         if 0 <= i < self.cols and 0 <= j < self.rows:
             cell = self._cells[i * self.rows + j]

@@ -272,10 +272,19 @@ class ContinuousMonitor(ABC):
         result.  Capture is this return value: each engine fills both
         maps where it already compares a query's old result with its new
         one.  A query that receives query updates enters ``before`` only
-        with ``keep_before`` (the delta adapters), since holding every
-        moved query's old result until the cycle ends is not free.  The
-        lists may be the engine's own — an engine never edits a result
-        list in place once it has handed it out.
+        with ``keep_before`` (the delta adapters).  ``process`` /
+        ``process_flat`` pass ``False`` because holding every moved
+        query's old result until the cycle ends is measurably slower:
+        with ``True`` on those paths, ``python3 -m bench --workload
+        engine_search --seconds 12`` (every query moves every cycle; 5
+        interleaved pairs, seeds 101-105, 2-vCPU host) read
+        ``cycle_ms_p50`` 277.5 -> 397.2 ms (+43%, slower in 5 of 5
+        pairs), ``updates_per_s`` 36.0k -> 25.4k and peak RSS 168.1 ->
+        174.8 MB.  The cause is unverified; the likeliest is that the
+        held pre-cycle lists stop offsetting the cycle's gen-0
+        allocations, so the collector runs more often.  The lists may be
+        the engine's own — an engine never edits a result list in place
+        once it has handed it out.
         """
 
     def process(

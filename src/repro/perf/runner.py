@@ -23,7 +23,7 @@ from collections.abc import Callable
 from repro.api.session import Session, replay_workload
 from repro.engine.metrics import RunReport
 from repro.experiments.common import build_monitor
-from repro.grid.kernels import accelerators
+from repro.grid.kernels import vec_cell_ids
 from repro.ingest.driver import IngestDriver
 from repro.ingest.feeds import WorkloadFeed
 from repro.mobility.workload import Workload
@@ -224,7 +224,7 @@ def run_suite(
         annotations=dict(annotations or {}),
     )
     report.annotations.setdefault(
-        "numpy_kernels", "on" if accelerators().within_cell else "off"
+        "numpy_kernels", "off" if vec_cell_ids() is None else "on"
     )
     for case in build_suite(scale, suite=suite):
         workload = case.materialize()

@@ -14,11 +14,11 @@ Table 6.1 sizes):
 * ``uniform``       — the Section 4.1 analysis setting (uniform random
   displacement);
 * ``skewed``        — the adversarial Gaussian-hotspot workload;
-* ``high_density``  — the uniform workload over a grid sized so mean cell
-  occupancy sits well above ``VEC_MIN_OCCUPANCY`` (64): the only counter
-  gate in the regime where the numpy cell-scan kernel engages (when
-  numpy imports; the counters are the same with and without it by the
-  byte-identity contract of ``repro.grid.kernels``);
+* ``high_density``  — the uniform workload over a grid sized for a mean
+  cell occupancy of ``HIGH_DENSITY_OCCUPANCY`` (128) objects: the only
+  counter gate where every scan walks a crowded cell (the coarse end of
+  the Figure 6.1 granularity trade-off, well past the ``granularity``
+  sweep);
 * ``partition_scaling`` — the Figure 6.2 defaults workload replayed
   into the sharded service tier (``repro.service.partition``: each shard
   owns a column block plus a halo) at S ∈ {1, 2, 4, 8} shards (serial
@@ -58,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.experiments.common import make_workload, scaled_grid, scaled_spec
-from repro.grid.kernels import VEC_MIN_OCCUPANCY
 from repro.mobility.skewed import SkewedGenerator
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import Workload, WorkloadSpec
@@ -82,6 +81,9 @@ SHARD_SCALING_SMOKE = (1, 4)
 #: per-query subscription multiplicity of the ``subscription_scale``
 #: case: 8 × 5 000 queries = 40 000 live subscriptions at full scale.
 SUBSCRIBERS_PER_QUERY = 8
+
+#: mean objects per cell the ``high_density`` case's grid is sized for.
+HIGH_DENSITY_OCCUPANCY = 128
 
 
 @dataclass(slots=True, frozen=True)
@@ -233,9 +235,9 @@ def build_suite(
             subscribers=SUBSCRIBERS_PER_QUERY,
         )
     )
-    # Coarse-grid/high-occupancy stress: size the grid so mean cell
-    # occupancy clears the vectorized-scan threshold with headroom.
-    dense_grid = max(2, int((default.n_objects / (2 * VEC_MIN_OCCUPANCY)) ** 0.5))
+    # Coarse-grid/high-occupancy stress: size the grid for a mean cell
+    # occupancy of HIGH_DENSITY_OCCUPANCY objects.
+    dense_grid = max(2, int((default.n_objects / HIGH_DENSITY_OCCUPANCY) ** 0.5))
     cases.append(
         SuiteCase(
             key="high_density/default",

@@ -10,7 +10,6 @@ import pytest
 
 import repro.grid.grid as grid_module
 from repro.grid.grid import Grid
-from repro.grid.kernels import Accelerators
 
 
 def scatter(n: int, seed: int = 0, bounds=(0.0, 0.0, 1.0, 1.0)) -> list[tuple[int, tuple[float, float]]]:
@@ -36,13 +35,13 @@ def brute_knn(objects: dict[int, tuple[float, float]], q, k: int):
 @contextmanager
 def scalar_kernels():
     """Grids (and so monitors) constructed inside this block bind no numpy
-    accelerator: the scalar reference the vectorized kernels are held to.
+    batch-addressing kernel: the scalar reference the kernel is held to.
 
-    Grids bind the accelerators once, at construction, so the block only
+    Grids probe for the kernel once, at construction, so the block only
     has to cover the constructor call.  This is the one place the scalar
     path is *selected* — nothing under ``src/`` can ask for it.
     """
-    with mock.patch.object(grid_module, "accelerators", Accelerators):
+    with mock.patch.object(grid_module, "vec_cell_ids", lambda: None):
         yield
 
 

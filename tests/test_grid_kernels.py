@@ -1,4 +1,4 @@
-"""Unit tests for the columnar cell store and the pure scan kernels."""
+"""Unit tests for the columnar cell store and the grid's fused scans."""
 
 import math
 import subprocess
@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.grid.grid import Grid
-from repro.grid.kernels import CellColumns, best_k, within
+from repro.grid.kernels import CellColumns
 
 
 class TestCellColumns:
@@ -67,32 +67,22 @@ class TestCellColumns:
 
 
 class TestKernels:
-    def _cell(self):
-        cell = CellColumns()
-        cell.insert(1, 0.0, 0.0)
-        cell.insert(2, 0.3, 0.0)
-        cell.insert(3, 0.0, 0.6)
-        return cell
+    """``Grid.scan_within`` over one cell (cell 0 of a 1x1 grid)."""
+
+    def _grid(self):
+        grid = Grid(1)
+        grid.insert(1, 0.0, 0.0)
+        grid.insert(2, 0.3, 0.0)
+        grid.insert(3, 0.0, 0.6)
+        return grid
 
     def test_within_filters_inclusively(self):
-        cell = self._cell()
-        hits = within(cell.oids, cell.xs, cell.ys, 0.0, 0.0, 0.3)
+        hits = self._grid().scan_within(0, 0.0, 0.0, 0.3)
         assert sorted(hits) == [(0.0, 1), (0.3, 2)]
 
     def test_within_infinite_radius_returns_all(self):
-        cell = self._cell()
-        hits = within(cell.oids, cell.xs, cell.ys, 0.0, 0.0, math.inf)
+        hits = self._grid().scan_within(0, 0.0, 0.0, math.inf)
         assert sorted(oid for _d, oid in hits) == [1, 2, 3]
-
-    def test_best_k_sorted_and_truncated(self):
-        cell = self._cell()
-        top = best_k(cell.oids, cell.xs, cell.ys, 0.0, 0.0, 2, math.inf)
-        assert top == [(0.0, 1), (0.3, 2)]
-
-    def test_best_k_respects_bound(self):
-        cell = self._cell()
-        top = best_k(cell.oids, cell.xs, cell.ys, 0.0, 0.0, 5, 0.1)
-        assert top == [(0.0, 1)]
 
 
 def _run_python(code: str) -> str:
@@ -119,10 +109,9 @@ class TestNumpyIsOptional:
         out = _run_python(
             "import sys; sys.modules['numpy'] = None\n"
             "from repro.grid.grid import Grid\n"
-            "from repro.grid.kernels import accelerators\n"
+            "from repro.grid.kernels import vec_cell_ids\n"
             "g = Grid(1)\n"
-            "assert set(accelerators()) == {None}\n"
-            "assert g._vec_within is g._vec_cell_ids is None\n"
+            "assert vec_cell_ids() is None and g._vec_cell_ids is None\n"
             "for oid in range(200): g.insert(oid, oid / 200, 0.5)\n"
             "print(len(g.scan_within(0, 0.5, 0.5, 0.25)),"
             " g.batch_cell_ids([0.1] * 200, [0.9] * 200) == [0] * 200)"
@@ -143,7 +132,6 @@ class TestGridKernelAccounting:
         "call",
         [
             lambda g, cid: g.scan_within(cid, 0.1, 0.1, math.inf),
-            lambda g, cid: g.scan_best_k(cid, 0.1, 0.1, 1),
             lambda g, cid: g.scan_all_flat(cid),
             lambda g, cid: g.scan_id(cid),
         ],

@@ -1,24 +1,28 @@
-"""numpy-kernel byte-identity and the shared-memory batch transport.
+"""Crowded cells against brute force, numpy batch addressing byte-identity
+and the shared-memory batch transport.
 
-There is one cell storage and one scalar implementation of every scan;
-where numpy imports, the grids additionally bind vectorized twins
-(``repro.grid.kernels.accelerators``) that engage from
-``VEC_MIN_OCCUPANCY`` objects per cell and ``VEC_MIN_BATCH`` rows per
-batch.  A twin changes *how* a kernel runs, never what it returns — the
-suite pins that three ways, each against a monitor constructed under
-``scalar_kernels()`` (the accelerators pinned off: the scalar reference):
+Every cell scan has one implementation, the scalar loop.  Where numpy
+imports, the grids additionally bind one vectorized kernel
+(``repro.grid.kernels.vec_cell_ids``), batch cell addressing, which
+engages from ``VEC_MIN_BATCH`` rows per batch.  It changes *how* the
+cell ids are computed, never what they are.  The suite pins:
 
-* hypothesis equivalence — workloads dense enough to clear both
-  thresholds, replayed through the columnar cycle on CPM, YPK-CNN and
-  SEA-CNN, accelerated vs scalar (results, deltas, the five counters)
-  and vs ``BruteForceMonitor`` (results, deltas).  Skipped without numpy:
-  there the two constructions are the same code;
+* crowded cells — workloads dense enough to put more than
+  ``CROWDED_CELL`` objects in a cell and ``VEC_MIN_BATCH`` rows in every
+  batch, replayed through the columnar cycle on CPM, YPK-CNN and
+  SEA-CNN against ``BruteForceMonitor`` (results, deltas), in every
+  environment;
+* the same workloads with the kernel engaged vs a monitor constructed
+  under ``scalar_kernels()`` (the kernel pinned off: the scalar
+  reference) — results, deltas and the five counters.  Skipped without
+  numpy: there the two constructions are the same code;
 * golden replay — the PR 3 pre-rewrite fixture stream must be reproduced
-  byte-identically with and without the accelerators;
-* kernel-level properties — ``Grid.batch_cell_ids`` (vectorized batch
-  addressing) against per-row ``Grid.cell_id``, including the skip mask,
-  out-of-bounds clamping and sub-``VEC_MIN_BATCH`` fallback, plus
-  ``Grid.move_ids`` against coordinate-addressed ``Grid.move``.
+  byte-identically with and without the kernel;
+* kernel-level properties — ``Grid.batch_cell_ids`` against per-row
+  ``Grid.cell_id``, including the skip mask, out-of-bounds clamping,
+  sub-``VEC_MIN_BATCH`` fallback and the refusal of non-finite
+  coordinates, plus ``Grid.move_ids`` against coordinate-addressed
+  ``Grid.move``.
 
 The shared-memory transport rides here too: ``pack_flat_batch`` /
 ``unpack_flat_batch`` round-trips are property-tested in-process, and a
@@ -30,6 +34,7 @@ processes.
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from contextlib import nullcontext
 
@@ -42,7 +47,7 @@ from repro.baselines.sea import SeaCnnMonitor
 from repro.baselines.ypk import YpkCnnMonitor
 from repro.core.cpm import CPMMonitor
 from repro.grid.grid import Grid
-from repro.grid.kernels import VEC_MIN_BATCH, VEC_MIN_OCCUPANCY, accelerators
+from repro.grid.kernels import VEC_MIN_BATCH, vec_cell_ids
 from repro.mobility.brinkhoff import BrinkhoffGenerator
 from repro.mobility.uniform import UniformGenerator
 from repro.mobility.workload import WorkloadSpec
@@ -52,10 +57,10 @@ from repro.service.shm import pack_flat_batch, unpack_flat_batch
 from repro.updates import FlatUpdateBatch
 from tests.conftest import scalar_kernels
 
-HAVE_NUMPY = accelerators().within_cell is not None
+HAVE_NUMPY = vec_cell_ids() is not None
 
-#: how a test's grid or monitor is constructed: with whatever accelerators
-#: this interpreter offers, or with them pinned off.
+#: how a test's grid or monitor is constructed: with whatever kernel this
+#: interpreter offers, or with it pinned off.
 KERNELS = {"accelerated": nullcontext, "scalar": scalar_kernels}
 
 ENGINES = {
@@ -82,8 +87,11 @@ def _counter_tuple(monitor):
     )
 
 
+#: population a replay must put in at least one cell.
+CROWDED_CELL = 64
+
 #: dense on purpose: >= 600 objects on at most 3x3 cells puts at least one
-#: cell past VEC_MIN_OCCUPANCY (pigeonhole: 600 / 9 > 64) with others
+#: cell past CROWDED_CELL (pigeonhole: 600 / 9 > 64) with others
 #: around and below it, and the default 50% object agility puts every
 #: batch past VEC_MIN_BATCH rows.  Uniform positions (continuous, so no
 #: two objects tie on a distance) keep the comparison with the oracle
@@ -105,40 +113,57 @@ dense_shapes = st.fixed_dictionaries(
 
 
 # ----------------------------------------------------------------------
-# Accelerated vs scalar vs brute force, past both thresholds
+# Crowded cells and full batches: brute force, and the kernel vs scalar
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy kernels not importable")
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @given(shape=dense_shapes)
 @settings(max_examples=10, deadline=None)
-def test_accelerated_replay_matches_scalar_and_brute_force(engine, shape):
-    """With the vectorized cell scan and batch addressing engaged, results
-    and delta streams equal the scalar construction's and the oracle's,
+def test_crowded_cells_replay_matches_brute_force(engine, shape):
+    """With cells holding more than ``CROWDED_CELL`` objects and every
+    batch past ``VEC_MIN_BATCH`` rows, results and delta streams equal
+    the oracle's — in every environment, numpy or not."""
+    cells = shape.pop("cells")
+    workload = UniformGenerator(WorkloadSpec(**shape)).generate()
+    monitor = ENGINES[engine](cells_per_axis=cells)
+    brute = BruteForceMonitor()
+    for m in (monitor, brute):
+        _install(m, workload)
+    grid = monitor.grid
+    assert CROWDED_CELL < max(grid.cell_size(i, j) for i, j in grid.all_cells())
+    assert monitor.result_table() == brute.result_table()
+    for batch in workload.batches:
+        flat = FlatUpdateBatch.from_batch(batch)
+        assert len(flat.oids) >= VEC_MIN_BATCH
+        got = monitor.process_deltas_flat(flat)
+        assert got == brute.process_deltas_flat(flat), batch.timestamp
+        assert monitor.result_table() == brute.result_table(), batch.timestamp
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy kernel not importable")
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@given(shape=dense_shapes)
+@settings(max_examples=10, deadline=None)
+def test_accelerated_replay_matches_scalar(engine, shape):
+    """With the batch addressing kernel engaged, results, delta streams
     and the deterministic counters equal the scalar construction's."""
     cells = shape.pop("cells")
     workload = UniformGenerator(WorkloadSpec(**shape)).generate()
     fast = ENGINES[engine](cells_per_axis=cells)
     with scalar_kernels():
         ref = ENGINES[engine](cells_per_axis=cells)
-    brute = BruteForceMonitor()
-    for monitor in (fast, ref, brute):
+    assert fast.grid._vec_cell_ids is not None
+    assert ref.grid._vec_cell_ids is None
+    for monitor in (fast, ref):
         _install(monitor, workload)
-    grid = fast.grid
-    assert VEC_MIN_OCCUPANCY <= max(
-        grid.cell_size(i, j) for i, j in grid.all_cells()
-    )
-    assert fast.result_table() == ref.result_table() == brute.result_table()
+    assert fast.result_table() == ref.result_table()
     for batch in workload.batches:
         flat = FlatUpdateBatch.from_batch(batch)
         assert len(flat.oids) >= VEC_MIN_BATCH
         got = fast.process_deltas_flat(flat)
         assert got == ref.process_deltas_flat(flat), batch.timestamp
-        assert got == brute.process_deltas_flat(flat), batch.timestamp
-        assert (
-            fast.result_table() == ref.result_table() == brute.result_table()
-        ), batch.timestamp
+        assert fast.result_table() == ref.result_table(), batch.timestamp
     assert _counter_tuple(fast) == _counter_tuple(ref)
 
 
@@ -177,45 +202,6 @@ def test_golden_fixture_replays_identically(kernels):
         "deletes": stats.deletes,
         "mark_ops": stats.mark_ops,
     } == golden["counters"]
-
-
-# ----------------------------------------------------------------------
-# Scan front-ends past the occupancy threshold
-# ----------------------------------------------------------------------
-
-unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy kernels not importable")
-@given(
-    pts=st.lists(
-        st.tuples(unit, unit), min_size=VEC_MIN_OCCUPANCY, max_size=100
-    ),
-    q=st.tuples(unit, unit),
-    pick=st.integers(min_value=0, max_value=VEC_MIN_OCCUPANCY - 1),
-    k=st.integers(min_value=1, max_value=8),
-)
-@settings(max_examples=30, deadline=None)
-def test_scan_front_ends_match_scalar_in_a_crowded_cell(pts, q, pick, k):
-    """``Grid.scan_within`` / ``scan_best_k`` over one cell holding at
-    least ``VEC_MIN_OCCUPANCY`` objects: same hits, same order and same
-    counters as the scalar construction — at an unbounded radius, at
-    zero, and at a radius *equal* to one object's distance (the closed
-    bound the prefilter's slack must not lose)."""
-    from math import dist, inf
-
-    fast = Grid(1)
-    with scalar_kernels():
-        ref = Grid(1)
-    for oid, (x, y) in enumerate(pts):
-        for grid in (fast, ref):
-            grid.insert(oid, x, y)
-    for r in (inf, 0.0, dist(pts[pick], q)):
-        assert fast.scan_within(0, q[0], q[1], r) == ref.scan_within(0, q[0], q[1], r)
-        assert fast.scan_best_k(0, q[0], q[1], k, r) == ref.scan_best_k(
-            0, q[0], q[1], k, r
-        )
-    assert fast.stats.snapshot() == ref.stats.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +255,56 @@ def test_batch_cell_ids_skip_mask_compresses_rows(kernels, pts, pad):
     skip = bytearray(1 if s else 0 for _, _, s in pts)
     expect = [grid.cell_id(x, y) for x, y, s in pts if not s]
     assert grid.batch_cell_ids(xs, ys, skip) == expect
+
+
+NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
+def _moves_to(n_rows: int, bad: float) -> FlatUpdateBatch:
+    """``n_rows`` moves inside the unit square, the middle one to
+    ``x = bad``."""
+    batch = FlatUpdateBatch(1)
+    for oid in range(n_rows):
+        nx = bad if oid == n_rows // 2 else 0.25
+        batch.append_move(oid, 0.5, 0.5, nx, 0.75)
+    return batch
+
+
+@pytest.mark.parametrize("bad", sorted(NON_FINITE))
+@pytest.mark.parametrize("n_rows", [10, 200])
+def test_batch_cell_ids_refuses_non_finite_coordinates(n_rows, bad):
+    """Below and past ``VEC_MIN_BATCH`` rows, with numpy or without, a
+    row with a non-finite coordinate is refused, not clamped or cast
+    into some cell."""
+    batch = _moves_to(n_rows, NON_FINITE[bad])
+    with pytest.raises((ValueError, OverflowError)):
+        Grid(8).batch_cell_ids(batch.new_xs, batch.new_ys)
+
+
+@pytest.mark.parametrize("bad", sorted(NON_FINITE))
+@pytest.mark.parametrize("n_rows", [10, 200])
+def test_cpm_cycle_refuses_non_finite_coordinates(n_rows, bad):
+    """``CPMMonitor.process_flat`` refuses a move to a non-finite
+    coordinate at every batch size (what the rejected cycle leaves
+    behind is not pinned here)."""
+    monitor = CPMMonitor(8)
+    monitor.load_objects((oid, (0.5, 0.5)) for oid in range(n_rows))
+    monitor.install_query(0, (0.5, 0.5), 3)
+    with pytest.raises((ValueError, OverflowError)):
+        monitor.process_flat(_moves_to(n_rows, NON_FINITE[bad]))
+
+
+@pytest.mark.parametrize("kernels", sorted(KERNELS))
+def test_batch_cell_ids_does_not_check_skipped_rows(kernels):
+    """A skipped row is not addressed, so its coordinates are not read:
+    a non-finite value there is not refused."""
+    with KERNELS[kernels]():
+        grid = Grid(8)
+    batch = _moves_to(200, math.inf)
+    skip = bytearray(200)
+    skip[100] = 1
+    expect = [grid.cell_id(0.25, 0.75)] * 199
+    assert grid.batch_cell_ids(batch.new_xs, batch.new_ys, skip) == expect
 
 
 def test_move_ids_matches_coordinate_addressed_move():

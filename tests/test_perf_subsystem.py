@@ -24,7 +24,7 @@ from repro.perf.schema import (
     dump_report,
     load_report,
 )
-from repro.perf.suite import SuiteCase, build_suite
+from repro.perf.suite import HIGH_DENSITY_OCCUPANCY, SuiteCase, build_suite
 from repro.perf.__main__ import main as perf_main
 from repro.updates import UpdateBatch
 
@@ -285,15 +285,19 @@ class TestSuiteAndRunner:
                 assert case.subscribed
 
     def test_high_density_is_one_arm_with_or_without_numpy(self):
-        """The case set must not depend on which packages are importable."""
+        """One crowded-cell case in each suite, sized by
+        ``HIGH_DENSITY_OCCUPANCY`` alone: the case set must not depend on
+        which packages are importable."""
         for suite in ("smoke", "full"):
             cases = build_suite(0.01, suite=suite)
             dense = [c for c in cases if c.key.startswith("high_density/")]
             assert [c.key for c in dense] == ["high_density/default"]
             assert not dense[0].shards
-            # The point of the family: occupancy well above the scalar
-            # grid, so the numpy cell-scan kernel actually engages.
+            # The point of the family: crowded cells, a grid much
+            # coarser than the scalability cases' at the same population.
             assert dense[0].grid < cases[0].grid
+            n = dense[0].spec.n_objects
+            assert n / dense[0].grid**2 >= HIGH_DENSITY_OCCUPANCY
 
     def test_run_case_partitioned_counter_exact_with_traffic_metrics(self):
         cases = {c.key: c for c in build_suite(0.002, suite="smoke")}

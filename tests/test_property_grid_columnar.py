@@ -70,9 +70,6 @@ class DictModelGrid:
             if math.hypot(x - qx, y - qy) <= r
         ]
 
-    def scan_best_k(self, cid: int, qx: float, qy: float, k: int, bound: float):
-        return sorted(self.scan_within(cid, qx, qy, bound))[:k]
-
 
 coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
 point = st.tuples(coord, coord)
@@ -84,7 +81,6 @@ operation = st.one_of(
     st.tuples(st.just("move"), oid_st, point),
     st.tuples(st.just("scan"), st.integers(0, GRID_AXIS * GRID_AXIS - 1), st.none()),
     st.tuples(st.just("scan_within"), st.integers(0, GRID_AXIS * GRID_AXIS - 1), point),
-    st.tuples(st.just("scan_best_k"), st.integers(0, GRID_AXIS * GRID_AXIS - 1), point),
     st.tuples(st.just("scan_all_flat"), st.integers(0, GRID_AXIS * GRID_AXIS - 1), st.none()),
 )
 
@@ -127,11 +123,6 @@ def test_columnar_grid_matches_dict_model(ops):
             r = 0.4
             assert sorted(grid.scan_within(arg, qx, qy, r)) == sorted(
                 model.scan_within(arg, qx, qy, r)
-            )
-        elif op == "scan_best_k":
-            qx, qy = payload
-            assert grid.scan_best_k(arg, qx, qy, 3) == model.scan_best_k(
-                arg, qx, qy, 3, math.inf
             )
         else:  # scan_all_flat
             oids, xs, ys = grid.scan_all_flat(arg)
